@@ -14,6 +14,7 @@ import numpy as np
 from . import diagnostics as dg
 from . import harness as hn
 from . import types_lab as tl
+from .cosets import BudgetError
 from .matrices import (
     EnsembleParams,
     SparseMatrix,
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
     try:
         return COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError,
-            jsonschema.ValidationError) as exc:
+            jsonschema.ValidationError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

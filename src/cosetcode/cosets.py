@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import FieldSpec
+from .matrices import gauss_jordan
 from .types_lab import cond_empirical, cond_type_divergence
 
 DEFAULT_BUDGET = 1 << 24
@@ -21,17 +20,81 @@ class BudgetError(Exception):
     """Enumeration would exceed the configured element budget."""
 
 
+@dataclass(eq=False)
+class Elimination:
+    """The target-free half of solving {u : M u = t} over GF(q).
+
+    Pivot choice and row operations depend on M alone, so one elimination
+    serves every target: `transform` (E) maps a target t to the reduced
+    right-hand side E t, whose first `rank` entries are the pivot values of
+    the particular solution and whose remaining entries are zero exactly
+    when the system is consistent.
+    """
+
+    q: int
+    matrix: np.ndarray  # stacked constraint matrix
+    transform: np.ndarray  # (rows, rows) row operations E
+    pivots: np.ndarray  # pivot columns, one per reduced row
+    basis: np.ndarray  # (k, n) kernel basis rows
+    _kernel: object = field(default=None, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def rank(self) -> int:
+        return self.pivots.size
+
+    def kernel(self) -> np.ndarray:
+        """All c @ basis mod q, rows in itertools.product order of c; cached."""
+        if self._kernel is None:
+            k = self.basis.shape[0]
+            place = self.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+            coeffs = (np.arange(self.q ** k, dtype=np.int64)[:, None]
+                      // place) % self.q
+            kernel = (coeffs @ self.basis) % self.q
+            kernel.setflags(write=False)
+            self._kernel = kernel
+        return self._kernel
+
+    def coset(self, target) -> "CosetDescription":
+        """The solution set for one target vector."""
+        t = np.asarray(target, dtype=np.int64).reshape(-1) % self.q
+        if t.shape[0] != self.matrix.shape[0]:
+            raise ValueError("target length does not match row count")
+        reduced = (self.transform @ t) % self.q
+        particular = None
+        if not np.any(reduced[self.rank:]):
+            particular = np.zeros(self.n, dtype=np.int64)
+            particular[self.pivots] = reduced[:self.rank]
+        return CosetDescription(particular, t, self)
+
+
 @dataclass
 class CosetDescription:
     """Solution set of stacked linear constraints {u : M u = t} over GF(q)."""
 
-    q: int
-    n: int
     particular: object  # ndarray, or None when the coset is empty
-    basis: np.ndarray  # (k, n) kernel basis rows
-    matrix: np.ndarray  # stacked constraint matrix
     target: np.ndarray  # stacked target vector
+    elimination: Elimination
     _elements: object = field(default=None, repr=False)
+
+    @property
+    def q(self) -> int:
+        return self.elimination.q
+
+    @property
+    def n(self) -> int:
+        return self.elimination.n
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.elimination.matrix
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.elimination.basis
 
     @property
     def is_empty(self) -> bool:
@@ -45,22 +108,23 @@ class CosetDescription:
         u = np.asarray(u, dtype=np.int64) % self.q
         return bool(np.all((self.matrix @ u) % self.q == self.target))
 
+    def retarget(self, target) -> "CosetDescription":
+        """The coset of the same matrix for another target, without a new
+        elimination; the same target gives back this coset."""
+        t = np.asarray(target, dtype=np.int64).reshape(-1) % self.q
+        if np.array_equal(t, self.target):
+            return self
+        return self.elimination.coset(t)
+
     def elements(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """All coset members as a (size, n) array; cached."""
+        """All coset members as a (size, n) array, particular + kernel in
+        itertools.product order of the basis coefficients; cached."""
         if self.is_empty:
             raise EmptyCosetError("coset is empty")
         if self.size > budget:
             raise BudgetError(f"coset has {self.size} elements, budget {budget}")
         if self._elements is None:
-            k = self.basis.shape[0]
-            if k == 0:
-                out = self.particular.reshape(1, self.n)
-            else:
-                coeffs = np.array(
-                    list(itertools.product(range(self.q), repeat=k)),
-                    dtype=np.int64,
-                )
-                out = (self.particular[None, :] + coeffs @ self.basis) % self.q
+            out = (self.particular[None, :] + self.elimination.kernel()) % self.q
             out.setflags(write=False)
             self._elements = out
         return self._elements
@@ -71,14 +135,15 @@ def _dense_of(m) -> np.ndarray:
 
 
 def solve_coset(constraints, q: int | None = None) -> CosetDescription:
-    """Gaussian elimination on stacked (matrix, target) constraints."""
+    """Gaussian elimination on stacked (matrix, target) constraints.
+
+    The result's `retarget` reuses the elimination for other targets."""
     if not constraints:
         raise ValueError("need at least one constraint")
     if q is None:
         q = getattr(constraints[0][0], "q", None)
         if q is None:
             raise ValueError("q must be given for plain-array constraints")
-    field_spec = FieldSpec(q)
     mats, targets = [], []
     n = None
     for m, t in constraints:
@@ -93,43 +158,17 @@ def solve_coset(constraints, q: int | None = None) -> CosetDescription:
         mats.append(d)
         targets.append(t)
     M = np.vstack(mats).astype(np.int64)
-    t = np.concatenate(targets)
-    aug = np.hstack([M, t[:, None]])
-    rows = aug.shape[0]
-    r = 0
-    pivots = []
-    for c in range(n):
-        piv = None
-        for i in range(r, rows):
-            if aug[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            aug[[r, piv]] = aug[[piv, r]]
-        aug[r] = (aug[r] * int(field_spec.inv_table[aug[r, c]])) % q
-        for i in range(rows):
-            if i != r and aug[i, c] != 0:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % q
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    # inconsistent iff a zero row maps to a nonzero target
-    for i in range(r, rows):
-        if not np.any(aug[i, :n]) and aug[i, n] != 0:
-            return CosetDescription(q, n, None, np.zeros((0, n), np.int64), M, t)
-    particular = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i, n]
+    rows = M.shape[0]
+    # eliminate [M | I]: the right block accumulates the row operations E
+    aug = np.hstack([M, np.eye(rows, dtype=np.int64)])
+    pivots = gauss_jordan(aug, q, ncols=n)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for i, c in enumerate(pivots):
-            basis[bi, c] = (-aug[i, fc]) % q
-    return CosetDescription(q, n, particular, basis, M, t)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-aug[:len(pivots), free].T) % q
+    pivots = np.array(pivots, dtype=np.int64)
+    elim = Elimination(q, M, aug[:, n:].copy(), pivots, basis)
+    return elim.coset(np.concatenate(targets))
 
 
 def _argbest_lex(elements: np.ndarray, scores: np.ndarray) -> np.ndarray:

@@ -211,14 +211,12 @@ def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
             assert np.array_equal(inst.matrices["B"].matvec(y), b)
             return None, distortion_of(x, y, params.rho), False
         if problem == "wz":
-            x, z = sample_source(params.joint.marginal(
-                (params.axis("x"), params.axis("z"))), n, derive_seed(seed, "src"))
+            x, z = sample_source(params.marg("xz"), n, derive_seed(seed, "src"))
             b = sc.wz_encode(inst, params, x)
             w = sc.wz_decode(inst, params, b, z)
             return None, distortion_of(x, w, params.rho), False
         if problem == "oho":
-            x, y = sample_source(params.joint.marginal(
-                (params.axis("x"), params.axis("y"))), n, derive_seed(seed, "src"))
+            x, y = sample_source(params.marg("xy"), n, derive_seed(seed, "src"))
             bx, by = sc.oho_encode_x(inst, x), sc.oho_encode_y(inst, params, y)
             xh = sc.oho_decode(inst, params, bx, by)
             assert np.array_equal(inst.matrices["Bhat"].matvec(xh), bx)
@@ -245,11 +243,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     """Run all (n, draw, trial) cells; returns (summary dict, records).
 
     Per code draw the trial outcomes are aggregated; the per-n row reports
-    the best draw and the mean over draws.
+    the best draw and the mean over draws.  The summary also carries the
+    epsilon-admissibility warnings and, per n, which dimensions were clamped.
     """
     params = cfg.scheme_params()
     records = []
     rows = []
+    dims_clamped = {}
     started = time.monotonic()
     for n in cfg.n_list:
         draws = []
@@ -259,6 +259,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
                                      ensemble=cfg.ensemble, tau=cfg.tau)
             if rate_fields is None:
                 rate_fields = _rate_fields(cfg.problem, inst)
+                dims_clamped[str(n)] = dict(inst.dims.clamped)
             seeds = [derive_seed(cfg.seed, "trial", n, k, t)
                      for t in range(cfg.trials)]
 
@@ -303,6 +304,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
         "seed": cfg.seed,
         "metric": "distortion" if cfg.problem in ("lossy", "wz") else "block_error",
         "rows": rows,
+        "eps_warnings": list(params.eps_warnings),
+        "dims_clamped": dims_clamped,
         "wall_seconds": time.monotonic() - started,
     }
     return summary, records

@@ -167,30 +167,40 @@ def matvec_packed(packed_rows: np.ndarray, u: np.ndarray, l: int) -> np.ndarray:
     return (acc % 2).astype(np.int64)[:l]
 
 
-def rref(mat, q: int):
-    """Reduced row-echelon form over GF(q); returns the nonzero rows."""
-    field = FieldSpec(q)
-    m = np.array(mat, dtype=np.int64) % q
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        m[r] = (m[r] * int(field.inv_table[m[r, c]])) % q
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                m[i] = (m[i] - m[i, c] * m[r]) % q
-        r += 1
+def gauss_jordan(m: np.ndarray, q: int, ncols: int | None = None) -> list:
+    """Gauss-Jordan elimination over GF(q), in place, on the leading `ncols`
+    columns of `m` (all of them by default); returns the pivot columns.
+
+    Whole rows are swapped, scaled and combined, so any trailing columns
+    carry the same row operations without steering them."""
+    inv = FieldSpec(q).inv_table
+    rows = m.shape[0]
+    ncols = m.shape[1] if ncols is None else ncols
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
         if r == rows:
             break
-    return m[:r]
+        nonzero = m[r:, c] != 0
+        if not nonzero.any():
+            continue
+        piv = r + int(nonzero.argmax())
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        if m[r, c] != 1:
+            m[r] = (m[r] * int(inv[m[r, c]])) % q
+        factor = m[:, c].copy()
+        factor[r] = 0
+        m -= factor[:, None] * m[r]
+        m %= q
+        pivots.append(c)
+    return pivots
+
+
+def rref(mat, q: int):
+    """Reduced row-echelon form over GF(q); returns the nonzero rows."""
+    m = np.array(mat, dtype=np.int64) % q
+    return m[:len(gauss_jordan(m, q))]
 
 
 def rng_from_seed(seed) -> np.random.Generator:

@@ -34,7 +34,7 @@ from .matrices import (
     sample_image_point,
 )
 from .cosets import _argbest_lex
-from .types_lab import Distribution, entropy
+from .types_lab import Distribution, entropy, zeta
 
 PROBLEMS = ("sw", "ch", "gp", "lossy", "wz", "oho")
 
@@ -65,11 +65,6 @@ def _mutual(p: np.ndarray, axes_a, axes_b) -> float:
     )
 
 
-def _zeta(size: int, gamma: float) -> float:
-    s = math.sqrt(2 * gamma)
-    return gamma - s * math.log2(s / size)
-
-
 @dataclass
 class SchemeParams:
     """One problem setup: joint law over the named variables plus tuning.
@@ -88,6 +83,9 @@ class SchemeParams:
     rate_x: object = None
     rate_y: object = None
     warn: bool = True
+    # read-only conditional/marginal tables and their logs, filled on first use
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -100,24 +98,51 @@ class SchemeParams:
     def card(self, name: str) -> int:
         return self.joint.p.shape[self.axis(name)]
 
+    def _table(self, key, make) -> np.ndarray:
+        # idempotent fill: threads that race compute equal tables
+        table = self._tables.get(key)
+        if table is None:
+            table = make()
+            table.setflags(write=False)
+            table = self._tables.setdefault(key, table)
+        return table
+
     def cond(self, out: str, given: str) -> np.ndarray:
-        """Conditional table indexed [given..., out...]."""
-        keep = tuple(self.axis(a) for a in given + out)
-        marg = self.joint.p.sum(
-            axis=tuple(a for a in range(self.joint.p.ndim) if a not in keep)
-        )
-        # reorder to (given..., out...) then condition on the leading axes
-        order = sorted(keep)
-        wanted = [self.axis(a) for a in given + out]
-        d = Distribution(np.transpose(marg, _perm_of(order, wanted)))
-        return d.conditional(tuple(range(len(given))))
+        """Conditional table indexed [given..., out...]; read-only, cached."""
+        def make():
+            keep = tuple(self.axis(a) for a in given + out)
+            marg = self.joint.p.sum(
+                axis=tuple(a for a in range(self.joint.p.ndim) if a not in keep)
+            )
+            # reorder to (given..., out...) then condition on the leading axes
+            order = sorted(keep)
+            wanted = [self.axis(a) for a in given + out]
+            d = Distribution(np.transpose(marg, _perm_of(order, wanted)))
+            return d.conditional(tuple(range(len(given))))
+
+        return self._table(("cond", out, given), make)
 
     def marg(self, names: str) -> np.ndarray:
-        keep = tuple(self.axis(a) for a in names)
-        m = self.joint.p.sum(
-            axis=tuple(a for a in range(self.joint.p.ndim) if a not in keep)
-        )
-        return np.transpose(m, _perm_of(sorted(keep), [self.axis(a) for a in names]))
+        """Marginal table indexed [names...]; read-only, cached."""
+        def make():
+            keep = tuple(self.axis(a) for a in names)
+            m = self.joint.p.sum(
+                axis=tuple(a for a in range(self.joint.p.ndim) if a not in keep)
+            )
+            return np.transpose(
+                m, _perm_of(sorted(keep), [self.axis(a) for a in names]))
+
+        return self._table(("marg", names), make)
+
+    def log_cond(self, out: str, given: str) -> np.ndarray:
+        """log_table of cond(out, given); read-only, cached."""
+        return self._table(("log_cond", out, given),
+                           lambda: log_table(self.cond(out, given)))
+
+    def log_marg(self, names: str) -> np.ndarray:
+        """log_table of marg(names); read-only, cached."""
+        return self._table(("log_marg", names),
+                           lambda: log_table(self.marg(names)))
 
     def validate(self):
         """Check the problem's epsilon admissibility conditions; warn only."""
@@ -141,23 +166,23 @@ class SchemeParams:
                         f"eps condition violated: {eb - ea:.4g} <= {mid:.4g} < {ea:.4g}")
             if self.problem == "gp":
                 eah = self.eps.get("ahat")
-                bound = 2 * _zeta(self.card("y") * self.card("w"), 6 * eah)
+                bound = 2 * zeta(self.card("y") * self.card("w"), 6 * eah)
                 if not bound < ea:
                     issues.append(
                         f"stage-2 condition violated: {bound:.4g} >= eps_a")
         elif self.problem == "lossy":
-            bound = ea + 2 * _zeta(self.card("y"), 3 * ea)
+            bound = ea + 2 * zeta(self.card("y"), 3 * ea)
             if not bound < eb:
                 issues.append(f"need eps_a + 2*zeta_Y(3 eps_a) = {bound:.4g} < eps_b")
         elif self.problem == "wz":
-            bound = ea + 2 * _zeta(self.card("y") * self.card("z"), 3 * ea)
+            bound = ea + 2 * zeta(self.card("y") * self.card("z"), 3 * ea)
             if not bound < eb:
                 issues.append(f"need eps_a + 2*zeta_YZ(3 eps_a) = {bound:.4g} < eps_b")
         elif self.problem == "oho":
-            b1 = ea + _zeta(self.card("z"), 3 * ea)
+            b1 = ea + zeta(self.card("z"), 3 * ea)
             if not eb > b1:
                 issues.append(f"need eps_b > {b1:.4g}")
-            b2 = 2 * _zeta(self.card("x") * self.card("z"), 3 * ea)
+            b2 = 2 * zeta(self.card("x") * self.card("z"), 3 * ea)
             if not self.eps.get("bhat") > b2:
                 issues.append(f"need eps_bhat > {b2:.4g}")
         self.eps_warnings = issues
@@ -319,20 +344,39 @@ MATRIX_ALPHABET = {
 
 @dataclass
 class SchemeInstance:
-    """One drawn code: matrices plus the shared image vectors."""
+    """One drawn code: matrices plus the shared image vectors.
+
+    Each stacked system of matrices is eliminated once, on first use, and
+    every later coset of it is a retarget of that elimination.
+    """
 
     problem: str
     n: int
     matrices: dict
     vectors: dict
     dims: DimReport
+    # gp: stage 2 is the forced reproduction x = w (Ahat is the zero matrix)
+    stage2_forced: bool = False
+    _cosets: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         for name, vec in self.vectors.items():
-            m = self.matrices[name]
             # shared vectors must be solvable targets
-            if solve_coset([(m, vec)]).is_empty:
+            if self.coset([(name, vec)]).is_empty:
                 raise ValueError(f"shared vector for {name} is not in the image")
+
+    def coset(self, constraints):
+        """{u : M u = t} for (matrix name, target) pairs stacked in order."""
+        names = tuple(name for name, _ in constraints)
+        compiled = self._cosets.get(names)
+        if compiled is None:
+            # idempotent fill: a racing thread's elimination, of another
+            # target, may win, so the result is retargeted below
+            compiled = self._cosets.setdefault(names, solve_coset(
+                [(self.matrices[name], t) for name, t in constraints]))
+        return compiled.retarget(np.concatenate(
+            [np.asarray(t, dtype=np.int64).reshape(-1) for _, t in constraints]))
 
 
 def _is_identity_cond(cond_x_zw: np.ndarray) -> bool:
@@ -350,14 +394,15 @@ def build_instance(params: SchemeParams, n: int, seed,
     from .gf import is_prime
 
     dims = dims_for(params, n)
+    stage2_forced = params.problem == "gp" and _is_identity_cond(
+        params.cond("x", "zw"))
     matrices = {}
     for name, var in MATRIX_ALPHABET[params.problem].items():
         q = params.card(var)
         if not is_prime(q):
             raise ValueError(f"alphabet size {q} for {var!r} is not prime")
         l = dims.rounded[name]
-        if params.problem == "gp" and name == "Ahat" and _is_identity_cond(
-                params.cond("x", "zw")):
+        if name == "Ahat" and stage2_forced:
             # deterministic stage 2: a zero matrix leaves the full space,
             # whose indicator-argmax is the forced reproduction
             matrices[name] = SparseMatrix(q, 1, n, [[] for _ in range(n)])
@@ -378,7 +423,8 @@ def build_instance(params: SchemeParams, n: int, seed,
     if params.problem == "gp":
         vectors["Ahat"] = sample_image_point(
             matrices["Ahat"], derive_seed(seed, "vec", "Ahat"))
-    return SchemeInstance(params.problem, n, matrices, vectors, dims)
+    return SchemeInstance(params.problem, n, matrices, vectors, dims,
+                          stage2_forced=stage2_forced)
 
 
 def sample_message(inst: SchemeInstance, seed, name: str = "B") -> np.ndarray:
@@ -403,78 +449,72 @@ def sw_encode_y(inst: SchemeInstance, y) -> np.ndarray:
 
 
 def sw_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y):
-    coset_x = solve_coset([(inst.matrices["A"], b_x)])
-    coset_y = solve_coset([(inst.matrices["B"], b_y)])
-    return ml_code_product(coset_x, coset_y, log_table(params.marg("xy")))
+    coset_x = inst.coset([("A", b_x)])
+    coset_y = inst.coset([("B", b_y)])
+    return ml_code_product(coset_x, coset_y, params.log_marg("xy"))
 
 
 def ch_encode(inst: SchemeInstance, params: SchemeParams, m) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"]),
-                         (inst.matrices["B"], m)])
+    coset = inst.coset([("A", inst.vectors["A"]), ("B", m)])
     if coset.is_empty:
         raise EncoderFailure("no channel input matches (c, m)")
-    return ml_code_iid(coset, log_table(params.marg("x")))
+    return ml_code_iid(coset, params.log_marg("x"))
 
 
 def ch_decode(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"])])
+    coset = inst.coset([("A", inst.vectors["A"])])
     # argmax of mu_{XY}(x|y): the joint table indexed [y, x] has the same argmax
-    x_hat = ml_code_cond_iid(coset, y, log_table(params.marg("yx")))
+    x_hat = ml_code_cond_iid(coset, y, params.log_marg("yx"))
     return inst.matrices["B"].matvec(x_hat)
 
 
 def gp_encode(inst: SchemeInstance, params: SchemeParams, m, z) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"]),
-                         (inst.matrices["B"], m)])
+    coset = inst.coset([("A", inst.vectors["A"]), ("B", m)])
     if coset.is_empty:
         raise EncoderFailure("no auxiliary sequence matches (c, m)")
-    w = ml_code_cond_iid(coset, z, log_table(params.cond("w", "z")))
-    cond_x = params.cond("x", "zw")  # [z, w, x]
-    if _is_identity_cond(cond_x) and inst.matrices["Ahat"].columns == tuple(
-            () for _ in range(inst.n)):
+    w = ml_code_cond_iid(coset, z, params.log_cond("w", "z"))
+    if inst.stage2_forced:
         return w.copy()
-    coset2 = solve_coset([(inst.matrices["Ahat"], inst.vectors["Ahat"])])
+    coset2 = inst.coset([("Ahat", inst.vectors["Ahat"])])
     if coset2.is_empty:
         raise EncoderFailure("no channel input matches c-hat")
     z = np.asarray(z, dtype=np.int64)
     elems = coset2.elements()
-    logc = log_table(cond_x)
+    logc = params.log_cond("x", "zw")  # [z, w, x]
     scores = logc[z[None, :], w[None, :], elems].sum(axis=1)
     return _argbest_lex(elems, scores)
 
 
 def gp_decode(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"])])
-    w_hat = ml_code_cond_iid(coset, y, log_table(params.cond("w", "y")))
+    coset = inst.coset([("A", inst.vectors["A"])])
+    w_hat = ml_code_cond_iid(coset, y, params.log_cond("w", "y"))
     return inst.matrices["B"].matvec(w_hat)
 
 
 def lossy_encode(inst: SchemeInstance, params: SchemeParams, x) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"])])
-    y = ml_code_cond_iid(coset, x, log_table(params.cond("y", "x")))
+    coset = inst.coset([("A", inst.vectors["A"])])
+    y = ml_code_cond_iid(coset, x, params.log_cond("y", "x"))
     return inst.matrices["B"].matvec(y)
 
 
 def lossy_decode(inst: SchemeInstance, params: SchemeParams, b) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"]),
-                         (inst.matrices["B"], b)])
+    coset = inst.coset([("A", inst.vectors["A"]), ("B", b)])
     if coset.is_empty:
         raise EncoderFailure("codeword does not address a bin")
-    return ml_code_iid(coset, log_table(params.marg("y")))
+    return ml_code_iid(coset, params.log_marg("y"))
 
 
 def wz_encode(inst: SchemeInstance, params: SchemeParams, x) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"])])
-    y = ml_code_cond_iid(coset, x, log_table(params.cond("y", "x")))
+    coset = inst.coset([("A", inst.vectors["A"])])
+    y = ml_code_cond_iid(coset, x, params.log_cond("y", "x"))
     return inst.matrices["B"].matvec(y)
 
 
 def wz_decode(inst: SchemeInstance, params: SchemeParams, b, z) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"]),
-                         (inst.matrices["B"], b)])
+    coset = inst.coset([("A", inst.vectors["A"]), ("B", b)])
     if coset.is_empty:
         raise EncoderFailure("codeword does not address a bin")
-    y_hat = ml_code_cond_iid(coset, z, log_table(params.cond("y", "z")))
+    y_hat = ml_code_cond_iid(coset, z, params.log_cond("y", "z"))
     z = np.asarray(z, dtype=np.int64)
     return params.f[y_hat, z]
 
@@ -484,18 +524,17 @@ def oho_encode_x(inst: SchemeInstance, x) -> np.ndarray:
 
 
 def oho_encode_y(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"])])
-    z = ml_code_cond_iid(coset, y, log_table(params.cond("z", "y")))
+    coset = inst.coset([("A", inst.vectors["A"])])
+    z = ml_code_cond_iid(coset, y, params.log_cond("z", "y"))
     return inst.matrices["B"].matvec(z)
 
 
 def oho_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y) -> np.ndarray:
-    coset = solve_coset([(inst.matrices["A"], inst.vectors["A"]),
-                         (inst.matrices["B"], b_y)])
+    coset = inst.coset([("A", inst.vectors["A"]), ("B", b_y)])
     if coset.is_empty:
         raise EncoderFailure("helper codeword does not address a bin")
-    z_hat = ml_code_iid(coset, log_table(params.marg("z")))
-    coset_x = solve_coset([(inst.matrices["Bhat"], b_x)])
+    z_hat = ml_code_iid(coset, params.log_marg("z"))
+    coset_x = inst.coset([("Bhat", b_x)])
     if coset_x.is_empty:
         raise EncoderFailure("primary codeword does not address a bin")
-    return ml_code_cond_iid(coset_x, z_hat, log_table(params.cond("x", "z")))
+    return ml_code_cond_iid(coset_x, z_hat, params.log_cond("x", "z"))

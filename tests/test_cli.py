@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,18 @@ def test_run_bad_config_usage_error(tmp_path, capsys):
     path2 = tmp_path / "bad2.json"
     path2.write_text(json.dumps({"problem": "sw"}))
     assert main(["run", "--config", str(path2)]) == EXIT_USAGE
+
+
+def test_run_over_budget_coset_is_usage_error(tmp_path, capsys):
+    doc = json.loads((Path(__file__).parent.parent / "configs" / "channel.json")
+                     .read_text())
+    doc.update(n=[64], trials=1, best_of=1)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "big")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: coset has ") and "budget" in err
 
 
 def test_console_script_smoke():

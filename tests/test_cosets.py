@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcode.cosets import (
     BudgetError,
@@ -18,7 +20,12 @@ from cosetcode.cosets import (
     ml_code_product,
     solve_coset,
 )
-from cosetcode.matrices import SparseMatrix, generate_uniform, rng_from_seed
+from cosetcode.matrices import (
+    SparseMatrix,
+    generate_uniform,
+    rng_from_seed,
+    rref,
+)
 from cosetcode.types_lab import cond_empirical, cond_type_divergence
 
 
@@ -75,6 +82,90 @@ def test_budget_error():
     coset = solve_coset([(A, [0])])
     with pytest.raises(BudgetError):
         coset.elements(budget=1000)
+
+
+def reference_solve(M, t, q):
+    """Per-target loop elimination of [M | t], the reference for the
+    compiled solver: (particular or None, basis, reduced rows, elements),
+    elements in itertools.product order of the basis coefficients."""
+    inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
+    M = np.asarray(M, dtype=np.int64) % q
+    rows, n = M.shape
+    aug = np.hstack([M, (np.asarray(t, dtype=np.int64) % q)[:, None]])
+    r = 0
+    pivots = []
+    for c in range(n):
+        piv = next((i for i in range(r, rows) if aug[i, c] != 0), None)
+        if piv is None:
+            continue
+        aug[[r, piv]] = aug[[piv, r]]
+        aug[r] = (aug[r] * inv[aug[r, c]]) % q
+        for i in range(rows):
+            if i != r and aug[i, c] != 0:
+                aug[i] = (aug[i] - aug[i, c] * aug[r]) % q
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = 1
+        for i, c in enumerate(pivots):
+            basis[bi, c] = (-aug[i, fc]) % q
+    if np.any(aug[r:, n]):
+        return None, basis, aug[:r, :n], None
+    particular = np.zeros(n, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i, n]
+    coeffs = np.array(list(itertools.product(range(q), repeat=len(free))),
+                      dtype=np.int64)
+    return particular, basis, aug[:r, :n], (particular + coeffs @ basis) % q
+
+
+def assert_matches_reference(coset, M, t, q):
+    """`coset` equals a fresh solve and the loop reference for (M, t)."""
+    particular, basis, reduced, elements = reference_solve(M, t, q)
+    fresh = solve_coset([(M, t)], q=q)
+    assert np.array_equal(rref(M, q), reduced)
+    assert coset.is_empty == fresh.is_empty == (particular is None)
+    assert np.array_equal(coset.basis, fresh.basis)
+    assert np.array_equal(coset.basis, basis)
+    if particular is None:
+        with pytest.raises(EmptyCosetError):
+            coset.elements()
+        return
+    assert np.array_equal(coset.particular, particular)
+    assert np.array_equal(fresh.particular, particular)
+    assert np.array_equal(coset.elements(), elements)  # row order included
+    assert np.array_equal(fresh.elements(), elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_retarget_matches_fresh_solve(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    l, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    entries = st.integers(0, q - 1)
+    M = np.array(data.draw(st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=l, max_size=l)))
+    t0, t = (np.array(data.draw(st.lists(entries, min_size=l, max_size=l)))
+             for _ in range(2))
+    compiled = solve_coset([(M, t0)], q=q)
+    assert_matches_reference(compiled.retarget(t), M, t, q)
+    assert compiled.retarget(t0) is compiled
+
+
+@pytest.mark.parametrize("q, M, t0, t, kernel_dim, empty", [
+    (3, np.zeros((2, 3), dtype=int), [1, 0], [0, 0], 3, False),  # rank 0
+    (5, np.array([[1, 2], [3, 4]]), [0, 0], [4, 1], 0, False),  # kernel 0
+    (2, np.array([[1, 1], [1, 1]]), [0, 0], [0, 1], 1, True),  # inconsistent
+    (2, np.array([[1, 1], [1, 1]]), [0, 1], [1, 1], 1, False),  # from empty
+])
+def test_retarget_edge_cases(q, M, t0, t, kernel_dim, empty):
+    coset = solve_coset([(M, t0)], q=q).retarget(t)
+    assert coset.basis.shape[0] == kernel_dim and coset.is_empty == empty
+    assert_matches_reference(coset, M, t, q)
 
 
 def test_solve_requires_q_for_plain_arrays():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -143,6 +145,30 @@ def test_run_experiment_deterministic_across_threads():
     assert hn.records_csv(r1) == hn.records_csv(r2)
 
 
+@pytest.mark.parametrize("problem, scheme", [
+    ("ch", {"mu_x": [0.5, 0.5], "channel": [[0.89, 0.11], [0.11, 0.89]],
+            "eps_a": 0.05, "eps_b": 0.15}),
+    ("lossy", {"mu_x": [0.5, 0.5], "test_channel": [[0.75, 0.25], [0.25, 0.75]],
+               "rho": [[0.0, 1.0], [1.0, 0.0]], "eps_a": 0.01, "eps_b": 0.1}),
+])
+def test_shared_caches_thread_count_invariance(problem, scheme):
+    # workers fill the per-instance cosets and per-params tables lazily;
+    # a short switch interval makes their fills interleave
+    doc = {"problem": problem, "n": [8], "trials": 20, "seed": 11,
+           "best_of": 2, "scheme": scheme}
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 4):
+            cfg = hn.ExperimentConfig.from_dict(doc)
+            summary, records = hn.run_experiment(cfg, threads=threads)
+            outputs.append((hn.summary_csv(summary), hn.records_csv(records)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1]
+
+
 def test_run_experiment_seed_changes_results():
     base = hn.run_experiment(hn.ExperimentConfig.from_dict(sw_config()))[1]
     other = hn.run_experiment(
@@ -197,3 +223,26 @@ def test_write_outputs(tmp_path):
         assert (tmp_path / f"exp{suffix}").exists()
     doc = json.loads((tmp_path / "exp.json").read_text())
     assert doc["problem"] == "sw"
+
+
+def test_summary_reports_admissibility(tmp_path):
+    doc = json.loads((Path(__file__).parent.parent / "configs" / "channel.json")
+                     .read_text())
+    doc.update(n=[8], trials=2, best_of=1)
+    doc["scheme"]["eps_b"] = -0.15
+    summary, _ = hn.run_experiment(hn.ExperimentConfig.from_dict(doc))
+    assert summary["eps_warnings"] == [
+        "need eps_b >= eps_a for the sqrt condition"]
+    assert summary["dims_clamped"] == {"8": {"A": False, "B": False}}
+    doc = sw_config(n=[8, 16], trials=2, best_of=1)
+    doc["scheme"]["rate_x"] = 0.05  # 0.4 rows at n = 8, clamped to 1
+    with pytest.warns(UserWarning, match="clamped"):
+        summary, records = hn.run_experiment(hn.ExperimentConfig.from_dict(doc))
+    assert summary["eps_warnings"] == []
+    assert summary["dims_clamped"] == {"8": {"A": True, "B": False},
+                                       "16": {"A": False, "B": False}}
+    hn.write_outputs(summary, records, str(tmp_path / "exp"))
+    written = json.loads((tmp_path / "exp.json").read_text())
+    assert written["eps_warnings"] == []
+    assert written["dims_clamped"] == summary["dims_clamped"]
+    assert (tmp_path / "exp.csv").read_text() == hn.summary_csv(summary)

@@ -1,11 +1,16 @@
 """Scheme constructions: dimension formulas, instances, encode/decode contracts."""
 
 import math
+import sys
+import threading
 import warnings
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from cosetcode import harness as hn
 from cosetcode import schemes as sc
 from cosetcode.matrices import SparseMatrix, derive_seed
 from cosetcode.types_lab import Distribution
@@ -260,3 +265,64 @@ def test_nonprime_alphabet_rejected():
     params = sc.sw_params(joint, 1.0, 1.0)
     with pytest.raises(ValueError):
         sc.build_instance(params, 4, seed=0)
+
+
+def test_each_stacked_system_is_eliminated_once(monkeypatch):
+    solved = Counter()
+    original = sc.solve_coset
+
+    def counting(constraints, q=None):
+        solved[tuple(id(m) for m, _ in constraints)] += 1
+        return original(constraints, q)
+
+    monkeypatch.setattr(sc, "solve_coset", counting)
+    rho = [[0, 1], [1, 0]]
+    # [z, x, w] with x != w at times, so gp runs a real stage 2
+    mu_xw_z = np.array([[[0.4, 0.1], [0.1, 0.4]]] * 2)
+    chan = np.stack([bsc(0.11)] * 2, axis=1)  # [x, z, y]
+    cases = {  # problem -> (params, number of stacked systems)
+        "sw": (sc.sw_params(Distribution.dsbs(0.11), 0.85, 0.85), 2),
+        "ch": (sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15, warn=False), 2),
+        "gp": (sc.gp_params([0.5, 0.5], mu_xw_z, chan, 0.05, 0.15, 0.01,
+                            warn=False), 3),
+        "lossy": (sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.1,
+                                  warn=False), 2),
+        "wz": (sc.wz_params(Distribution.dsbs(0.1), bsc(0.25), [[0, 0], [1, 1]],
+                            rho, 0.01, 0.1, warn=False), 2),
+        "oho": (sc.oho_params(Distribution.dsbs(0.1), bsc(0.1), 0.05, 0.15,
+                              0.15, warn=False), 3),
+    }
+    for problem, (params, systems) in cases.items():
+        solved.clear()
+        inst = sc.build_instance(params, 10, seed=5)
+        for t in range(25):
+            hn.run_trial(problem, params, inst, derive_seed(5, problem, t))
+        assert sorted(solved.values()) == [1] * systems, problem
+
+
+def test_concurrent_first_use_of_a_coset():
+    # more threads than cores race to compile the same system, each for its
+    # own target; every one must get the coset of its target
+    params = sc.sw_params(Distribution.dsbs(0.11), 0.85, 0.85)
+    workers = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for draw in range(10):
+            inst = sc.build_instance(params, 12, seed=draw)
+            rng = np.random.default_rng(draw)
+            targets = [inst.matrices["A"].matvec(rng.integers(0, 2, 12))
+                       for _ in range(workers)]
+            barrier = threading.Barrier(workers)
+
+            def first_use(t):
+                barrier.wait(timeout=30)
+                return inst.coset([("A", t)])
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                cosets = list(pool.map(first_use, targets, timeout=60))
+            for t, coset in zip(targets, cosets):
+                assert np.array_equal(coset.target, t)
+                assert coset.contains(coset.elements()[0])
+    finally:
+        sys.setswitchinterval(interval)
