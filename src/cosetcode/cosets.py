@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ class Elimination:
     pivots: np.ndarray  # pivot columns, one per reduced row
     basis: np.ndarray  # (k, n) kernel basis rows
     _kernel: object = field(default=None, repr=False)
+    _steps: object = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -234,75 +236,203 @@ def md_code(coset: CosetDescription, v, cond_mu, budget: int = DEFAULT_BUDGET):
     return np.array(best[1], dtype=np.int64)
 
 
-def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
-                    log_joint: np.ndarray, budget: int = DEFAULT_BUDGET):
-    """Joint argmax of sum_i log mu(x_i, y_i) over a product of cosets."""
-    if coset_x.is_empty or coset_y.is_empty:
-        raise EmptyCosetError("a factor coset is empty")
-    if coset_x.size * coset_y.size > budget:
-        raise BudgetError(
-            f"product has {coset_x.size * coset_y.size} elements, budget {budget}")
+def fixed_point_metric(log_joint, n: int) -> np.ndarray:
+    """Exact integer form of a log-likelihood table for sums of n entries.
+
+    Finite entries become round(L * 2**s), integer-valued float64 (-inf
+    stays -inf), with s the largest scale at which n times the largest
+    magnitude stays below 2**53: every sum of n entries is then an exact
+    integer, in
+    any order, so ties are exact and no summation order decides.  A table
+    that is already integer-valued within that bound is returned as it is:
+    its sums are exact, and a power-of-two scale changes no comparison.
+    """
+    table = np.asarray(log_joint, dtype=float)
+    if np.isnan(table).any() or (table == np.inf).any():
+        raise ValueError("log-likelihoods must be finite or -inf")
+    finite = table[np.isfinite(table)]
+    peak = float(np.abs(finite).max()) if finite.size else 0.0
+    if np.array_equal(finite, np.round(finite)) and n * int(peak) < 1 << 53:
+        return table
+    # the bound surely holds one below this s, and surely fails one above
+    s = math.floor(math.log2((1 << 53) / n - 0.5) - math.log2(peak)) + 1
+    while True:
+        out = np.round(np.ldexp(table, s))
+        if n * int(np.abs(out[np.isfinite(out)]).max()) < 1 << 53:
+            return out
+        s -= 1
+
+
+def _syndrome_steps(elim: Elimination) -> np.ndarray:
+    """Trellis sections of one factor, cached: steps[i, a, s] is the state
+    reached from partial syndrome s by symbol a at position i.
+
+    A state is the partial syndrome of the `rank` reduced rows E M, coded
+    as sum_k s_k q**k; for q = 2 a step is the XOR with the column code."""
+    if elim._steps is None:
+        q, n, rank = elim.q, elim.n, elim.rank
+        reduced = (elim.transform[:rank] @ elim.matrix) % q  # (rank, n)
+        states = np.arange(q ** rank, dtype=np.int64)
+        symbols = np.arange(q, dtype=np.int64)[None, :, None]
+        steps = np.zeros((n, q, states.size), dtype=np.int64)
+        for k in range(rank):
+            digit = (states // q ** k) % q
+            steps += ((digit + symbols * reduced[k][:, None, None]) % q) * q ** k
+        steps.setflags(write=False)
+        elim._steps = steps
+    return elim._steps
+
+
+def _final_state(coset: CosetDescription) -> int:
+    """Code of the reduced target: the pivot values of the particular."""
+    place = coset.q ** np.arange(coset.elimination.rank, dtype=np.int64)
+    return int(coset.particular[coset.elimination.pivots] @ place)
+
+
+def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
+                     metric: np.ndarray):
+    """Exact ML pair on Wolf's syndrome trellis of the product coset.
+
+    The joint state is the pair of partial syndromes.  A backward pass gives
+    the best suffix value of every state; a forward walk then takes, at each
+    position, the smallest x symbol that some ML pair continues, tracking the
+    best prefix value of every state over the free y prefix; a last trellis
+    over y alone, x fixed, takes the smallest y.  `metric` must be integral
+    (fixed_point_metric), so the value comparisons are exact."""
+    qx, qy = metric.shape
+    n = coset_x.n
+    steps_x = _syndrome_steps(coset_x.elimination)
+    steps_y = _syndrome_steps(coset_y.elimination)
+    end_x, end_y = _final_state(coset_x), _final_state(coset_y)
+    sym_x = np.arange(qx)[:, None]
+    branch = metric[:, None, :, None]  # (a, ., b, .)
+
+    def relax(values, shift_x, shift_y):
+        # [a][s, t] = max_b metric[a, b] + values[shift_x[a, s], shift_y[b, t]]
+        best_b = (branch + values[:, shift_y][None]).max(axis=2)
+        return best_b[sym_x, shift_x]
+
+    value = np.full((n + 1, steps_x.shape[2], steps_y.shape[2]), -np.inf)
+    value[n, end_x, end_y] = 0.0
+    for i in range(n - 1, -1, -1):
+        value[i] = relax(value[i + 1], steps_x[i], steps_y[i]).max(axis=0)
+    best = value[0, 0, 0]
+    if best == -np.inf:
+        # every pair scores -inf: all tie, so the smallest pair wins
+        return _product_trellis(coset_x, coset_y, np.zeros_like(metric))
+    back_x, back_y = (-np.arange(qx)) % qx, (-np.arange(qy)) % qy
+    prefix = np.full(value.shape[1:], -np.inf)
+    prefix[0, 0] = 0.0
+    x = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        # [a][s, t]: best prefix ending in (s, t) with x_i = a
+        cand = relax(prefix, steps_x[i][back_x], steps_y[i][back_y])
+        live = (cand + value[i + 1]).max(axis=(1, 2)) == best
+        x[i] = np.argmax(live)
+        prefix = cand[x[i]]
+    rows = metric[x][:, :, None]  # (i, b, .)
+    suffix = np.full((n + 1, steps_y.shape[2]), -np.inf)
+    suffix[n, end_y] = 0.0
+    for i in range(n - 1, -1, -1):
+        suffix[i] = (rows[i] + suffix[i + 1][steps_y[i]]).max(axis=0)
+    y = np.zeros(n, dtype=np.int64)
+    state = 0
+    for i in range(n):
+        nxt = steps_y[i][:, state]
+        y[i] = np.argmax(rows[i][:, 0] + suffix[i + 1][nxt] == suffix[i, state])
+        state = nxt[y[i]]
+    return x, y
+
+
+def _block_width(qx: int, qy: int, n: int, pairs: int) -> int:
+    """Positions per lookup of the enumeration path: the widest k dividing n
+    whose table of (qx qy)**k block-pair sums has at most max(pairs,
+    _BLOCK_FLOOR) entries (so building it costs about one lookup pass at
+    most) and at most _BLOCK_TABLE (so it stays in cache)."""
+    limit = min(max(pairs, _BLOCK_FLOOR), _BLOCK_TABLE)
+    return max(k for k in range(1, n + 1)
+               if n % k == 0 and (k == 1 or (qx * qy) ** k <= limit))
+
+
+def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
+                       metric: np.ndarray, budget: int = DEFAULT_BUDGET):
+    """Exact ML pair by scoring every pair of the product coset.
+
+    A score is a sum of lookups, one per block of k positions, in a table
+    of the metric sums of all pairs of k-symbol blocks."""
     ex = coset_x.elements(budget)
     ey = coset_y.elements(budget)
-    log_joint = np.asarray(log_joint, dtype=float)
-    qx, qy = log_joint.shape
+    qx, qy = metric.shape
     n = coset_x.n
-    # score(x, y) = sum_{a,b} L[a,b] * #{i : x_i=a, y_i=b}; the count
-    # matrices have fixed margins, so the score is affine in the
-    # (qx-1)(qy-1) leading counts, each a single indicator matmul
-    cnt_x = np.stack([(ex == a).sum(axis=1) for a in range(qx)]).astype(float)
-    cnt_y = np.stack([(ey == b).sum(axis=1) for b in range(qy)]).astype(float)
-    ind_x = [(ex == a).astype(float) for a in range(qx - 1)]
-    ind_y = [(ey == b).astype(float).T for b in range(qy - 1)]
-    if np.all(np.isfinite(log_joint)):
-        k = (log_joint[:-1, :-1] - log_joint[:-1, -1:]
-             - log_joint[-1:, :-1] + log_joint[-1, -1])
-        scores = None
-        for a in range(qx - 1):
-            for b in range(qy - 1):
-                if k[a, b] == 0.0:
-                    continue
-                term = ind_x[a] @ (k[a, b] * ind_y[b])
-                scores = term if scores is None else np.add(scores, term,
-                                                            out=scores)
-        row = (log_joint[:, -1] - log_joint[-1, -1]) @ cnt_x
-        row += n * log_joint[-1, -1]
-        col = (log_joint[-1, :] - log_joint[-1, -1]) @ cnt_y
-        if scores is None:
-            scores = np.add.outer(row, col)
-        else:
-            np.add(scores, row[:, None], out=scores)
-            np.add(scores, col[None, :], out=scores)
-    else:
-        # structural zeros: materialize every count matrix and mask
-        counts = {}
-        for a in range(qx - 1):
-            for b in range(qy - 1):
-                counts[a, b] = ind_x[a] @ ind_y[b]
-        for a in range(qx - 1):
-            counts[a, qy - 1] = cnt_x[a][:, None] - sum(
-                counts[a, b] for b in range(qy - 1))
-        for b in range(qy - 1):
-            counts[qx - 1, b] = cnt_y[b][None, :] - sum(
-                counts[a, b] for a in range(qx - 1))
-        counts[qx - 1, qy - 1] = cnt_x[qx - 1][:, None] - sum(
-            counts[qx - 1, b] for b in range(qy - 1))
-        scores = np.zeros((ex.shape[0], ey.shape[0]))
-        blocked = None
-        for (a, b), c in counts.items():
-            if log_joint[a, b] == 0.0:
-                continue
-            if np.isfinite(log_joint[a, b]):
-                scores += log_joint[a, b] * c
-            else:
-                blocked = (c > 0) if blocked is None else (blocked | (c > 0))
-        if blocked is not None:
-            scores[blocked] = -np.inf
-    best = scores.max()
-    xi, yi = np.nonzero(scores == best)
+    k = _block_width(qx, qy, n, ex.shape[0] * ey.shape[0])
+    table = metric
+    for _ in range(k - 1):
+        table = (table[:, None, :, None] + metric[None, :, None, :]).reshape(
+            table.shape[0] * qx, table.shape[1] * qy)
+    # big-endian block codes, one row per block; x codes pre-scaled to rows
+    bx = (ex.reshape(-1, n // k, k) @ qx ** np.arange(k - 1, -1, -1)).T
+    by = (ey.reshape(-1, n // k, k) @ qy ** np.arange(k - 1, -1, -1)).T
+    bx *= table.shape[1]
+    flat = table.ravel()
+    scores = np.empty((ex.shape[0], ey.shape[0]))
+    rows = max(1, _ENUMERATE_CHUNK // by.size)
+    for lo in range(0, ex.shape[0], rows):
+        # integral terms: the sum is exact in numpy's summation order
+        scores[lo:lo + rows] = flat.take(
+            bx[:, lo:lo + rows, None] + by[:, None, :]).sum(axis=0)
+    xi, yi = np.nonzero(scores == scores.max())
     pairs = np.hstack([ex[xi], ey[yi]])
-    k = np.lexsort(pairs.T[::-1])[0]
-    return ex[xi[k]].copy(), ey[yi[k]].copy()
+    first = np.lexsort(pairs.T[::-1])[0]
+    return ex[xi[first]].copy(), ey[yi[first]].copy()
+
+
+# entries of the enumeration path's block table: at most cache-sized, and
+# up to this many even for small products, so that they take few lookups
+_BLOCK_TABLE = 1 << 12
+_BLOCK_FLOOR = 1 << 8
+# lookups gathered per chunk of the enumeration path: small temporaries
+# (64 KiB) are reused by the allocator instead of faulting in fresh pages
+_ENUMERATE_CHUNK = 1 << 13
+# dispatch cost model, in the time of one enumeration lookup (10-12 ns on a
+# 2-core VM): a trellis branch costs about as much (8-10 ns), and each
+# trellis position adds a fixed numpy overhead of about 60 us
+TRELLIS_SECTION = 6000
+
+
+def product_costs(coset_x: CosetDescription, coset_y: CosetDescription):
+    """(pairs, lookups, branches) of a product decode: the |X| |Y| pairs the
+    enumeration path scores with one lookup per block of positions, and the
+    n q_x^rank_x q_y^rank_y q_x q_y branches the trellis path relaxes."""
+    n = coset_x.n
+    qx, qy = coset_x.q, coset_y.q
+    pairs = coset_x.size * coset_y.size
+    states = qx ** coset_x.elimination.rank * qy ** coset_y.elimination.rank
+    return pairs, pairs * n // _block_width(qx, qy, n, pairs), \
+        n * states * qx * qy
+
+
+def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
+                    log_joint: np.ndarray, budget: int = DEFAULT_BUDGET):
+    """Joint argmax of sum_i log mu(x_i, y_i) over a product of cosets.
+
+    Scores use fixed_point_metric(log_joint, n), so the ML pair is exact and
+    exact ties go to the lexicographically smallest (x, y).  The pair comes
+    from enumeration (at most `budget` pairs) or from the syndrome trellis
+    (at most `budget` branches), whichever the cost model rates cheaper;
+    both give the same pair."""
+    if coset_x.is_empty or coset_y.is_empty:
+        raise EmptyCosetError("a factor coset is empty")
+    pairs, lookups, branches = product_costs(coset_x, coset_y)
+    if pairs > budget and branches > budget:
+        raise BudgetError(f"product has {pairs} pairs and a trellis of "
+                          f"{branches} branches, budget {budget}")
+    metric = fixed_point_metric(log_joint, coset_x.n)
+    trellis = pairs > budget or (
+        branches <= budget
+        and branches + coset_x.n * TRELLIS_SECTION < lookups)
+    if trellis:
+        return _product_trellis(coset_x, coset_y, metric)
+    return _product_enumerate(coset_x, coset_y, metric, budget)
 
 
 def log_table(p, floor: float = -np.inf) -> np.ndarray:

@@ -88,7 +88,8 @@ class ExperimentConfig:
     def scheme_params(self, warn: bool = False) -> sc.SchemeParams:
         s = self.scheme
         if self.problem == "sw":
-            return sc.sw_params(Distribution(s["joint"]), s["rate_x"], s["rate_y"])
+            return sc.sw_params(Distribution(s["joint"]), s["rate_x"], s["rate_y"],
+                                warn=warn)
         if self.problem == "ch":
             return sc.ch_params(s["mu_x"], s["channel"], s["eps_a"], s["eps_b"],
                                 warn=warn)

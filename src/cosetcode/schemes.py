@@ -17,6 +17,7 @@ import numpy as np
 
 from .cosets import (
     EmptyCosetError,
+    fixed_point_metric,
     log_table,
     ml_code_cond_iid,
     ml_code_iid,
@@ -144,6 +145,11 @@ class SchemeParams:
         return self._table(("log_marg", names),
                            lambda: log_table(self.marg(names)))
 
+    def metric_marg(self, names: str, n: int) -> np.ndarray:
+        """fixed_point_metric of log_marg(names) for length-n sums; cached."""
+        return self._table(("metric_marg", names, n),
+                           lambda: fixed_point_metric(self.log_marg(names), n))
+
     def validate(self):
         """Check the problem's epsilon admissibility conditions; warn only."""
         issues = []
@@ -199,9 +205,10 @@ def _perm_of(current_order, wanted_order):
 
 # -- constructors -------------------------------------------------------------
 
-def sw_params(mu_xy: Distribution, rate_x: float, rate_y: float) -> SchemeParams:
+def sw_params(mu_xy: Distribution, rate_x: float, rate_y: float,
+              warn: bool = True) -> SchemeParams:
     return SchemeParams("sw", mu_xy, ("x", "y"),
-                        eps={}, rate_x=rate_x, rate_y=rate_y)
+                        eps={}, rate_x=rate_x, rate_y=rate_y, warn=warn)
 
 
 def ch_params(mu_x, chan_y_x, eps_a: float, eps_b: float,
@@ -451,7 +458,7 @@ def sw_encode_y(inst: SchemeInstance, y) -> np.ndarray:
 def sw_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y):
     coset_x = inst.coset([("A", b_x)])
     coset_y = inst.coset([("B", b_y)])
-    return ml_code_product(coset_x, coset_y, params.log_marg("xy"))
+    return ml_code_product(coset_x, coset_y, params.metric_marg("xy", inst.n))
 
 
 def ch_encode(inst: SchemeInstance, params: SchemeParams, m) -> np.ndarray:

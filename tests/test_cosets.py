@@ -9,15 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetcode import cosets
 from cosetcode.cosets import (
     BudgetError,
     EmptyCosetError,
+    _product_enumerate,
+    _product_trellis,
+    fixed_point_metric,
     log_table,
     md_code,
     ml_code,
     ml_code_cond_iid,
     ml_code_iid,
     ml_code_product,
+    product_costs,
     solve_coset,
 )
 from cosetcode.matrices import (
@@ -297,6 +302,68 @@ def test_md_matches_brute():
 
 # -- product ML -------------------------------------------------------------------
 
+def product_oracle(cx, cy, metric):
+    """Exact ML pair by brute force on an integer metric: Python-int sums,
+    -inf below every finite score, ties to the smallest (x, y)."""
+    best = None
+    for xv in cx.elements():
+        for yv in cy.elements():
+            terms = [metric[a, b] for a, b in zip(xv, yv)]
+            finite = -np.inf not in terms
+            key = (finite, sum(int(t) for t in terms) if finite else 0)
+            pair = tuple(int(v) for v in xv) + tuple(int(v) for v in yv)
+            if best is None or key > best[0] or (key == best[0]
+                                                 and pair < best[1]):
+                best = (key, pair)
+    return best[1]
+
+
+def joined(x, y):
+    return tuple(int(v) for v in x) + tuple(int(v) for v in y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_paths_match_oracle(data):
+    qx, qy = (data.draw(st.sampled_from([2, 3, 5])) for _ in range(2))
+    n = data.draw(st.integers(1, {2: 6, 3: 4, 5: 3}[max(qx, qy)]))
+
+    def coset(q):
+        entries = st.integers(0, q - 1)
+        l = data.draw(st.integers(1, 3))
+        M = np.array(data.draw(st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=l, max_size=l)))
+        if data.draw(st.booleans()):  # any target: the coset may be empty
+            t = np.array(data.draw(st.lists(entries, min_size=l, max_size=l)))
+        else:
+            t = M @ np.array(data.draw(st.lists(entries, min_size=n,
+                                                max_size=n))) % q
+        return solve_coset([(M, t)], q=q)
+
+    cx, cy = coset(qx), coset(qy)
+    if data.draw(st.booleans()):
+        # a law with small integer weights: structural zeros and many ties;
+        # all-zero weights make every member score -inf
+        w = np.array(data.draw(st.lists(st.integers(0, 4), min_size=qx * qy,
+                                        max_size=qx * qy)), dtype=float)
+        p = (w / w.sum() if w.sum() else w).reshape(qx, qy)
+        metric = fixed_point_metric(log_table(p), n)
+    else:
+        # an integer-valued table, used as it is
+        metric = np.array(data.draw(st.lists(
+            st.one_of(st.integers(-3, 0), st.just(-np.inf)),
+            min_size=qx * qy, max_size=qx * qy)), dtype=float).reshape(qx, qy)
+        assert fixed_point_metric(metric, n) is metric
+    if cx.is_empty or cy.is_empty:
+        with pytest.raises(EmptyCosetError):
+            ml_code_product(cx, cy, metric)
+        return
+    want = product_oracle(cx, cy, metric)
+    assert joined(*_product_trellis(cx, cy, metric)) == want
+    assert joined(*_product_enumerate(cx, cy, metric)) == want
+    assert joined(*ml_code_product(cx, cy, metric)) == want
+
+
 def test_ml_product_matches_brute():
     rng = rng_from_seed(6)
     for q in (2, 3):
@@ -310,30 +377,77 @@ def test_ml_product_matches_brute():
                 continue
             p = rng.random((q, q))
             if trial % 2:
-                p[0, 0] = 0.0  # exercise the structural-zero path
+                p[0, 0] = 0.0  # exercise structural zeros
             p /= p.sum()
             L = log_table(p)
-            x1, y1 = ml_code_product(cx, cy, L)
-            best = None
-            for xv in cx.elements():
-                for yv in cy.elements():
-                    s = math.fsum(L[xv[i], yv[i]] for i in range(n))
-                    key = tuple(int(a) for a in xv) + tuple(int(a) for a in yv)
-                    if best is None or s > best[0] + 1e-9 or (
-                            abs(s - best[0]) <= 1e-9 and key < best[1]):
-                        best = (s, key)
-            assert tuple(x1) + tuple(y1) == best[1]
+            got = joined(*ml_code_product(cx, cy, L))
+            assert got == product_oracle(cx, cy, fixed_point_metric(L, n))
+
+
+def test_ml_product_dispatch_by_cost(monkeypatch):
+    rng = rng_from_seed(8)
+    eye = np.hstack([np.eye(5, dtype=int), rng.integers(0, 2, size=(5, 11))])
+    x = rng.integers(0, 2, size=16)
+    wide = solve_coset([(eye, eye @ x % 2)], q=2)  # 2^11 members, 2^5 states
+    full = np.hstack([np.eye(14, dtype=int), rng.integers(0, 2, size=(14, 2))])
+    narrow = solve_coset([(full, full @ x % 2)], q=2)  # 4 members, 2^14 states
+    L = log_table([[0.445, 0.055], [0.055, 0.445]])
+    # (pairs, lookups in 4-position blocks, branches)
+    assert product_costs(wide, wide) == (1 << 22, 1 << 24, 1 << 16)
+    assert product_costs(narrow, narrow) == (16, 64, 1 << 34)
+    metric = fixed_point_metric(L, 16)
+    want_wide = joined(*_product_enumerate(wide, wide, metric))
+    want_narrow = product_oracle(narrow, narrow, metric)
+    # every (u, u) agrees everywhere: 2^11 tied ML pairs, the smallest wins
+    first = min(tuple(int(v) for v in u) for u in wide.elements())
+    assert want_wide == first + first
+
+    def unused(*args):
+        raise AssertionError("the cost model picks the other path")
+
+    monkeypatch.setattr(cosets, "_product_enumerate", unused)
+    assert joined(*ml_code_product(wide, wide, L)) == want_wide
+    monkeypatch.undo()
+    monkeypatch.setattr(cosets, "_product_trellis", unused)
+    assert joined(*ml_code_product(narrow, narrow, L)) == want_narrow
 
 
 def test_ml_product_budget_and_empty():
+    # 2^10 members and 2^10 states each: both paths exceed a 1000 budget
+    half = SparseMatrix.from_dense(np.hstack(
+        [np.eye(10, dtype=int), np.zeros((10, 10), dtype=int)]), 2)
+    both = solve_coset([(half, [0] * 10)])
+    with pytest.raises(BudgetError, match=r"1048576 pairs and a trellis of "
+                                          r"83886080 branches, budget 1000"):
+        ml_code_product(both, both, np.zeros((2, 2)), budget=1000)
+    # rank 0: 2^40 pairs are far over budget, the one-state trellis fits
     big = solve_coset([(SparseMatrix(2, 1, 20), [0])])
-    with pytest.raises(BudgetError):
-        ml_code_product(big, big, np.zeros((2, 2)), budget=1000)
+    x, y = ml_code_product(big, big, np.zeros((2, 2)), budget=1000)
+    assert not x.any() and not y.any()
     A = SparseMatrix.from_dense([[1, 1]], 2)
     empty = solve_coset([(A, [0]), (A, [1])])
     ok = solve_coset([(A, [0])])
     with pytest.raises(EmptyCosetError):
         ml_code_product(empty, ok, np.zeros((2, 2)))
+
+
+def test_fixed_point_bound_at_largest_n():
+    # a single pair of length-n int64 sequences at n = 2^40 takes 16 TiB,
+    # far past any length a decode can hold in memory
+    n = 1 << 40
+    for p in ([[0.445, 0.055], [0.055, 0.445]], [[1e-300, 0.5], [0.0, 0.5]],
+              [[0.25, 0.25], [0.25, 0.25]]):
+        m = fixed_point_metric(log_table(p), n)
+        finite = m[np.isfinite(m)]
+        assert np.array_equal(finite, np.round(finite))
+        assert np.array_equal(np.isfinite(m), np.asarray(p) > 0)
+        peak = int(np.abs(finite).max())
+        assert n * peak < 1 << 53  # every n-term sum is an exact integer
+    # the scale is the largest: doubling it breaks the bound
+    m = fixed_point_metric(log_table([[0.445, 0.055], [0.055, 0.445]]), n)
+    assert n * (2 * int(np.abs(m).max()) + 1) >= 1 << 53
+    with pytest.raises(ValueError):
+        fixed_point_metric([[np.inf, 0.0]], n)
 
 
 # -- log tables -------------------------------------------------------------------
