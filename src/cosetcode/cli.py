@@ -212,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="run a Monte Carlo experiment from a config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored: trials run in order on one "
+                         "thread; no effect on output or speed")
     sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("oracle", help="brute-force closed-form cross-checks")

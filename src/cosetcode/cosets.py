@@ -344,71 +344,48 @@ def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
     return x, y
 
 
-def _block_width(qx: int, qy: int, n: int, pairs: int) -> int:
-    """Positions per lookup of the enumeration path: the widest k dividing n
-    whose table of (qx qy)**k block-pair sums has at most max(pairs,
-    _BLOCK_FLOOR) entries (so building it costs about one lookup pass at
-    most) and at most _BLOCK_TABLE (so it stays in cache)."""
-    limit = min(max(pairs, _BLOCK_FLOOR), _BLOCK_TABLE)
-    return max(k for k in range(1, n + 1)
-               if n % k == 0 and (k == 1 or (qx * qy) ** k <= limit))
-
-
 def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
                        metric: np.ndarray, budget: int = DEFAULT_BUDGET):
     """Exact ML pair by scoring every pair of the product coset.
 
-    A score is a sum of lookups, one per block of k positions, in a table
-    of the metric sums of all pairs of k-symbol blocks."""
+    The scores are sum_a [x = a] . metric[a, y], one matrix product of the
+    symbol indicators of x against the metric rows at y.  The terms are
+    integers (fixed_point_metric), so the products and sums are exact in any
+    order; positions where the metric is -inf are counted by a second
+    product, and a pair with any such position scores -inf."""
     ex = coset_x.elements(budget)
     ey = coset_y.elements(budget)
-    qx, qy = metric.shape
-    n = coset_x.n
-    k = _block_width(qx, qy, n, ex.shape[0] * ey.shape[0])
-    table = metric
-    for _ in range(k - 1):
-        table = (table[:, None, :, None] + metric[None, :, None, :]).reshape(
-            table.shape[0] * qx, table.shape[1] * qy)
-    # big-endian block codes, one row per block; x codes pre-scaled to rows
-    bx = (ex.reshape(-1, n // k, k) @ qx ** np.arange(k - 1, -1, -1)).T
-    by = (ey.reshape(-1, n // k, k) @ qy ** np.arange(k - 1, -1, -1)).T
-    bx *= table.shape[1]
-    flat = table.ravel()
-    scores = np.empty((ex.shape[0], ey.shape[0]))
-    rows = max(1, _ENUMERATE_CHUNK // by.size)
-    for lo in range(0, ex.shape[0], rows):
-        # integral terms: the sum is exact in numpy's summation order
-        scores[lo:lo + rows] = flat.take(
-            bx[:, lo:lo + rows, None] + by[:, None, :]).sum(axis=0)
+    # columns indexed by (position i, symbol a), on both sides of the product
+    onehot = (ex[:, :, None] == np.arange(metric.shape[0])).reshape(
+        ex.shape[0], -1).astype(float)
+
+    def product(table):
+        return onehot @ table.T[ey].reshape(ey.shape[0], -1).T
+
+    finite = np.isfinite(metric)
+    scores = product(np.where(finite, metric, 0.0))
+    if not finite.all():
+        scores[product((~finite).astype(float)) > 0] = -np.inf
     xi, yi = np.nonzero(scores == scores.max())
     pairs = np.hstack([ex[xi], ey[yi]])
     first = np.lexsort(pairs.T[::-1])[0]
     return ex[xi[first]].copy(), ey[yi[first]].copy()
 
 
-# entries of the enumeration path's block table: at most cache-sized, and
-# up to this many even for small products, so that they take few lookups
-_BLOCK_TABLE = 1 << 12
-_BLOCK_FLOOR = 1 << 8
-# lookups gathered per chunk of the enumeration path: small temporaries
-# (64 KiB) are reused by the allocator instead of faulting in fresh pages
-_ENUMERATE_CHUNK = 1 << 13
-# dispatch cost model, in the time of one enumeration lookup (10-12 ns on a
-# 2-core VM): a trellis branch costs about as much (8-10 ns), and each
-# trellis position adds a fixed numpy overhead of about 60 us
+# dispatch cost model, in the time the enumeration path takes per pair (about
+# 10 ns on a 2-core VM): a trellis branch costs about as much (8-10 ns), and
+# each trellis position adds a fixed numpy overhead of about 60 us
 TRELLIS_SECTION = 6000
 
 
 def product_costs(coset_x: CosetDescription, coset_y: CosetDescription):
-    """(pairs, lookups, branches) of a product decode: the |X| |Y| pairs the
-    enumeration path scores with one lookup per block of positions, and the
-    n q_x^rank_x q_y^rank_y q_x q_y branches the trellis path relaxes."""
-    n = coset_x.n
-    qx, qy = coset_x.q, coset_y.q
-    pairs = coset_x.size * coset_y.size
-    states = qx ** coset_x.elimination.rank * qy ** coset_y.elimination.rank
-    return pairs, pairs * n // _block_width(qx, qy, n, pairs), \
-        n * states * qx * qy
+    """(pairs, branches) of a product decode: the |X| |Y| pairs the
+    enumeration path scores, and the n q_x^rank_x q_y^rank_y q_x q_y
+    branches the trellis path relaxes."""
+    states = (coset_x.q ** coset_x.elimination.rank
+              * coset_y.q ** coset_y.elimination.rank)
+    return (coset_x.size * coset_y.size,
+            coset_x.n * states * coset_x.q * coset_y.q)
 
 
 def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
@@ -422,14 +399,14 @@ def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
     both give the same pair."""
     if coset_x.is_empty or coset_y.is_empty:
         raise EmptyCosetError("a factor coset is empty")
-    pairs, lookups, branches = product_costs(coset_x, coset_y)
+    pairs, branches = product_costs(coset_x, coset_y)
     if pairs > budget and branches > budget:
         raise BudgetError(f"product has {pairs} pairs and a trellis of "
                           f"{branches} branches, budget {budget}")
     metric = fixed_point_metric(log_joint, coset_x.n)
     trellis = pairs > budget or (
         branches <= budget
-        and branches + coset_x.n * TRELLIS_SECTION < lookups)
+        and branches + coset_x.n * TRELLIS_SECTION < pairs)
     if trellis:
         return _product_trellis(coset_x, coset_y, metric)
     return _product_enumerate(coset_x, coset_y, metric, budget)

@@ -1,7 +1,8 @@
 """Seeded Monte Carlo runner for the coding schemes.
 
 Each trial derives its own seed from the master seed, so results are
-byte-identical regardless of thread count or scheduling.
+byte-identical for a fixed seed.  The trials of a draw run in order on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -246,6 +246,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     Per code draw the trial outcomes are aggregated; the per-n row reports
     the best draw and the mean over draws.  The summary also carries the
     epsilon-admissibility warnings and, per n, which dimensions were clamped.
+    Trials run in order on the calling thread; `threads` is accepted and has
+    no effect on output or speed.
     """
     params = cfg.scheme_params()
     records = []
@@ -261,22 +263,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
             if rate_fields is None:
                 rate_fields = _rate_fields(cfg.problem, inst)
                 dims_clamped[str(n)] = dict(inst.dims.clamped)
-            seeds = [derive_seed(cfg.seed, "trial", n, k, t)
-                     for t in range(cfg.trials)]
-
-            def one(args):
-                t, s = args
+            recs = []
+            for t in range(cfg.trials):
+                s = derive_seed(cfg.seed, "trial", n, k, t)
                 t0 = time.monotonic()
                 ok, dist, fail = run_trial(cfg.problem, params, inst, s)
-                return TrialRecord(n=n, draw=k, trial=t, seed=s, ok=ok,
-                                   distortion=dist, encoder_failure=fail,
-                                   seconds=time.monotonic() - t0)
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    recs = list(pool.map(one, enumerate(seeds)))
-            else:
-                recs = [one(a) for a in enumerate(seeds)]
+                recs.append(TrialRecord(n=n, draw=k, trial=t, seed=s, ok=ok,
+                                        distortion=dist, encoder_failure=fail,
+                                        seconds=time.monotonic() - t0))
             records.extend(recs)
             if cfg.problem in ("lossy", "wz"):
                 vals = [r.distortion for r in recs]

@@ -215,14 +215,19 @@ def derive_seed(seed, *tags) -> int:
 
 def generate_mackay(params: EnsembleParams, seed) -> SparseMatrix:
     """Draw a sparse matrix: per column, tau additions of a random nonzero
-    element at a random row.  Cancellations are stored as absence."""
+    element at a random row.  Cancellations are stored as absence.
+
+    For q = 2 the only nonzero element is 1, and a draw from the empty range
+    [0, q - 1) consumes no randomness, so it is skipped."""
     rng = rng_from_seed(seed)
     q, l, n, tau = params.q, params.l, params.n, params.tau
+    vals = [1] * tau
     columns = [[] for _ in range(n)]
     for i in range(n):
-        rows = rng.integers(0, l, size=tau)
-        vals = 1 + rng.integers(0, q - 1, size=tau)
-        columns[i] = list(zip(rows.tolist(), vals.tolist()))
+        rows = rng.integers(0, l, size=tau).tolist()
+        if q != 2:
+            vals = (1 + rng.integers(0, q - 1, size=tau)).tolist()
+        columns[i] = list(zip(rows, vals))
     return SparseMatrix(q, l, n, columns)
 
 

@@ -392,9 +392,9 @@ def test_ml_product_dispatch_by_cost(monkeypatch):
     full = np.hstack([np.eye(14, dtype=int), rng.integers(0, 2, size=(14, 2))])
     narrow = solve_coset([(full, full @ x % 2)], q=2)  # 4 members, 2^14 states
     L = log_table([[0.445, 0.055], [0.055, 0.445]])
-    # (pairs, lookups in 4-position blocks, branches)
-    assert product_costs(wide, wide) == (1 << 22, 1 << 24, 1 << 16)
-    assert product_costs(narrow, narrow) == (16, 64, 1 << 34)
+    # (pairs, branches)
+    assert product_costs(wide, wide) == (1 << 22, 1 << 16)
+    assert product_costs(narrow, narrow) == (16, 1 << 34)
     metric = fixed_point_metric(L, 16)
     want_wide = joined(*_product_enumerate(wide, wide, metric))
     want_narrow = product_oracle(narrow, narrow, metric)

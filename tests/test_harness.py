@@ -2,7 +2,7 @@
 
 import json
 import math
-import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -155,22 +155,23 @@ def test_run_experiment_deterministic_across_threads():
     ("sw", {"joint": [[0.445, 0.055], [0.055, 0.445]],
             "rate_x": 0.35, "rate_y": 0.35}),
 ])
-def test_shared_caches_thread_count_invariance(problem, scheme):
-    # workers fill the per-instance cosets, trellis sections and per-params
-    # tables lazily; a short switch interval makes their fills interleave
+def test_shared_caches_thread_count_invariance(problem, scheme, monkeypatch):
+    # trials run in order on the calling thread, which fills the per-instance
+    # cosets, trellis sections and per-params tables: threads=4 starts no
+    # thread and writes the CSVs of threads=1
     doc = {"problem": problem, "n": [16 if problem == "sw" else 8],
            "trials": 20, "seed": 11, "best_of": 2, "scheme": scheme}
-    outputs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in (1, 4):
-            cfg = hn.ExperimentConfig.from_dict(doc)
-            summary, records = hn.run_experiment(cfg, threads=threads)
-            outputs.append((hn.summary_csv(summary), hn.records_csv(records)))
-    finally:
-        sys.setswitchinterval(interval)
-    assert outputs[0] == outputs[1]
+    cfg = hn.ExperimentConfig.from_dict(doc)
+    summary, records = hn.run_experiment(cfg, threads=1)
+    serial = (hn.summary_csv(summary), hn.records_csv(records))
+
+    def refuse(self):
+        raise AssertionError("run_experiment started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    summary, records = hn.run_experiment(hn.ExperimentConfig.from_dict(doc),
+                                         threads=4)
+    assert (hn.summary_csv(summary), hn.records_csv(records)) == serial
 
 
 def test_run_experiment_seed_changes_results():

@@ -161,6 +161,26 @@ def test_generation_deterministic():
     assert generate_mackay(params, 42) != generate_mackay(params, 43)
 
 
+def mackay_reference(params, seed):
+    """Per column, tau rows then tau nonzero values, drawn for every q."""
+    rng = rng_from_seed(seed)
+    columns = []
+    for _ in range(params.n):
+        rows = rng.integers(0, params.l, size=params.tau)
+        vals = 1 + rng.integers(0, params.q - 1, size=params.tau)
+        columns.append(list(zip(rows.tolist(), vals.tolist())))
+    return SparseMatrix(params.q, params.l, params.n, columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 5]), st.integers(1, 15),
+       st.integers(1, 20), st.sampled_from([2, 4, 6]))
+def test_generation_matches_reference(seed, q, l, n, tau):
+    params = EnsembleParams(q=q, l=l, n=n, tau=tau)
+    got = generate_mackay(params, seed)
+    assert got.columns == mackay_reference(params, seed).columns
+
+
 @pytest.mark.parametrize("q,l", [(2, 3), (3, 2)])
 def test_generation_matches_exact_law(q, l):
     """Empirical matrix frequencies vs the exactly enumerated ensemble law."""
