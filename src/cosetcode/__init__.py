@@ -1,6 +1,6 @@
 """Coset coding over sparse GF(q) matrices: diagnostics and simulators."""
 
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 from .matrices import (
     EnsembleParams,
     SparseMatrix,
@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Distribution",
     "EnsembleParams",
-    "FieldElement",
     "FieldSpec",
     "SparseMatrix",
     "TypeVector",

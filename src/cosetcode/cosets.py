@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matrices import gauss_jordan
-from .types_lab import cond_empirical, cond_type_divergence
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -181,59 +180,30 @@ def _argbest_lex(elements: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return cand[order[0]].copy()
 
 
-def ml_code(coset: CosetDescription, score, budget: int = DEFAULT_BUDGET):
-    """argmax of an arbitrary score over the coset (lexicographic ties).
-
-    `score` maps a vector to any totally ordered value (float log-probability
-    or exact Fraction); exact values make tie detection exact.
-    """
-    if coset.is_empty:
-        raise EmptyCosetError("coset is empty")
-    best_s = None
-    best_u = None
-    for u in coset.elements(budget):
-        s = score(u)
-        key = tuple(int(x) for x in u)
-        if best_s is None or s > best_s or (s == best_s and key < tuple(best_u)):
-            best_s, best_u = s, key
-    return np.array(best_u, dtype=np.int64)
-
-
-def ml_code_iid(coset: CosetDescription, logp: np.ndarray,
+def ml_code_iid(coset: CosetDescription, metric: np.ndarray,
                 budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """argmax of a memoryless log-likelihood; logp has shape (q,) or (n, q)."""
+    """argmax of sum_i metric[i, u_i] over the coset; metric has shape (q,)
+    or (n, q).
+
+    The single-coset decoding kernel.  `metric` must be integer-valued
+    (fixed_point_metric, -inf allowed), so every sum is exact and exact ties
+    go to the lexicographically smallest member; it is used as it is."""
     elems = coset.elements(budget)
-    logp = np.asarray(logp, dtype=float)
-    if logp.ndim == 1:
-        scores = logp[elems].sum(axis=1)
+    metric = np.asarray(metric)
+    if metric.ndim == 1:
+        scores = metric[elems].sum(axis=1)
     else:
-        scores = logp[np.arange(coset.n)[None, :], elems].sum(axis=1)
+        # u_i sits at flat index i q + u_i of the (n, q) table
+        flat = elems + metric.shape[1] * np.arange(coset.n)
+        scores = metric.ravel()[flat].sum(axis=1)
     return _argbest_lex(elems, scores)
 
 
-def ml_code_cond_iid(coset: CosetDescription, v, logp_cond: np.ndarray,
+def ml_code_cond_iid(coset: CosetDescription, v, metric: np.ndarray,
                      budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """argmax_u sum_i log mu(u_i | v_i); logp_cond indexed [v, u]."""
-    v = np.asarray(v, dtype=np.int64)
-    elems = coset.elements(budget)
-    scores = np.asarray(logp_cond, dtype=float)[v[None, :], elems].sum(axis=1)
-    return _argbest_lex(elems, scores)
-
-
-def md_code(coset: CosetDescription, v, cond_mu, budget: int = DEFAULT_BUDGET):
-    """Coset member whose conditional type is divergence-closest to mu_{U|V}."""
-    if coset.is_empty:
-        raise EmptyCosetError("coset is empty")
-    cond_mu = np.asarray(cond_mu, dtype=float)
-    qv, qu = cond_mu.shape
-    v = np.asarray(v, dtype=np.int64)
-    best = None
-    for u in coset.elements(budget):
-        d = cond_type_divergence(cond_empirical(u, v, qu, qv), cond_mu)
-        key = tuple(int(x) for x in u)
-        if best is None or d < best[0] or (d == best[0] and key < best[1]):
-            best = (d, key)
-    return np.array(best[1], dtype=np.int64)
+    """argmax_u sum_i metric[v_i, u_i]: ml_code_iid on the rows metric[v];
+    `v` is one index array, or a tuple of them for several given axes."""
+    return ml_code_iid(coset, np.asarray(metric)[v], budget)
 
 
 def fixed_point_metric(log_joint, n: int) -> np.ndarray:
@@ -412,9 +382,9 @@ def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
     return _product_enumerate(coset_x, coset_y, metric, budget)
 
 
-def log_table(p, floor: float = -np.inf) -> np.ndarray:
-    """Elementwise log2 with log(0) mapped to -inf (or a floor)."""
+def log_table(p) -> np.ndarray:
+    """Elementwise log2 with log(0) mapped to -inf."""
     p = np.asarray(getattr(p, "p", p), dtype=float)
-    out = np.full(p.shape, floor)
+    out = np.full(p.shape, -np.inf)
     np.log2(p, out=out, where=p > 0)
     return out

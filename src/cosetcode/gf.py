@@ -1,4 +1,4 @@
-"""Exact arithmetic in prime fields GF(q)."""
+"""Prime fields GF(q): the primality test and the inverse table."""
 
 from __future__ import annotations
 
@@ -40,71 +40,3 @@ class FieldSpec:
 
     def __repr__(self):
         return f"FieldSpec(q={self.q})"
-
-    # vectorized helpers on numpy arrays of residues
-    def add(self, a, b):
-        return (np.asarray(a) + np.asarray(b)) % self.q
-
-    def sub(self, a, b):
-        return (np.asarray(a) - np.asarray(b)) % self.q
-
-    def mul(self, a, b):
-        return (np.asarray(a) * np.asarray(b)) % self.q
-
-    def neg(self, a):
-        return (-np.asarray(a)) % self.q
-
-    def inv(self, a):
-        a = np.asarray(a)
-        if np.any(a % self.q == 0):
-            raise ZeroDivisionError("inverse of 0 in GF(q)")
-        return self.inv_table[a % self.q]
-
-
-class FieldElement:
-    """Single residue in GF(q).  Immutable."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: FieldSpec):
-        self.value = int(value) % field.q
-        self.field = field
-
-    def _check(self, other: "FieldElement"):
-        if not isinstance(other, FieldElement):
-            raise TypeError("expected FieldElement")
-        if other.field != self.field:
-            raise ValueError("FieldSpec mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.value + other.value, self.field)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.value - other.value, self.field)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.value * other.value, self.field)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(q)")
-        return FieldElement(int(self.field.inv_table[self.value]), self.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.value))
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.field.q})"

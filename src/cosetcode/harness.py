@@ -85,26 +85,28 @@ class ExperimentConfig:
             out=doc.get("out"),
         )
 
-    def scheme_params(self, warn: bool = False) -> sc.SchemeParams:
+    def scheme_params(self) -> sc.SchemeParams:
+        """The scheme's parameters; admissibility issues are recorded in
+        `eps_warnings`, not warned."""
         s = self.scheme
         if self.problem == "sw":
-            return sc.sw_params(Distribution(s["joint"]), s["rate_x"], s["rate_y"],
-                                warn=warn)
+            return sc.sw_params(Distribution(s["joint"]), s["rate_x"],
+                                s["rate_y"], warn=False)
         if self.problem == "ch":
-            return sc.ch_params(s["mu_x"], s["channel"], s["eps_a"], s["eps_b"],
-                                warn=warn)
+            return sc.ch_params(s["mu_x"], s["channel"], s["eps_a"],
+                                s["eps_b"], warn=False)
         if self.problem == "gp":
             return sc.gp_params(s["mu_z"], s["mu_xw_z"], s["channel"],
-                                s["eps_a"], s["eps_b"], s["eps_ahat"], warn=warn)
+                                s["eps_a"], s["eps_b"], s["eps_ahat"], warn=False)
         if self.problem == "lossy":
             return sc.lossy_params(s["mu_x"], s["test_channel"], s["rho"],
-                                   s["eps_a"], s["eps_b"], warn=warn)
+                                   s["eps_a"], s["eps_b"], warn=False)
         if self.problem == "wz":
             return sc.wz_params(Distribution(s["mu_xz"]), s["test_channel"],
                                 s["f"], s["rho"], s["eps_a"], s["eps_b"],
-                                warn=warn)
+                                warn=False)
         return sc.oho_params(Distribution(s["mu_xy"]), s["channel"],
-                             s["eps_a"], s["eps_b"], s["eps_bhat"], warn=warn)
+                             s["eps_a"], s["eps_b"], s["eps_bhat"], warn=False)
 
 
 @dataclass

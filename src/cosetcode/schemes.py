@@ -34,7 +34,6 @@ from .matrices import (
     rng_from_seed,
     sample_image_point,
 )
-from .cosets import _argbest_lex
 from .types_lab import Distribution, entropy, zeta
 
 PROBLEMS = ("sw", "ch", "gp", "lossy", "wz", "oho")
@@ -42,28 +41,6 @@ PROBLEMS = ("sw", "ch", "gp", "lossy", "wz", "oho")
 
 class EncoderFailure(Exception):
     """A constrained search came up empty; counted as a block error."""
-
-
-def _joint_entropy(p: np.ndarray, axes) -> float:
-    keep = tuple(axes)
-    drop = tuple(a for a in range(p.ndim) if a not in keep)
-    m = p.sum(axis=drop) if drop else p
-    return entropy(m)
-
-
-def _cond_h(p: np.ndarray, out_axes, given_axes) -> float:
-    """H(out | given) = H(out+given) - H(given), in bits."""
-    return _joint_entropy(p, tuple(out_axes) + tuple(given_axes)) - (
-        _joint_entropy(p, given_axes) if given_axes else 0.0
-    )
-
-
-def _mutual(p: np.ndarray, axes_a, axes_b) -> float:
-    return (
-        _joint_entropy(p, axes_a)
-        + _joint_entropy(p, axes_b)
-        - _joint_entropy(p, tuple(axes_a) + tuple(axes_b))
-    )
 
 
 @dataclass
@@ -84,7 +61,7 @@ class SchemeParams:
     rate_x: object = None
     rate_y: object = None
     warn: bool = True
-    # read-only conditional/marginal tables and their logs, filled on first use
+    # read-only tables and their integer metrics, filled on first use
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -135,20 +112,15 @@ class SchemeParams:
 
         return self._table(("marg", names), make)
 
-    def log_cond(self, out: str, given: str) -> np.ndarray:
-        """log_table of cond(out, given); read-only, cached."""
-        return self._table(("log_cond", out, given),
-                           lambda: log_table(self.cond(out, given)))
-
-    def log_marg(self, names: str) -> np.ndarray:
-        """log_table of marg(names); read-only, cached."""
-        return self._table(("log_marg", names),
-                           lambda: log_table(self.marg(names)))
+    def metric_cond(self, out: str, given: str, n: int) -> np.ndarray:
+        """fixed_point_metric of log cond(out, given), n-term sums; cached."""
+        return self._table(("metric_cond", out, given, n), lambda:
+                           fixed_point_metric(log_table(self.cond(out, given)), n))
 
     def metric_marg(self, names: str, n: int) -> np.ndarray:
-        """fixed_point_metric of log_marg(names) for length-n sums; cached."""
-        return self._table(("metric_marg", names, n),
-                           lambda: fixed_point_metric(self.log_marg(names), n))
+        """fixed_point_metric of log marg(names), n-term sums; cached."""
+        return self._table(("metric_marg", names, n), lambda:
+                           fixed_point_metric(log_table(self.marg(names)), n))
 
     def validate(self):
         """Check the problem's epsilon admissibility conditions; warn only."""
@@ -284,8 +256,9 @@ class DimReport:
 def dims_for(params: SchemeParams, n: int) -> DimReport:
     """Row counts from the per-problem rate formulas, rounded to the nearest
     integer and clamped into [1, n] (clamping is reported, not fatal)."""
-    p = params.joint.p
-    ax = params.axis
+    def H(names):  # names in axis order: entropy sums in that order
+        return entropy(params.marg(names))
+
     ea = params.eps.get("a", 0.0)
     eb = params.eps.get("b", 0.0)
     real = {}
@@ -294,38 +267,38 @@ def dims_for(params: SchemeParams, n: int) -> DimReport:
         real["B"] = n * params.rate_y / math.log2(params.card("y"))
     elif params.problem == "ch":
         lx = math.log2(params.card("x"))
-        real["A"] = n * (_cond_h(p, (ax("x"),), (ax("y"),)) + ea) / lx
-        real["B"] = n * (_mutual(p, (ax("x"),), (ax("y"),)) - eb) / lx
+        real["A"] = n * (H("xy") - H("y") + ea) / lx
+        real["B"] = n * (H("x") + H("y") - H("xy") - eb) / lx
     elif params.problem == "gp":
         lw = math.log2(params.card("w"))
-        real["A"] = n * (_cond_h(p, (ax("w"),), (ax("y"),)) + ea) / lw
+        real["A"] = n * (H("yw") - H("y") + ea) / lw
         real["B"] = n * (
-            _mutual(p, (ax("w"),), (ax("y"),))
-            - _mutual(p, (ax("w"),), (ax("z"),))
+            (H("w") + H("y") - H("yw"))
+            - (H("w") + H("z") - H("zw"))
             - eb
         ) / lw
         real["Ahat"] = n * (
-            _cond_h(p, (ax("x"),), (ax("z"), ax("w"))) - params.eps["ahat"]
+            H("xzw") - H("zw") - params.eps["ahat"]
         ) / math.log2(params.card("x"))
     elif params.problem == "lossy":
         ly = math.log2(params.card("y"))
-        real["A"] = n * (_cond_h(p, (ax("y"),), (ax("x"),)) - ea) / ly
-        real["B"] = n * (_mutual(p, (ax("x"),), (ax("y"),)) + eb) / ly
+        real["A"] = n * (H("xy") - H("x") - ea) / ly
+        real["B"] = n * (H("x") + H("y") - H("xy") + eb) / ly
     elif params.problem == "wz":
         ly = math.log2(params.card("y"))
-        real["A"] = n * (_cond_h(p, (ax("y"),), (ax("x"),)) - ea) / ly
+        real["A"] = n * (H("xy") - H("x") - ea) / ly
         real["B"] = n * (
-            _cond_h(p, (ax("y"),), (ax("z"),))
-            - _cond_h(p, (ax("y"),), (ax("x"),))
+            (H("yz") - H("z"))
+            - (H("xy") - H("x"))
             + eb
         ) / ly
     elif params.problem == "oho":
         real["Bhat"] = n * (
-            _cond_h(p, (ax("x"),), (ax("z"),)) + params.eps["bhat"]
+            H("xz") - H("z") + params.eps["bhat"]
         ) / math.log2(params.card("x"))
         lz = math.log2(params.card("z"))
-        real["A"] = n * (_cond_h(p, (ax("z"),), (ax("y"),)) - ea) / lz
-        real["B"] = n * (_mutual(p, (ax("y"),), (ax("z"),)) + eb) / lz
+        real["A"] = n * (H("yz") - H("y") - ea) / lz
+        real["B"] = n * (H("y") + H("z") - H("yz") + eb) / lz
     rounded, clamped = {}, {}
     for k, v in real.items():
         r = int(round(v))
@@ -465,13 +438,13 @@ def ch_encode(inst: SchemeInstance, params: SchemeParams, m) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"]), ("B", m)])
     if coset.is_empty:
         raise EncoderFailure("no channel input matches (c, m)")
-    return ml_code_iid(coset, params.log_marg("x"))
+    return ml_code_iid(coset, params.metric_marg("x", inst.n))
 
 
 def ch_decode(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"])])
     # argmax of mu_{XY}(x|y): the joint table indexed [y, x] has the same argmax
-    x_hat = ml_code_cond_iid(coset, y, params.log_marg("yx"))
+    x_hat = ml_code_cond_iid(coset, y, params.metric_marg("yx", inst.n))
     return inst.matrices["B"].matvec(x_hat)
 
 
@@ -479,28 +452,24 @@ def gp_encode(inst: SchemeInstance, params: SchemeParams, m, z) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"]), ("B", m)])
     if coset.is_empty:
         raise EncoderFailure("no auxiliary sequence matches (c, m)")
-    w = ml_code_cond_iid(coset, z, params.log_cond("w", "z"))
+    w = ml_code_cond_iid(coset, z, params.metric_cond("w", "z", inst.n))
     if inst.stage2_forced:
         return w.copy()
     coset2 = inst.coset([("Ahat", inst.vectors["Ahat"])])
     if coset2.is_empty:
         raise EncoderFailure("no channel input matches c-hat")
-    z = np.asarray(z, dtype=np.int64)
-    elems = coset2.elements()
-    logc = params.log_cond("x", "zw")  # [z, w, x]
-    scores = logc[z[None, :], w[None, :], elems].sum(axis=1)
-    return _argbest_lex(elems, scores)
+    return ml_code_cond_iid(coset2, (z, w), params.metric_cond("x", "zw", inst.n))
 
 
 def gp_decode(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"])])
-    w_hat = ml_code_cond_iid(coset, y, params.log_cond("w", "y"))
+    w_hat = ml_code_cond_iid(coset, y, params.metric_cond("w", "y", inst.n))
     return inst.matrices["B"].matvec(w_hat)
 
 
 def lossy_encode(inst: SchemeInstance, params: SchemeParams, x) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"])])
-    y = ml_code_cond_iid(coset, x, params.log_cond("y", "x"))
+    y = ml_code_cond_iid(coset, x, params.metric_cond("y", "x", inst.n))
     return inst.matrices["B"].matvec(y)
 
 
@@ -508,12 +477,12 @@ def lossy_decode(inst: SchemeInstance, params: SchemeParams, b) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"]), ("B", b)])
     if coset.is_empty:
         raise EncoderFailure("codeword does not address a bin")
-    return ml_code_iid(coset, params.log_marg("y"))
+    return ml_code_iid(coset, params.metric_marg("y", inst.n))
 
 
 def wz_encode(inst: SchemeInstance, params: SchemeParams, x) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"])])
-    y = ml_code_cond_iid(coset, x, params.log_cond("y", "x"))
+    y = ml_code_cond_iid(coset, x, params.metric_cond("y", "x", inst.n))
     return inst.matrices["B"].matvec(y)
 
 
@@ -521,7 +490,7 @@ def wz_decode(inst: SchemeInstance, params: SchemeParams, b, z) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"]), ("B", b)])
     if coset.is_empty:
         raise EncoderFailure("codeword does not address a bin")
-    y_hat = ml_code_cond_iid(coset, z, params.log_cond("y", "z"))
+    y_hat = ml_code_cond_iid(coset, z, params.metric_cond("y", "z", inst.n))
     z = np.asarray(z, dtype=np.int64)
     return params.f[y_hat, z]
 
@@ -532,7 +501,7 @@ def oho_encode_x(inst: SchemeInstance, x) -> np.ndarray:
 
 def oho_encode_y(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
     coset = inst.coset([("A", inst.vectors["A"])])
-    z = ml_code_cond_iid(coset, y, params.log_cond("z", "y"))
+    z = ml_code_cond_iid(coset, y, params.metric_cond("z", "y", inst.n))
     return inst.matrices["B"].matvec(z)
 
 
@@ -540,8 +509,8 @@ def oho_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y) -> np.ndarr
     coset = inst.coset([("A", inst.vectors["A"]), ("B", b_y)])
     if coset.is_empty:
         raise EncoderFailure("helper codeword does not address a bin")
-    z_hat = ml_code_iid(coset, params.log_marg("z"))
+    z_hat = ml_code_iid(coset, params.metric_marg("z", inst.n))
     coset_x = inst.coset([("Bhat", b_x)])
     if coset_x.is_empty:
         raise EncoderFailure("primary codeword does not address a bin")
-    return ml_code_cond_iid(coset_x, z_hat, params.log_cond("x", "z"))
+    return ml_code_cond_iid(coset_x, z_hat, params.metric_cond("x", "z", inst.n))

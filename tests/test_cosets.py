@@ -1,8 +1,6 @@
 """Coset solving and exhaustive-search coding vs brute force."""
 
 import itertools
-import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +15,6 @@ from cosetcode.cosets import (
     _product_trellis,
     fixed_point_metric,
     log_table,
-    md_code,
-    ml_code,
     ml_code_cond_iid,
     ml_code_iid,
     ml_code_product,
@@ -31,7 +27,6 @@ from cosetcode.matrices import (
     rng_from_seed,
     rref,
 )
-from cosetcode.types_lab import cond_empirical, cond_type_divergence
 
 
 def brute_solutions(M, t, q, n):
@@ -187,6 +182,87 @@ def _full_space(q, n):
     return solve_coset([(Z, [0])])
 
 
+def joined(*members):
+    return sum((tuple(int(v) for v in m) for m in members), ())
+
+
+def exact_best(candidates):
+    """Brute-force argmax over (terms, member) candidates of an integer
+    metric: Python-int sums, -inf below every finite score, ties to the
+    smallest member."""
+    best = None
+    for terms, member in candidates:
+        finite = -np.inf not in terms
+        key = (finite, sum(int(t) for t in terms) if finite else 0)
+        if best is None or key > best[0] or (key == best[0]
+                                             and member < best[1]):
+            best = (key, member)
+    return best[1]
+
+
+def iid_oracle(coset, rows):
+    """Exact ML member for the (n, q) integer metric `rows`."""
+    return exact_best(([rows[i, a] for i, a in enumerate(u)], joined(u))
+                      for u in coset.elements())
+
+
+def random_coset(data, q, n):
+    """A coset of a drawn matrix; with any target it may be empty."""
+    entries = st.integers(0, q - 1)
+    l = data.draw(st.integers(1, 3))
+    M = np.array(data.draw(st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=l, max_size=l)))
+    if data.draw(st.booleans()):
+        t = np.array(data.draw(st.lists(entries, min_size=l, max_size=l)))
+    else:
+        t = M @ np.array(data.draw(st.lists(entries, min_size=n,
+                                            max_size=n))) % q
+    return solve_coset([(M, t)], q=q)
+
+
+def random_metric(data, shape, n):
+    """An integer metric table of the given shape."""
+    size = int(np.prod(shape))
+    if data.draw(st.booleans()):
+        # a law with small integer weights: structural zeros and many ties;
+        # all-zero weights make every member score -inf
+        w = np.array(data.draw(st.lists(st.integers(0, 4), min_size=size,
+                                        max_size=size)), dtype=float)
+        p = (w / w.sum() if w.sum() else w).reshape(shape)
+        return fixed_point_metric(log_table(p), n)
+    # an integer-valued table, used as it is
+    metric = np.array(data.draw(st.lists(
+        st.one_of(st.integers(-3, 0), st.just(-np.inf)),
+        min_size=size, max_size=size)), dtype=float).reshape(shape)
+    assert fixed_point_metric(metric, n) is metric
+    return metric
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_single_coset_kernel_matches_oracle(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, {2: 7, 3: 4, 5: 3}[q]))
+    coset = random_coset(data, q, n)
+    # given axes: none (a (q,) metric), one index array, or a tuple of two
+    given = tuple(data.draw(st.lists(st.sampled_from([2, 3]), max_size=2)))
+    metric = random_metric(data, given + (q,), n)
+    v = tuple(np.array(data.draw(st.lists(st.integers(0, g - 1), min_size=n,
+                                          max_size=n))) for g in given)
+    v = v[0] if len(v) == 1 else v
+    rows = metric[v] if given else np.tile(metric, (n, 1))
+    if coset.is_empty:
+        with pytest.raises(EmptyCosetError):
+            ml_code_iid(coset, rows)
+        return
+    want = iid_oracle(coset, rows)
+    assert joined(ml_code_iid(coset, rows)) == want
+    if given:
+        assert joined(ml_code_cond_iid(coset, v, metric)) == want
+    else:
+        assert joined(ml_code_iid(coset, metric)) == want
+
+
 def test_ml_iid_matches_brute():
     rng = rng_from_seed(1)
     for q in (2, 3):
@@ -198,12 +274,10 @@ def test_ml_iid_matches_brute():
             if coset.is_empty:
                 continue
             p = rng.random(q)
-            p /= p.sum()
-            logp = np.log2(p)
-            got = ml_code_iid(coset, logp)
+            metric = fixed_point_metric(np.log2(p / p.sum()), n)
+            got = ml_code_iid(coset, metric)
             assert coset.contains(got)
-            best = max(math.fsum(logp[x] for x in u) for u in coset.elements())
-            assert math.fsum(logp[x] for x in got) >= best - 1e-9
+            assert joined(got) == iid_oracle(coset, np.tile(metric, (n, 1)))
 
 
 def test_ml_iid_uniform_scores_pick_lexicographic_minimum():
@@ -214,8 +288,8 @@ def test_ml_iid_uniform_scores_pick_lexicographic_minimum():
 
 def test_ml_iid_positionwise_table():
     coset = _full_space(2, 3)
-    logp = np.array([[0.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])
-    assert tuple(ml_code_iid(coset, logp)) == (0, 1, 0)
+    metric = np.array([[0.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])
+    assert tuple(ml_code_iid(coset, metric)) == (0, 1, 0)
 
 
 def test_ml_cond_iid_matches_brute():
@@ -231,39 +305,10 @@ def test_ml_cond_iid_matches_brute():
         v = rng.integers(0, q, size=n)
         cond = rng.random((q, q))
         cond /= cond.sum(axis=1, keepdims=True)
-        L = np.log2(cond)
-        got = ml_code_cond_iid(coset, v, L)
+        metric = fixed_point_metric(np.log2(cond), n)
+        got = ml_code_cond_iid(coset, v, metric)
         assert coset.contains(got)
-        best = max(math.fsum(L[v[i], u[i]] for i in range(n))
-                   for u in coset.elements())
-        assert math.fsum(L[v[i], got[i]] for i in range(n)) >= best - 1e-9
-
-
-def test_ml_generic_with_exact_scores():
-    # Fraction-valued scores give exact tie handling
-    coset = _full_space(2, 4)
-    probs = [Fraction(1, 2), Fraction(1, 2)]
-
-    def score(u):
-        return math.prod((probs[x] for x in u), start=Fraction(1))
-
-    assert tuple(ml_code(coset, score)) == (0, 0, 0, 0)  # all tied -> smallest
-
-
-def test_ml_generic_matches_iid():
-    rng = rng_from_seed(3)
-    coset = solve_coset([(rng.integers(0, 3, size=(2, 5)),
-                          rng.integers(0, 3, size=2))], q=3)
-    p = np.array([0.6, 0.3, 0.1])
-    logp = np.log2(p)
-
-    def score(u):
-        return math.prod(Fraction(int(1000 * p[x] + 0.5), 1000) for x in u)
-
-    # both are exact-score-optimal (tie-breaking may legitimately differ
-    # between exact and float scoring)
-    g1, g2 = ml_code(coset, score), ml_code_iid(coset, logp)
-    assert score(g1) == score(g2) == max(score(u) for u in coset.elements())
+        assert joined(got) == iid_oracle(coset, metric[v])
 
 
 def test_ml_empty_raises():
@@ -272,54 +317,16 @@ def test_ml_empty_raises():
     with pytest.raises(EmptyCosetError):
         ml_code_iid(coset, np.zeros(2))
     with pytest.raises(EmptyCosetError):
-        ml_code(coset, lambda u: 0)
-    with pytest.raises(EmptyCosetError):
-        md_code(coset, [0, 0], np.full((2, 2), 0.5))
-
-
-# -- MD coding ------------------------------------------------------------------
-
-def test_md_matches_brute():
-    rng = rng_from_seed(4)
-    q = 2
-    cond = np.array([[0.8, 0.2], [0.3, 0.7]])
-    for trial in range(20):
-        n = 6
-        M = rng.integers(0, q, size=(2, n))
-        t = rng.integers(0, q, size=2)
-        coset = solve_coset([(M, t)], q=q)
-        if coset.is_empty:
-            continue
-        v = rng.integers(0, q, size=n)
-        got = md_code(coset, v, cond)
-        best = min(
-            ((cond_type_divergence(cond_empirical(u, v, q, q), cond),
-              tuple(int(x) for x in u)) for u in coset.elements()),
-            key=lambda s: s,
-        )
-        assert tuple(got) == best[1]
+        ml_code_cond_iid(coset, np.array([0, 1]), np.zeros((2, 2)))
 
 
 # -- product ML -------------------------------------------------------------------
 
 def product_oracle(cx, cy, metric):
-    """Exact ML pair by brute force on an integer metric: Python-int sums,
-    -inf below every finite score, ties to the smallest (x, y)."""
-    best = None
-    for xv in cx.elements():
-        for yv in cy.elements():
-            terms = [metric[a, b] for a, b in zip(xv, yv)]
-            finite = -np.inf not in terms
-            key = (finite, sum(int(t) for t in terms) if finite else 0)
-            pair = tuple(int(v) for v in xv) + tuple(int(v) for v in yv)
-            if best is None or key > best[0] or (key == best[0]
-                                                 and pair < best[1]):
-                best = (key, pair)
-    return best[1]
-
-
-def joined(x, y):
-    return tuple(int(v) for v in x) + tuple(int(v) for v in y)
+    """Exact ML pair for the (q_x, q_y) integer metric, ties to the
+    smallest (x, y)."""
+    return exact_best(([metric[a, b] for a, b in zip(xv, yv)], joined(xv, yv))
+                      for xv in cx.elements() for yv in cy.elements())
 
 
 @settings(max_examples=150, deadline=None)
@@ -327,33 +334,8 @@ def joined(x, y):
 def test_product_paths_match_oracle(data):
     qx, qy = (data.draw(st.sampled_from([2, 3, 5])) for _ in range(2))
     n = data.draw(st.integers(1, {2: 6, 3: 4, 5: 3}[max(qx, qy)]))
-
-    def coset(q):
-        entries = st.integers(0, q - 1)
-        l = data.draw(st.integers(1, 3))
-        M = np.array(data.draw(st.lists(
-            st.lists(entries, min_size=n, max_size=n), min_size=l, max_size=l)))
-        if data.draw(st.booleans()):  # any target: the coset may be empty
-            t = np.array(data.draw(st.lists(entries, min_size=l, max_size=l)))
-        else:
-            t = M @ np.array(data.draw(st.lists(entries, min_size=n,
-                                                max_size=n))) % q
-        return solve_coset([(M, t)], q=q)
-
-    cx, cy = coset(qx), coset(qy)
-    if data.draw(st.booleans()):
-        # a law with small integer weights: structural zeros and many ties;
-        # all-zero weights make every member score -inf
-        w = np.array(data.draw(st.lists(st.integers(0, 4), min_size=qx * qy,
-                                        max_size=qx * qy)), dtype=float)
-        p = (w / w.sum() if w.sum() else w).reshape(qx, qy)
-        metric = fixed_point_metric(log_table(p), n)
-    else:
-        # an integer-valued table, used as it is
-        metric = np.array(data.draw(st.lists(
-            st.one_of(st.integers(-3, 0), st.just(-np.inf)),
-            min_size=qx * qy, max_size=qx * qy)), dtype=float).reshape(qx, qy)
-        assert fixed_point_metric(metric, n) is metric
+    cx, cy = random_coset(data, qx, n), random_coset(data, qy, n)
+    metric = random_metric(data, (qx, qy), n)
     if cx.is_empty or cy.is_empty:
         with pytest.raises(EmptyCosetError):
             ml_code_product(cx, cy, metric)
@@ -455,5 +437,3 @@ def test_fixed_point_bound_at_largest_n():
 def test_log_table():
     out = log_table([0.5, 0.25, 0.0])
     assert out[0] == -1.0 and out[1] == -2.0 and out[2] == -np.inf
-    out = log_table([0.0, 1.0], floor=-100.0)
-    assert out[0] == -100.0

@@ -1,9 +1,8 @@
-"""Field arithmetic: exhaustive axiom checks for small prime moduli."""
+"""Prime fields: the primality test and the inverse table."""
 
-import numpy as np
 import pytest
 
-from cosetcode.gf import FieldElement, FieldSpec, is_prime
+from cosetcode.gf import FieldSpec, is_prime
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -26,55 +25,3 @@ def test_inverse_table(q):
     assert f.inv_table[0] == 0  # unused slot
     for a in range(1, q):
         assert (a * f.inv_table[a]) % q == 1
-
-
-@pytest.mark.parametrize("q", PRIMES)
-def test_field_axioms_exhaustive(q):
-    f = FieldSpec(q)
-    els = [FieldElement(a, f) for a in range(q)]
-    zero, one = els[0], els[1 % q]
-    for a in els:
-        assert a + zero == a
-        assert a * one == a
-        assert a + (-a) == zero
-        if a != zero:
-            assert a * a.inv() == one
-        for b in els:
-            assert a + b == b + a
-            assert a * b == b * a
-            assert a - b == a + (-b)
-            for c in els:
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
-
-
-@pytest.mark.parametrize("q", PRIMES)
-def test_vectorized_ops_match_scalars(q):
-    f = FieldSpec(q)
-    a = np.arange(q * q) % q
-    b = (np.arange(q * q) // q) % q
-    assert np.array_equal(f.add(a, b), (a + b) % q)
-    assert np.array_equal(f.sub(a, b), (a - b) % q)
-    assert np.array_equal(f.mul(a, b), (a * b) % q)
-    assert np.array_equal(f.neg(a), (-a) % q)
-    nz = np.arange(1, q)
-    assert np.array_equal(f.mul(nz, f.inv(nz)), np.ones(q - 1, dtype=np.int64))
-
-
-def test_inverse_of_zero_raises():
-    f = FieldSpec(5)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(np.array([0, 1]))
-    with pytest.raises(ZeroDivisionError):
-        FieldElement(0, f).inv()
-
-
-def test_field_element_reduces_and_compares():
-    f = FieldSpec(7)
-    assert FieldElement(9, f) == FieldElement(2, f)
-    assert FieldElement(2, f) != FieldElement(2, FieldSpec(5))
-    with pytest.raises(ValueError):
-        FieldElement(1, f) + FieldElement(1, FieldSpec(5))
-    with pytest.raises(TypeError):
-        FieldElement(1, f) + 1

@@ -260,6 +260,36 @@ def test_oho_contracts():
         assert np.array_equal(inst.matrices["Bhat"].matvec(xh), bx)
 
 
+def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
+    # under a BSC every member at the same Hamming distance from y ties, and
+    # a float sum of the same terms in another order can break such a tie
+    from cosetcode.cosets import fixed_point_metric, log_table
+
+    decoded = []
+    original = sc.ml_code_cond_iid
+
+    def spy(coset, v, metric):
+        decoded.append((coset, v, original(coset, v, metric)))
+        return decoded[-1][2]
+
+    monkeypatch.setattr(sc, "ml_code_cond_iid", spy)
+    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15, warn=False)
+    n = 16
+    exact = fixed_point_metric(log_table(params.marg("yx")), n)
+    assert np.isfinite(exact).all()
+    for k in range(4):
+        inst = sc.build_instance(params, n, derive_seed(2026, "inst", n, k))
+        for t in range(100):
+            hn.run_trial("ch", params, inst, derive_seed(2026, "trial", k, t))
+    assert len(decoded) == 400
+    for coset, y, got in decoded:
+        rows = exact[y]
+        # Python-int scores; among equal scores the smallest member wins
+        want = max(coset.elements(), key=lambda u: (
+            sum(int(rows[i, a]) for i, a in enumerate(u)), [-int(a) for a in u]))
+        assert np.array_equal(got, want)
+
+
 def test_nonprime_alphabet_rejected():
     joint = Distribution(np.full((4, 4), 1 / 16))
     params = sc.sw_params(joint, 1.0, 1.0)
