@@ -8,7 +8,6 @@ import json
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import diagnostics as dg
@@ -137,7 +136,7 @@ def cmd_hash_check(args) -> int:
 def cmd_run(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     cfg = hn.ExperimentConfig.from_dict(doc)
     summary, records = hn.run_experiment(cfg, threads=args.threads)
@@ -241,8 +240,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError,
-            jsonschema.ValidationError, BudgetError) as exc:
+    except (ValueError, OSError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -105,10 +105,6 @@ class CosetDescription:
     def size(self) -> int:
         return 0 if self.is_empty else self.q ** self.basis.shape[0]
 
-    def contains(self, u) -> bool:
-        u = np.asarray(u, dtype=np.int64) % self.q
-        return bool(np.all((self.matrix @ u) % self.q == self.target))
-
     def retarget(self, target) -> "CosetDescription":
         """The coset of the same matrix for another target, without a new
         elimination; the same target gives back this coset."""
@@ -359,21 +355,21 @@ def product_costs(coset_x: CosetDescription, coset_y: CosetDescription):
 
 
 def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
-                    log_joint: np.ndarray, budget: int = DEFAULT_BUDGET):
-    """Joint argmax of sum_i log mu(x_i, y_i) over a product of cosets.
+                    metric: np.ndarray, budget: int = DEFAULT_BUDGET):
+    """Joint argmax of sum_i metric[x_i, y_i] over a product of cosets.
 
-    Scores use fixed_point_metric(log_joint, n), so the ML pair is exact and
-    exact ties go to the lexicographically smallest (x, y).  The pair comes
-    from enumeration (at most `budget` pairs) or from the syndrome trellis
-    (at most `budget` branches), whichever the cost model rates cheaper;
-    both give the same pair."""
+    `metric` must be integer-valued (fixed_point_metric, -inf allowed), so
+    the ML pair is exact and exact ties go to the lexicographically smallest
+    (x, y); it is used as it is.  The pair comes from enumeration (at most
+    `budget` pairs) or from the syndrome trellis (at most `budget`
+    branches), whichever the cost model rates cheaper; both give the same
+    pair."""
     if coset_x.is_empty or coset_y.is_empty:
         raise EmptyCosetError("a factor coset is empty")
     pairs, branches = product_costs(coset_x, coset_y)
     if pairs > budget and branches > budget:
         raise BudgetError(f"product has {pairs} pairs and a trellis of "
                           f"{branches} branches, budget {budget}")
-    metric = fixed_point_metric(log_joint, coset_x.n)
     trellis = pairs > budget or (
         branches <= budget
         and branches + coset_x.n * TRELLIS_SECTION < pairs)

@@ -12,30 +12,15 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from . import schemes as sc
 from .matrices import derive_seed, rng_from_seed
 from .types_lab import Distribution
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["problem", "n", "trials", "seed", "scheme"],
-    "properties": {
-        "problem": {"enum": list(sc.PROBLEMS) + ["channel"]},
-        "n": {"type": "array", "items": {"type": "integer", "minimum": 1},
-              "minItems": 1},
-        "trials": {"type": "integer", "minimum": 1},
-        "best_of": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "ensemble": {"enum": ["mackay", "uniform"]},
-        "tau": {"type": "integer", "minimum": 1},
-        "out": {"type": "string"},
-        "scheme": {"type": "object"},
-    },
-}
+# top-level config keys: the required ones, then the optional ones
+REQUIRED_KEYS = ("problem", "n", "trials", "seed", "scheme")
+OPTIONAL_KEYS = ("best_of", "ensemble", "tau", "out")
 
 SCHEME_KEYS = {
     "sw": {"joint", "rate_x", "rate_y"},
@@ -45,6 +30,17 @@ SCHEME_KEYS = {
     "wz": {"mu_xz", "test_channel", "f", "rho", "eps_a", "eps_b"},
     "oho": {"mu_xy", "channel", "eps_a", "eps_b", "eps_bhat"},
 }
+
+
+def _integer(key: str, value, low=None) -> int:
+    """`value` as an int: an integral float converts, a boolean is refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value}")
+    return value
 
 
 @dataclass
@@ -63,25 +59,49 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-        problem = doc["problem"]
+        """Check a config document and build the config; the only check.
+
+        Every error is a ValueError that names the key.  An integral float
+        (3.0) counts as that integer, a boolean does not, and an optional
+        key may be left out but not set to null."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {doc!r}")
+        unknown = set(doc) - set(REQUIRED_KEYS + OPTIONAL_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = [key for key in REQUIRED_KEYS if key not in doc]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
+        problem, names = doc["problem"], sc.PROBLEMS + ("channel",)
+        if problem not in names:
+            raise ValueError(f"problem must be one of {names}, got {problem!r}")
         if problem == "channel":
             problem = "ch"
-        extra = set(doc["scheme"]) - SCHEME_KEYS[problem]
+        if not isinstance(doc["n"], list) or not doc["n"]:
+            raise ValueError(f"n must be a non-empty list, got {doc['n']!r}")
+        if doc.get("ensemble", "mackay") not in ("mackay", "uniform"):
+            raise ValueError(f"ensemble must be 'mackay' or 'uniform', "
+                             f"got {doc['ensemble']!r}")
+        if not isinstance(doc.get("out", ""), str):
+            raise ValueError(f"out must be a string, got {doc['out']!r}")
+        scheme = doc["scheme"]
+        if not isinstance(scheme, dict):
+            raise ValueError(f"scheme must be an object, got {scheme!r}")
+        extra = set(scheme) - SCHEME_KEYS[problem]
         if extra:
             raise ValueError(f"unknown scheme keys for {problem}: {sorted(extra)}")
-        missing = SCHEME_KEYS[problem] - set(doc["scheme"])
+        missing = SCHEME_KEYS[problem] - set(scheme)
         if missing:
             raise ValueError(f"missing scheme keys for {problem}: {sorted(missing)}")
         return cls(
             problem=problem,
-            n_list=list(doc["n"]),
-            trials=doc["trials"],
-            seed=doc["seed"],
-            scheme=doc["scheme"],
-            best_of=doc.get("best_of", 8),
+            n_list=[_integer("n", n, 1) for n in doc["n"]],
+            trials=_integer("trials", doc["trials"], 1),
+            seed=_integer("seed", doc["seed"]),
+            scheme=scheme,
+            best_of=_integer("best_of", doc.get("best_of", 8), 1),
             ensemble=doc.get("ensemble", "mackay"),
-            tau=doc.get("tau"),
+            tau=_integer("tau", doc["tau"], 1) if "tau" in doc else None,
             out=doc.get("out"),
         )
 

@@ -47,7 +47,7 @@ class SparseMatrix:
     """
 
     def __init__(self, q: int, l: int, n: int, columns=None):
-        self.field = FieldSpec(q)
+        FieldSpec(q)  # primality check
         self.q = q
         if l < 1 or n < 1:
             raise ValueError("l and n must be >= 1")
@@ -71,11 +71,6 @@ class SparseMatrix:
                     dense[r, i] = v
             dense.setflags(write=False)
             self._dense = dense
-        self._packed = None
-        if q == 2 and self._dense is not None:
-            self._packed = np.packbits(
-                self._dense.astype(np.uint8), axis=1, bitorder="little"
-            ).view(np.uint8)
 
     @classmethod
     def from_dense(cls, dense, q: int) -> "SparseMatrix":
@@ -96,29 +91,7 @@ class SparseMatrix:
         u = np.asarray(u, dtype=np.int64)
         if u.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {u.shape}")
-        if self.q == 2 and self._packed is not None:
-            return matvec_packed(self._packed, u, self.l)
-        if self._dense is not None:
-            return (self._dense @ (u % self.q)) % self.q
-        out = np.zeros(self.l, dtype=np.int64)
-        for i, col in enumerate(self.columns):
-            ui = int(u[i]) % self.q
-            if ui:
-                for r, v in col:
-                    out[r] = (out[r] + v * ui) % self.q
-        return out
-
-    def matvec_generic(self, u) -> np.ndarray:
-        """Unspecialized product; differential reference for the q=2 bit path."""
-        u = np.asarray(u, dtype=np.int64)
-        if u.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got {u.shape}")
         return (self.dense() @ (u % self.q)) % self.q
-
-    def matmat(self, U) -> np.ndarray:
-        """Product against a (n, m) block of column vectors."""
-        U = np.asarray(U, dtype=np.int64)
-        return (self.dense() @ (U % self.q)) % self.q
 
     def rank_and_image(self):
         """Rank over GF(q) and a reduced-echelon basis of the column space."""
@@ -158,13 +131,6 @@ class SparseMatrix:
                 r, v = tok.strip("()").split(",")
                 columns[i].append((int(r), int(v)))
         return cls(q, l, n, columns)
-
-
-def matvec_packed(packed_rows: np.ndarray, u: np.ndarray, l: int) -> np.ndarray:
-    """GF(2) matrix-vector product on bit-packed rows (parity of AND)."""
-    ub = np.packbits((u % 2).astype(np.uint8), bitorder="little")
-    acc = np.bitwise_count(packed_rows & ub[None, :]).sum(axis=1)
-    return (acc % 2).astype(np.int64)[:l]
 
 
 def gauss_jordan(m: np.ndarray, q: int, ncols: int | None = None) -> list:

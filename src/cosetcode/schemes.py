@@ -55,7 +55,6 @@ class SchemeParams:
     joint: Distribution
     axes: tuple
     eps: dict = field(default_factory=dict)
-    gamma: float = 0.05
     rho: object = None
     f: object = None
     rate_x: object = None
@@ -87,18 +86,8 @@ class SchemeParams:
 
     def cond(self, out: str, given: str) -> np.ndarray:
         """Conditional table indexed [given..., out...]; read-only, cached."""
-        def make():
-            keep = tuple(self.axis(a) for a in given + out)
-            marg = self.joint.p.sum(
-                axis=tuple(a for a in range(self.joint.p.ndim) if a not in keep)
-            )
-            # reorder to (given..., out...) then condition on the leading axes
-            order = sorted(keep)
-            wanted = [self.axis(a) for a in given + out]
-            d = Distribution(np.transpose(marg, _perm_of(order, wanted)))
-            return d.conditional(tuple(range(len(given))))
-
-        return self._table(("cond", out, given), make)
+        return self._table(("cond", out, given), lambda: Distribution(
+            self.marg(given + out)).conditional(tuple(range(len(given)))))
 
     def marg(self, names: str) -> np.ndarray:
         """Marginal table indexed [names...]; read-only, cached."""

@@ -171,21 +171,6 @@ def divergence(p, pprime) -> float:
     return float((p[mask] * np.log2(p[mask] / pp[mask])).sum())
 
 
-def cond_divergence(q, qprime, p) -> float:
-    """D(q || q' | p) in bits."""
-    q = np.asarray(q, dtype=float)
-    qp = np.asarray(qprime, dtype=float)
-    p = np.asarray(getattr(p, "p", p), dtype=float).ravel()
-    out = 0.0
-    for v, pv in enumerate(p):
-        if pv > 0:
-            d = divergence(q[v].ravel(), qp[v].ravel())
-            if math.isinf(d):
-                return math.inf
-            out += pv * d
-    return out
-
-
 def mutual_information(joint: Distribution) -> float:
     px = joint.marginal(0)
     py = joint.marginal(1)

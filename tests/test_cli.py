@@ -1,12 +1,17 @@
 """Command-line surface: exit codes, output formats, subcommand contracts."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cosetcode
+from cosetcode import harness as hn
+from cosetcode import schemes
 from cosetcode.cli import EXIT_OK, EXIT_USAGE, main
 from cosetcode.matrices import SparseMatrix
 
@@ -82,14 +87,19 @@ def test_oracle_passes(capsys):
     assert "FAIL" not in out
 
 
-def run_config(tmp_path):
+def sw_doc(**over):
     doc = {
         "problem": "sw", "n": [6], "trials": 4, "seed": 3, "best_of": 1,
         "scheme": {"joint": [[0.445, 0.055], [0.055, 0.445]],
                    "rate_x": 0.8, "rate_y": 0.8},
     }
+    doc.update(over)
+    return doc
+
+
+def run_config(tmp_path, doc=None):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(sw_doc() if doc is None else doc))
     return path
 
 
@@ -121,6 +131,88 @@ def test_run_bad_config_usage_error(tmp_path, capsys):
     path2 = tmp_path / "bad2.json"
     path2.write_text(json.dumps({"problem": "sw"}))
     assert main(["run", "--config", str(path2)]) == EXIT_USAGE
+
+
+BAD_CONFIGS = {
+    "not-an-object": ([1], "config"),
+    "missing-key": ({k: v for k, v in sw_doc().items() if k != "trials"},
+                    "trials"),
+    "unknown-key": (sw_doc(bogus=1), "bogus"),
+    "problem": (sw_doc(problem="turbo"), "problem"),
+    "n-not-a-list": (sw_doc(n=6), "n"),
+    "n-empty": (sw_doc(n=[]), "n"),
+    "n-string": (sw_doc(n=["6"]), "n"),
+    "n-fraction": (sw_doc(n=[6.5]), "n"),
+    "n-zero": (sw_doc(n=[6, 0]), "n"),
+    "n-boolean": (sw_doc(n=[True]), "n"),
+    "trials-zero": (sw_doc(trials=0), "trials"),
+    "trials-fraction": (sw_doc(trials=2.5), "trials"),
+    "trials-boolean": (sw_doc(trials=True), "trials"),
+    "best_of-zero": (sw_doc(best_of=0), "best_of"),
+    "best_of-null": (sw_doc(best_of=None), "best_of"),
+    "tau-zero": (sw_doc(tau=0), "tau"),
+    "tau-null": (sw_doc(tau=None), "tau"),
+    "seed-string": (sw_doc(seed="3"), "seed"),
+    "seed-boolean": (sw_doc(seed=False), "seed"),
+    "ensemble": (sw_doc(ensemble="gaussian"), "ensemble"),
+    "ensemble-null": (sw_doc(ensemble=None), "ensemble"),
+    "out-number": (sw_doc(out=3), "out"),
+    "out-null": (sw_doc(out=None), "out"),
+    "scheme-not-an-object": (sw_doc(scheme=[]), "scheme"),
+    "scheme-key": (sw_doc(scheme={"joint": [[0.5, 0.5]], "rate_x": 0.8}),
+                   "scheme"),
+}
+
+
+@pytest.mark.parametrize("doc, key", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_bad_config_exits_2_before_any_draw(doc, key, tmp_path, capsys,
+                                            monkeypatch):
+    named = rf"\b{key}\b"
+    with pytest.raises(ValueError, match=named):
+        hn.ExperimentConfig.from_dict(json.loads(json.dumps(doc)))
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
+
+    monkeypatch.setattr(schemes, "build_instance", draw)
+    path = run_config(tmp_path, doc)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(named, err)
+
+
+def test_run_seed_override_on_non_object_config(tmp_path, capsys):
+    path = run_config(tmp_path, [1])
+    assert main(["run", "--config", str(path), "--seed", "5"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: config must be")
+
+
+@pytest.mark.parametrize("key, value", [("trials", 3.0), ("n", [6.0]),
+                                        ("best_of", 2.0), ("tau", 4.0)],
+                         ids=["trials", "n", "best_of", "tau"])
+def test_integral_floats_run_as_integers(key, value, tmp_path, capsys):
+    base = sw_doc(trials=3, best_of=2, tau=4)
+    outputs = []
+    for name, doc in (("int", base), ("float", {**base, key: value})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        prefix = tmp_path / name
+        assert main(["run", "--config", str(path),
+                     "--out", str(prefix)]) == EXIT_OK
+        outputs.append([Path(f"{prefix}{suffix}").read_bytes()
+                        for suffix in (".csv", "_records.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_does_not_import_jsonschema():
+    src = str(Path(cosetcode.__file__).resolve().parents[1])
+    code = ("import sys, cosetcode.cli, cosetcode.harness; "
+            "print('jsonschema' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_over_budget_coset_is_usage_error(tmp_path, capsys):
