@@ -16,7 +16,6 @@ from . import types_lab as tl
 from .cosets import BudgetError
 from .matrices import (
     EnsembleParams,
-    SparseMatrix,
     generate_mackay,
     generate_uniform,
     rng_from_seed,
@@ -144,6 +143,12 @@ def cmd_run(args) -> int:
     csv_path = hn.write_outputs(summary, records, prefix)
     sys.stdout.write(hn.summary_csv(summary))
     print(f"# written: {csv_path}")
+    notes = summary["eps_warnings"] + [
+        f"n={n}: dimension {name} clamped"
+        for n, clamped in summary["dims_clamped"].items()
+        for name, hit in clamped.items() if hit]
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
     return EXIT_OK
 
 

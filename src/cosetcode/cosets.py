@@ -9,7 +9,7 @@ import numpy as np
 
 from .matrices import gauss_jordan
 
-DEFAULT_BUDGET = 1 << 24
+BUDGET = 1 << 24
 
 
 class EmptyCosetError(Exception):
@@ -17,7 +17,7 @@ class EmptyCosetError(Exception):
 
 
 class BudgetError(Exception):
-    """Enumeration would exceed the configured element budget."""
+    """Enumeration would exceed the element budget."""
 
 
 @dataclass(eq=False)
@@ -113,13 +113,13 @@ class CosetDescription:
             return self
         return self.elimination.coset(t)
 
-    def elements(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    def elements(self) -> np.ndarray:
         """All coset members as a (size, n) array, particular + kernel in
         itertools.product order of the basis coefficients; cached."""
         if self.is_empty:
             raise EmptyCosetError("coset is empty")
-        if self.size > budget:
-            raise BudgetError(f"coset has {self.size} elements, budget {budget}")
+        if self.size > BUDGET:
+            raise BudgetError(f"coset has {self.size} elements, budget {BUDGET}")
         if self._elements is None:
             out = (self.particular[None, :] + self.elimination.kernel()) % self.q
             out.setflags(write=False)
@@ -176,15 +176,14 @@ def _argbest_lex(elements: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return cand[order[0]].copy()
 
 
-def ml_code_iid(coset: CosetDescription, metric: np.ndarray,
-                budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def ml_code_iid(coset: CosetDescription, metric: np.ndarray) -> np.ndarray:
     """argmax of sum_i metric[i, u_i] over the coset; metric has shape (q,)
     or (n, q).
 
     The single-coset decoding kernel.  `metric` must be integer-valued
     (fixed_point_metric, -inf allowed), so every sum is exact and exact ties
     go to the lexicographically smallest member; it is used as it is."""
-    elems = coset.elements(budget)
+    elems = coset.elements()
     metric = np.asarray(metric)
     if metric.ndim == 1:
         scores = metric[elems].sum(axis=1)
@@ -195,11 +194,10 @@ def ml_code_iid(coset: CosetDescription, metric: np.ndarray,
     return _argbest_lex(elems, scores)
 
 
-def ml_code_cond_iid(coset: CosetDescription, v, metric: np.ndarray,
-                     budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def ml_code_cond_iid(coset: CosetDescription, v, metric: np.ndarray) -> np.ndarray:
     """argmax_u sum_i metric[v_i, u_i]: ml_code_iid on the rows metric[v];
     `v` is one index array, or a tuple of them for several given axes."""
-    return ml_code_iid(coset, np.asarray(metric)[v], budget)
+    return ml_code_iid(coset, np.asarray(metric)[v])
 
 
 def fixed_point_metric(log_joint, n: int) -> np.ndarray:
@@ -311,7 +309,7 @@ def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
 
 
 def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
-                       metric: np.ndarray, budget: int = DEFAULT_BUDGET):
+                       metric: np.ndarray):
     """Exact ML pair by scoring every pair of the product coset.
 
     The scores are sum_a [x = a] . metric[a, y], one matrix product of the
@@ -319,8 +317,8 @@ def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
     integers (fixed_point_metric), so the products and sums are exact in any
     order; positions where the metric is -inf are counted by a second
     product, and a pair with any such position scores -inf."""
-    ex = coset_x.elements(budget)
-    ey = coset_y.elements(budget)
+    ex = coset_x.elements()
+    ey = coset_y.elements()
     # columns indexed by (position i, symbol a), on both sides of the product
     onehot = (ex[:, :, None] == np.arange(metric.shape[0])).reshape(
         ex.shape[0], -1).astype(float)
@@ -355,27 +353,26 @@ def product_costs(coset_x: CosetDescription, coset_y: CosetDescription):
 
 
 def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
-                    metric: np.ndarray, budget: int = DEFAULT_BUDGET):
+                    metric: np.ndarray):
     """Joint argmax of sum_i metric[x_i, y_i] over a product of cosets.
 
     `metric` must be integer-valued (fixed_point_metric, -inf allowed), so
     the ML pair is exact and exact ties go to the lexicographically smallest
     (x, y); it is used as it is.  The pair comes from enumeration (at most
-    `budget` pairs) or from the syndrome trellis (at most `budget`
-    branches), whichever the cost model rates cheaper; both give the same
-    pair."""
+    BUDGET pairs) or from the syndrome trellis (at most BUDGET branches),
+    whichever the cost model rates cheaper; both give the same pair."""
     if coset_x.is_empty or coset_y.is_empty:
         raise EmptyCosetError("a factor coset is empty")
     pairs, branches = product_costs(coset_x, coset_y)
-    if pairs > budget and branches > budget:
+    if pairs > BUDGET and branches > BUDGET:
         raise BudgetError(f"product has {pairs} pairs and a trellis of "
-                          f"{branches} branches, budget {budget}")
-    trellis = pairs > budget or (
-        branches <= budget
+                          f"{branches} branches, budget {BUDGET}")
+    trellis = pairs > BUDGET or (
+        branches <= BUDGET
         and branches + coset_x.n * TRELLIS_SECTION < pairs)
     if trellis:
         return _product_trellis(coset_x, coset_y, metric)
-    return _product_enumerate(coset_x, coset_y, metric, budget)
+    return _product_enumerate(coset_x, coset_y, metric)
 
 
 def log_table(p) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Ensemble diagnostics: kernel-weight probabilities, walk law, alpha/beta.
 
-All closed forms are alternating sums; the default path uses exact rational
-arithmetic and falls back to signed log-domain floats for large parameters.
+All closed forms are alternating sums, in exact rational arithmetic within
+EXACT_L_LIMIT and EXACT_POWER_LIMIT and in signed log-domain floats beyond.
 """
 
 from __future__ import annotations
@@ -24,16 +24,7 @@ EXACT_POWER_LIMIT = 4096
 ENUM_BUDGET = 1 << 20
 
 
-def _use_exact(l: int, power: int, mode: str) -> bool:
-    if mode == "exact":
-        if l > EXACT_L_LIMIT or power > EXACT_POWER_LIMIT:
-            raise OverflowError(
-                "exact mode infeasible here; request mode='float'")
-        return True
-    if mode == "float":
-        return False
-    if mode != "auto":
-        raise ValueError(f"unknown mode {mode!r}")
+def _use_exact(l: int, power: int) -> bool:
     return l <= EXACT_L_LIMIT and power <= EXACT_POWER_LIMIT
 
 
@@ -53,13 +44,13 @@ def _signed_log_sum(terms):
     return total * math.exp(top), cancel
 
 
-def return_prob(q: int, l: int, tau: int, w: int, mode: str = "auto"):
+def return_prob(q: int, l: int, tau: int, w: int):
     """Probability that a sparse-ensemble matrix maps a fixed weight-w
     vector to zero: (1/q^l) sum_k (1 - qk/((q-1)l))^{w tau} C(l,k)(q-1)^k."""
     if w < 1 or l < 1 or tau < 1:
         raise ValueError("need w >= 1, l >= 1, tau >= 1")
     power = w * tau
-    if _use_exact(l, power, mode):
+    if _use_exact(l, power):
         total = Fraction(0)
         for k in range(l + 1):
             base = 1 - Fraction(q * k, (q - 1) * l)
@@ -87,26 +78,17 @@ def _sign_pattern(l: int, w: int, k: int):
         yield kp, math.comb(w, kp) * math.comb(l - w, k - kp)
 
 
-def walk_dist_closed(q: int, l: int, steps: int, w_c: int, mode: str = "auto"):
+def walk_dist_closed(q: int, l: int, steps: int, w_c: int):
     """Probability that the coordinate walk sits at a fixed vector of weight
     w_c after `steps` uniform single-coordinate nonzero additions."""
     if not (0 <= w_c <= l):
         raise ValueError("w_c must be in [0, l]")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if _use_exact(l, steps, mode):
-        total = Fraction(0)
-        for k in range(l + 1):
-            base = 1 - Fraction(q * k, (q - 1) * l)
-            kraw = sum(
-                coef * (-1) ** kp * (q - 1) ** (k - kp)
-                for kp, coef in _sign_pattern(l, w_c, k)
-            )
-            total += base**steps * kraw
-        return total / q**l
-    total = 0.0
+    num = Fraction if _use_exact(l, steps) else float
+    total = num(0)
     for k in range(l + 1):
-        base = 1.0 - (q * k) / ((q - 1) * l)
+        base = 1 - num(q * k) / ((q - 1) * l)
         kraw = sum(
             coef * (-1) ** kp * (q - 1) ** (k - kp)
             for kp, coef in _sign_pattern(l, w_c, k)
@@ -149,12 +131,12 @@ def walk_pointwise_recursive(q: int, l: int, steps: int, w_c: int) -> Fraction:
     return mass[w_c] / (math.comb(l, w_c) * (q - 1) ** w_c)
 
 
-def spectrum(q: int, n: int, l: int, tau: int, w: int, mode: str = "auto"):
+def spectrum(q: int, n: int, l: int, tau: int, w: int):
     """Expected number of kernel vectors of weight w: C(n,w)(q-1)^w p_{A,w}."""
     if not (1 <= w <= n):
         raise ValueError("w must be in [1, n]")
     size = math.comb(n, w) * (q - 1) ** w
-    return size * return_prob(q, l, tau, w, mode=mode)
+    return size * return_prob(q, l, tau, w)
 
 
 def ensemble_im_size(q: int, l: int, tau: int | None = None,
@@ -202,7 +184,6 @@ class HashDiagnostics:
     im_size: int
     im_ratio: object
     per_weight: dict
-    mode: str
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -211,21 +192,21 @@ class HashDiagnostics:
             raise ValueError("image cannot exceed the full space")
 
 
-def alpha_beta(params: EnsembleParams, n: int, ensemble: str = "mackay",
-               mode: str = "auto") -> HashDiagnostics:
+def alpha_beta(params: EnsembleParams, n: int,
+               ensemble: str = "mackay") -> HashDiagnostics:
     """alpha = |Im| max_{w > xi l} p_{A,w}; beta = sum_{w <= xi l} |C_w| p_{A,w}."""
     q, l, tau, xi = params.q, params.l, params.tau, params.xi
     im = ensemble_im_size(q, l, tau, ensemble)
     per_weight = {}
     for w in range(1, n + 1):
         if ensemble == "uniform":
-            p = Fraction(1, q**l) if mode != "float" else q ** (-float(l))
+            p = Fraction(1, q**l)
         else:
-            p = return_prob(q, l, tau, w, mode=mode)
+            p = return_prob(q, l, tau, w)
         per_weight[w] = (p, math.comb(n, w) * (q - 1) ** w)
     cutoff = xi * l
     high = [per_weight[w][0] for w in range(1, n + 1) if w > cutoff]
-    alpha = im * max(high) if high else (Fraction(0) if mode != "float" else 0.0)
+    alpha = im * max(high) if high else Fraction(0)
     beta = sum(
         per_weight[w][0] * per_weight[w][1]
         for w in range(1, n + 1)
@@ -238,7 +219,6 @@ def alpha_beta(params: EnsembleParams, n: int, ensemble: str = "mackay",
     return HashDiagnostics(
         q=q, l=l, n=n, xi=xi, alpha=alpha, beta=beta, im_size=im,
         im_ratio=im_ratio, per_weight=per_weight,
-        mode="exact" if used_exact else "float",
     )
 
 
@@ -316,10 +296,10 @@ def enumerate_column_outcomes(q: int, l: int, tau: int):
     return dict(dist)
 
 
-def enumerate_mackay(params: EnsembleParams, budget: int = ENUM_BUDGET):
+def enumerate_mackay(params: EnsembleParams):
     """All matrices of the tiny sparse ensemble with exact probabilities."""
     q, l, n, tau = params.q, params.l, params.n, params.tau
-    if (l * (q - 1)) ** (tau * n) > budget:
+    if (l * (q - 1)) ** (tau * n) > ENUM_BUDGET:
         raise ValueError("generation outcome space exceeds enumeration budget")
     col_dist = enumerate_column_outcomes(q, l, tau)
     items = sorted(col_dist.items())
@@ -331,10 +311,10 @@ def enumerate_mackay(params: EnsembleParams, budget: int = ENUM_BUDGET):
     return out
 
 
-def enumerate_uniform(q: int, l: int, n: int, budget: int = ENUM_BUDGET):
+def enumerate_uniform(q: int, l: int, n: int):
     """All l x n matrices over GF(q), equiprobable."""
     count = q ** (l * n)
-    if count > budget:
+    if count > ENUM_BUDGET:
         raise ValueError("matrix space exceeds enumeration budget")
     p = Fraction(1, count)
     out = []

@@ -10,11 +10,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import schemes as sc
+from .gf import is_prime
 from .matrices import derive_seed, rng_from_seed
 from .types_lab import Distribution
 
@@ -22,13 +23,19 @@ from .types_lab import Distribution
 REQUIRED_KEYS = ("problem", "n", "trials", "seed", "scheme")
 OPTIONAL_KEYS = ("best_of", "ensemble", "tau", "out")
 
+# per problem, each scheme key with the alphabets that index its table's axes
+# ("" for a number); the first table to index an alphabet fixes its size
 SCHEME_KEYS = {
-    "sw": {"joint", "rate_x", "rate_y"},
-    "ch": {"mu_x", "channel", "eps_a", "eps_b"},
-    "gp": {"mu_z", "mu_xw_z", "channel", "eps_a", "eps_b", "eps_ahat"},
-    "lossy": {"mu_x", "test_channel", "rho", "eps_a", "eps_b"},
-    "wz": {"mu_xz", "test_channel", "f", "rho", "eps_a", "eps_b"},
-    "oho": {"mu_xy", "channel", "eps_a", "eps_b", "eps_bhat"},
+    "sw": {"joint": "xy", "rate_x": "", "rate_y": ""},
+    "ch": {"mu_x": "x", "channel": "xy", "eps_a": "", "eps_b": ""},
+    "gp": {"mu_z": "z", "mu_xw_z": "zxw", "channel": "xzy", "eps_a": "",
+           "eps_b": "", "eps_ahat": ""},
+    "lossy": {"mu_x": "x", "test_channel": "xy", "rho": "xy", "eps_a": "",
+              "eps_b": ""},
+    "wz": {"mu_xz": "xz", "test_channel": "xy", "f": "yz", "rho": "xw",
+           "eps_a": "", "eps_b": ""},
+    "oho": {"mu_xy": "xy", "channel": "yz", "eps_a": "", "eps_b": "",
+            "eps_bhat": ""},
 }
 
 
@@ -41,6 +48,38 @@ def _integer(key: str, value, low=None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{key} must be >= {low}, got {value}")
     return value
+
+
+def _check_scheme(problem: str, scheme: dict):
+    """Numbers are finite, table axes match their alphabets, and every
+    alphabet a matrix is drawn over has prime size."""
+    sizes, fixed_by = {}, {}
+    for key, axes in SCHEME_KEYS[problem].items():
+        value = scheme[key]
+        if not axes:
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
+            continue
+        try:
+            table = np.array(value)
+        except ValueError:  # ragged nesting
+            table = np.array(None)
+        if (table.dtype.kind not in "iuf" or table.ndim != len(axes)
+                or not np.isfinite(table).all()):
+            raise ValueError(f"{key} must be a {len(axes)}-axis table of "
+                             f"finite numbers, got {value!r}")
+        for axis, size in zip(axes, table.shape):
+            if sizes.setdefault(axis, size) != size:
+                raise ValueError(f"{key} indexes {axis} by {size} symbols, "
+                                 f"{fixed_by[axis]} by {sizes[axis]}")
+            fixed_by.setdefault(axis, key)
+    for axis in sc.MATRIX_ALPHABET[problem].values():
+        if not is_prime(sizes[axis]):
+            raise ValueError(f"{fixed_by[axis]}: alphabet size {sizes[axis]} "
+                             f"of {axis} is not prime")
+    if problem == "wz" and not np.isin(scheme["f"], range(sizes["w"])).all():
+        raise ValueError(f"f entries must index the {sizes['w']} columns of rho")
 
 
 @dataclass
@@ -87,12 +126,13 @@ class ExperimentConfig:
         scheme = doc["scheme"]
         if not isinstance(scheme, dict):
             raise ValueError(f"scheme must be an object, got {scheme!r}")
-        extra = set(scheme) - SCHEME_KEYS[problem]
+        extra = set(scheme) - set(SCHEME_KEYS[problem])
         if extra:
             raise ValueError(f"unknown scheme keys for {problem}: {sorted(extra)}")
-        missing = SCHEME_KEYS[problem] - set(scheme)
+        missing = set(SCHEME_KEYS[problem]) - set(scheme)
         if missing:
             raise ValueError(f"missing scheme keys for {problem}: {sorted(missing)}")
+        _check_scheme(problem, scheme)
         return cls(
             problem=problem,
             n_list=[_integer("n", n, 1) for n in doc["n"]],
@@ -107,26 +147,24 @@ class ExperimentConfig:
 
     def scheme_params(self) -> sc.SchemeParams:
         """The scheme's parameters; admissibility issues are recorded in
-        `eps_warnings`, not warned."""
+        `eps_warnings`."""
         s = self.scheme
         if self.problem == "sw":
             return sc.sw_params(Distribution(s["joint"]), s["rate_x"],
-                                s["rate_y"], warn=False)
+                                s["rate_y"])
         if self.problem == "ch":
-            return sc.ch_params(s["mu_x"], s["channel"], s["eps_a"],
-                                s["eps_b"], warn=False)
+            return sc.ch_params(s["mu_x"], s["channel"], s["eps_a"], s["eps_b"])
         if self.problem == "gp":
             return sc.gp_params(s["mu_z"], s["mu_xw_z"], s["channel"],
-                                s["eps_a"], s["eps_b"], s["eps_ahat"], warn=False)
+                                s["eps_a"], s["eps_b"], s["eps_ahat"])
         if self.problem == "lossy":
             return sc.lossy_params(s["mu_x"], s["test_channel"], s["rho"],
-                                   s["eps_a"], s["eps_b"], warn=False)
+                                   s["eps_a"], s["eps_b"])
         if self.problem == "wz":
             return sc.wz_params(Distribution(s["mu_xz"]), s["test_channel"],
-                                s["f"], s["rho"], s["eps_a"], s["eps_b"],
-                                warn=False)
+                                s["f"], s["rho"], s["eps_a"], s["eps_b"])
         return sc.oho_params(Distribution(s["mu_xy"]), s["channel"],
-                             s["eps_a"], s["eps_b"], s["eps_bhat"], warn=False)
+                             s["eps_a"], s["eps_b"], s["eps_bhat"])
 
 
 @dataclass

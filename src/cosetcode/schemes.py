@@ -10,13 +10,11 @@ rate-limited second source).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cosets import (
-    EmptyCosetError,
     fixed_point_metric,
     log_table,
     ml_code_cond_iid,
@@ -31,7 +29,6 @@ from .matrices import (
     generate_mackay,
     generate_uniform,
     recommended_tau,
-    rng_from_seed,
     sample_image_point,
 )
 from .types_lab import Distribution, entropy, zeta
@@ -59,7 +56,6 @@ class SchemeParams:
     f: object = None
     rate_x: object = None
     rate_y: object = None
-    warn: bool = True
     # read-only tables and their integer metrics, filled on first use
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -112,7 +108,7 @@ class SchemeParams:
                            fixed_point_metric(log_table(self.marg(names)), n))
 
     def validate(self):
-        """Check the problem's epsilon admissibility conditions; warn only."""
+        """Record the problem's epsilon admissibility issues in `eps_warnings`."""
         issues = []
         ea = self.eps.get("a")
         eb = self.eps.get("b")
@@ -153,9 +149,6 @@ class SchemeParams:
             if not self.eps.get("bhat") > b2:
                 issues.append(f"need eps_bhat > {b2:.4g}")
         self.eps_warnings = issues
-        if issues and self.warn:
-            for msg in issues:
-                warnings.warn(f"{self.problem}: {msg}")
         return issues
 
 
@@ -166,23 +159,21 @@ def _perm_of(current_order, wanted_order):
 
 # -- constructors -------------------------------------------------------------
 
-def sw_params(mu_xy: Distribution, rate_x: float, rate_y: float,
-              warn: bool = True) -> SchemeParams:
+def sw_params(mu_xy: Distribution, rate_x: float, rate_y: float) -> SchemeParams:
     return SchemeParams("sw", mu_xy, ("x", "y"),
-                        eps={}, rate_x=rate_x, rate_y=rate_y, warn=warn)
+                        eps={}, rate_x=rate_x, rate_y=rate_y)
 
 
-def ch_params(mu_x, chan_y_x, eps_a: float, eps_b: float,
-              warn: bool = True) -> SchemeParams:
+def ch_params(mu_x, chan_y_x, eps_a: float, eps_b: float) -> SchemeParams:
     mu_x = np.asarray(getattr(mu_x, "p", mu_x), dtype=float)
     chan = np.asarray(chan_y_x, dtype=float)  # [x, y]
     joint = Distribution(mu_x[:, None] * chan)
     return SchemeParams("ch", joint, ("x", "y"),
-                        eps={"a": eps_a, "b": eps_b}, warn=warn)
+                        eps={"a": eps_a, "b": eps_b})
 
 
 def gp_params(mu_z, mu_xw_z, chan_y_xz, eps_a: float, eps_b: float,
-              eps_ahat: float, warn: bool = True) -> SchemeParams:
+              eps_ahat: float) -> SchemeParams:
     """mu_xw_z indexed [z, x, w]; chan_y_xz indexed [x, z, y]."""
     mu_z = np.asarray(getattr(mu_z, "p", mu_z), dtype=float)
     mu_xw_z = np.asarray(mu_xw_z, dtype=float)
@@ -195,22 +186,21 @@ def gp_params(mu_z, mu_xw_z, chan_y_xz, eps_a: float, eps_b: float,
             for w in range(qw):
                 p[x, :, z, w] = mu_z[z] * mu_xw_z[z, x, w] * chan[x, z, :]
     return SchemeParams("gp", Distribution(p), ("x", "y", "z", "w"),
-                        eps={"a": eps_a, "b": eps_b, "ahat": eps_ahat},
-                        warn=warn)
+                        eps={"a": eps_a, "b": eps_b, "ahat": eps_ahat})
 
 
-def lossy_params(mu_x, test_chan_y_x, rho, eps_a: float, eps_b: float,
-                 warn: bool = True) -> SchemeParams:
+def lossy_params(mu_x, test_chan_y_x, rho, eps_a: float,
+                 eps_b: float) -> SchemeParams:
     mu_x = np.asarray(getattr(mu_x, "p", mu_x), dtype=float)
     chan = np.asarray(test_chan_y_x, dtype=float)  # [x, y]
     joint = Distribution(mu_x[:, None] * chan)
     return SchemeParams("lossy", joint, ("x", "y"),
                         eps={"a": eps_a, "b": eps_b},
-                        rho=np.asarray(rho, dtype=float), warn=warn)
+                        rho=np.asarray(rho, dtype=float))
 
 
 def wz_params(mu_xz: Distribution, test_chan_y_x, f, rho,
-              eps_a: float, eps_b: float, warn: bool = True) -> SchemeParams:
+              eps_a: float, eps_b: float) -> SchemeParams:
     """mu_xz over (x, z); test channel [x, y]; f indexed [y, z]; rho [x, w]."""
     pxz = np.asarray(getattr(mu_xz, "p", mu_xz), dtype=float)
     chan = np.asarray(test_chan_y_x, dtype=float)
@@ -218,17 +208,16 @@ def wz_params(mu_xz: Distribution, test_chan_y_x, f, rho,
     return SchemeParams("wz", Distribution(p), ("x", "y", "z"),
                         eps={"a": eps_a, "b": eps_b},
                         rho=np.asarray(rho, dtype=float),
-                        f=np.asarray(f, dtype=np.int64), warn=warn)
+                        f=np.asarray(f, dtype=np.int64))
 
 
 def oho_params(mu_xy: Distribution, chan_z_y, eps_a: float, eps_b: float,
-               eps_bhat: float, warn: bool = True) -> SchemeParams:
+               eps_bhat: float) -> SchemeParams:
     pxy = np.asarray(getattr(mu_xy, "p", mu_xy), dtype=float)
     chan = np.asarray(chan_z_y, dtype=float)  # [y, z]
     p = pxy[:, :, None] * chan[None, :, :]  # (x, y, z)
     return SchemeParams("oho", Distribution(p), ("x", "y", "z"),
-                        eps={"a": eps_a, "b": eps_b, "bhat": eps_bhat},
-                        warn=warn)
+                        eps={"a": eps_a, "b": eps_b, "bhat": eps_bhat})
 
 
 # -- dimensions ---------------------------------------------------------------
@@ -294,8 +283,6 @@ def dims_for(params: SchemeParams, n: int) -> DimReport:
         c = min(max(r, 1), n)
         rounded[k] = c
         clamped[k] = c != r
-        if c != r and params.warn:
-            warnings.warn(f"dimension {k} clamped from {r} to {c}")
     return DimReport(real=real, rounded=rounded, clamped=clamped)
 
 

@@ -5,34 +5,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 LOG2 = math.log(2.0)
+ENUM_BUDGET = 1 << 22
 
 
 class Distribution:
     """Finite pmf over a (possibly multi-axis) alphabet.
 
-    `probs` is a float array; `exact` is an optional array of Fractions with
-    the same shape (exact mode).  Each pmf must sum to 1.
+    `probs` is a float array; it must sum to 1.
     """
 
-    def __init__(self, probs, exact=None):
-        if exact is not None:
-            exact = np.array(exact, dtype=object)
-            probs = np.array([float(x) for x in exact.flat]).reshape(exact.shape)
+    def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
         if np.any(p < 0):
             raise ValueError("negative pmf entry")
-        if exact is not None:
-            if sum(exact.flat) != 1:
-                raise ValueError("exact pmf does not sum to 1")
-        elif abs(p.sum() - 1.0) > 1e-12:
+        if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError(f"pmf sums to {p.sum()!r}, not 1")
         self.p = p
-        self.exact = exact
 
     @property
     def shape(self):
@@ -40,35 +32,23 @@ class Distribution:
 
     @classmethod
     def bernoulli(cls, p) -> "Distribution":
-        if isinstance(p, Fraction):
-            return cls(None, exact=[1 - p, p])
         return cls([1.0 - p, p])
 
     @classmethod
     def uniform(cls, k: int) -> "Distribution":
-        return cls(None, exact=[Fraction(1, k)] * k)
+        return cls([1 / k] * k)
 
     @classmethod
     def dsbs(cls, p) -> "Distribution":
         """Doubly symmetric binary source: X uniform, Y = X xor Bern(p)."""
-        p = Fraction(p) if not isinstance(p, float) else p
-        half = Fraction(1, 2) if isinstance(p, Fraction) else 0.5
-        same, diff = half * (1 - p), half * p
-        joint = [[same, diff], [diff, same]]
-        if isinstance(p, Fraction):
-            return cls(None, exact=joint)
-        return cls(joint)
+        same, diff = 0.5 * (1 - p), 0.5 * p
+        return cls([[same, diff], [diff, same]])
 
     def marginal(self, axes) -> "Distribution":
         """Marginal over the listed axes (kept, in their original order)."""
         if isinstance(axes, int):
             axes = (axes,)
         drop = tuple(a for a in range(self.p.ndim) if a not in axes)
-        if self.exact is not None:
-            ex = self.exact
-            for a in sorted(drop, reverse=True):
-                ex = _sum_axis_object(ex, a)
-            return Distribution(None, exact=ex)
         return Distribution(self.p.sum(axis=drop))
 
     def conditional(self, given_axes) -> np.ndarray:
@@ -90,16 +70,6 @@ class Distribution:
         return cond
 
 
-def _sum_axis_object(arr, axis):
-    arr = np.moveaxis(arr, axis, -1)
-    out = np.empty(arr.shape[:-1], dtype=object)
-    for idx in np.ndindex(arr.shape[:-1]):
-        out[idx] = sum(arr[idx])
-    if out.shape == ():
-        out = out.reshape(1)[0]
-    return out
-
-
 @dataclass(frozen=True)
 class TypeVector:
     """Occurrence counts n*nu_u of a sequence."""
@@ -117,9 +87,6 @@ class TypeVector:
 
     def freq(self) -> np.ndarray:
         return np.array(self.counts, dtype=float) / self.n
-
-    def freq_exact(self):
-        return [Fraction(c, self.n) for c in self.counts]
 
 
 def empirical(u, q: int) -> TypeVector:
@@ -277,12 +244,12 @@ def type_divergence(counts, mu_p) -> float:
     return divergence(freq, mu_p)
 
 
-def enumerate_typical(mu, n: int, gamma: float, budget: int = 1 << 22):
+def enumerate_typical(mu, n: int, gamma: float):
     """All length-n sequences in the typical set (exhaustive)."""
     mu_p = np.asarray(getattr(mu, "p", mu), dtype=float).ravel()
     q = mu_p.size
-    if q**n > budget:
-        raise ValueError(f"enumeration budget exceeded: {q}^{n} > {budget}")
+    if q**n > ENUM_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {q}^{n} > {ENUM_BUDGET}")
     for u in itertools.product(range(q), repeat=n):
         counts = [0] * q
         for s in u:
@@ -304,19 +271,9 @@ def typical_count(mu, n: int, gamma: float) -> int:
 
 # -- lemma suites ------------------------------------------------------------
 
-def seq_prob_exact(counts, mu_exact):
-    out = Fraction(1)
-    for c, pa in zip(counts, mu_exact):
-        out *= Fraction(pa) ** c
-    return out
-
-
 def check_exprob(mu: Distribution, n: int):
-    """Per-sequence probability identity: -(1/n)log mu(u) = H(nu)+D(nu||mu).
-
-    Exact content: mu(u) = prod_a mu(a)^{t(a)} (checked with Fractions when
-    available) plus the float identity within 1e-12.
-    """
+    """Per-sequence probability identity: -(1/n)log mu(u) = H(nu)+D(nu||mu),
+    checked within 1e-12 on every type with positive probability."""
     mu_p = mu.p.ravel()
     q = mu_p.size
     worst = 0.0
@@ -327,13 +284,6 @@ def check_exprob(mu: Distribution, n: int):
         freq = np.array(counts, dtype=float) / n
         rhs = entropy(freq) + divergence(freq, mu_p)
         worst = max(worst, abs(-logmu / n - rhs))
-        if mu.exact is not None:
-            p_exact = seq_prob_exact(counts, list(mu.exact.ravel()))
-            p_float = math.prod(
-                float(mu_p[a]) ** c for a, c in enumerate(counts) if c
-            )
-            if not math.isclose(float(p_exact), p_float, rel_tol=1e-9):
-                return False, math.inf
     return worst <= 1e-12, worst
 
 

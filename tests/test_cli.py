@@ -97,6 +97,16 @@ def sw_doc(**over):
     return doc
 
 
+CH = {"mu_x": [0.5, 0.5], "channel": [[0.89, 0.11], [0.11, 0.89]],
+      "eps_a": 0.05, "eps_b": 0.15}
+LOSSY = {"mu_x": [0.5, 0.5], "test_channel": [[0.75, 0.25], [0.25, 0.75]],
+         "rho": [[0.0, 1.0], [1.0, 0.0]], "eps_a": 0.01, "eps_b": 0.1}
+
+
+def scheme_doc(problem, base, **over):
+    return sw_doc(problem=problem, scheme={**base, **over})
+
+
 def run_config(tmp_path, doc=None):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(sw_doc() if doc is None else doc))
@@ -161,6 +171,13 @@ BAD_CONFIGS = {
     "scheme-not-an-object": (sw_doc(scheme=[]), "scheme"),
     "scheme-key": (sw_doc(scheme={"joint": [[0.5, 0.5]], "rate_x": 0.8}),
                    "scheme"),
+    "rate-string": (scheme_doc("sw", sw_doc()["scheme"], rate_x="0.85"),
+                    "rate_x"),
+    "eps-null": (scheme_doc("ch", CH, eps_a=None), "eps_a"),
+    "alphabet-not-prime": (scheme_doc("sw", sw_doc()["scheme"],
+                                      joint=[[0.5, 0.5]]), "joint"),
+    "rho-axes": (scheme_doc("lossy", LOSSY, rho=[[0, 1]]), "rho"),
+    "channel-axes": (scheme_doc("ch", CH, channel=[[0.9, 0.1]]), "channel"),
 }
 
 
@@ -213,6 +230,24 @@ def test_cli_does_not_import_jsonschema():
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_run_reports_admissibility_on_stderr(tmp_path, capsys):
+    channel = json.loads((Path(__file__).parent.parent / "configs"
+                          / "channel.json").read_text())
+    clamped = sw_doc(n=[8, 16], trials=2)
+    clamped["scheme"]["rate_x"] = 0.05  # 0.4 rows at n = 8, clamped to 1
+    for doc, warned in (
+            (channel, "eps condition violated: 0.1 <= 0.7746 < 0.05"),
+            (clamped, "n=8: dimension A clamped")):
+        doc.update(trials=2, best_of=1)
+        prefix = tmp_path / doc["problem"]
+        assert main(["run", "--config", str(run_config(tmp_path, doc)),
+                     "--out", str(prefix)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == f"warning: {warned}\n"
+        csv = Path(f"{prefix}.csv")
+        assert out == csv.read_text() + f"# written: {csv}\n"
 
 
 def test_run_over_budget_coset_is_usage_error(tmp_path, capsys):

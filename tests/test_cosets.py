@@ -79,10 +79,11 @@ def test_inconsistent_system_is_empty():
 
 
 def test_budget_error():
-    A = SparseMatrix.from_dense(np.zeros((1, 20), dtype=int), 2)
+    # 2^25 members: over BUDGET, refused before the kernel is formed
+    A = SparseMatrix.from_dense(np.zeros((1, 25), dtype=int), 2)
     coset = solve_coset([(A, [0])])
-    with pytest.raises(BudgetError):
-        coset.elements(budget=1000)
+    with pytest.raises(BudgetError, match="coset has 33554432 elements"):
+        coset.elements()
 
 
 def reference_solve(M, t, q):
@@ -397,16 +398,16 @@ def test_ml_product_dispatch_by_cost(monkeypatch):
 
 
 def test_ml_product_budget_and_empty():
-    # 2^10 members and 2^10 states each: both paths exceed a 1000 budget
+    # 2^13 members and 2^13 states each: both paths exceed BUDGET = 2^24
     half = SparseMatrix.from_dense(np.hstack(
-        [np.eye(10, dtype=int), np.zeros((10, 10), dtype=int)]), 2)
-    both = solve_coset([(half, [0] * 10)])
-    with pytest.raises(BudgetError, match=r"1048576 pairs and a trellis of "
-                                          r"83886080 branches, budget 1000"):
-        ml_code_product(both, both, np.zeros((2, 2)), budget=1000)
+        [np.eye(13, dtype=int), np.zeros((13, 13), dtype=int)]), 2)
+    both = solve_coset([(half, [0] * 13)])
+    with pytest.raises(BudgetError, match=r"67108864 pairs and a trellis of "
+                                          r"6979321856 branches, budget 16777216"):
+        ml_code_product(both, both, np.zeros((2, 2)))
     # rank 0: 2^40 pairs are far over budget, the one-state trellis fits
     big = solve_coset([(SparseMatrix(2, 1, 20), [0])])
-    x, y = ml_code_product(big, big, np.zeros((2, 2)), budget=1000)
+    x, y = ml_code_product(big, big, np.zeros((2, 2)))
     assert not x.any() and not y.any()
     A = SparseMatrix.from_dense([[1, 1]], 2)
     empty = solve_coset([(A, [0]), (A, [1])])

@@ -28,23 +28,39 @@ def test_return_prob_exhaustive_tiny():
         assert dg.return_prob(3, 2, 2, w) == dg.return_prob_exhaustive(mats, u, 3)
 
 
-def test_return_prob_float_matches_exact():
-    for q, l, tau, w in itertools.product((2, 3, 5), (1, 2, 4, 8),
-                                          (2, 4), (1, 2, 5)):
-        exact = dg.return_prob(q, l, tau, w, mode="exact")
-        approx = dg.return_prob(q, l, tau, w, mode="float")
-        assert abs(approx - float(exact)) <= 1e-10 * max(float(exact), 1e-30)
+def test_return_prob_float_matches_exact(monkeypatch):
+    cases = list(itertools.product((2, 3, 5), (1, 2, 4, 8), (2, 4), (1, 2, 5)))
+    exact = [dg.return_prob(*case) for case in cases]
+    for limit in ("EXACT_L_LIMIT", "EXACT_POWER_LIMIT"):
+        with monkeypatch.context() as patch:
+            patch.setattr(dg, limit, 0)  # every case takes the float path
+            for case, want in zip(cases, exact):
+                approx = dg.return_prob(*case)
+                assert isinstance(want, Fraction) and isinstance(approx, float)
+                assert abs(approx - float(want)) <= 1e-10 * max(float(want), 1e-30)
+
+
+def closed_form_sum(q, l, tau, w):
+    """(1/q^l) sum_k (1 - qk/((q-1)l))^{w tau} C(l,k)(q-1)^k in Fractions."""
+    return sum(
+        (1 - Fraction(q * k, (q - 1) * l)) ** (w * tau)
+        * math.comb(l, k) * (q - 1) ** k
+        for k in range(l + 1)
+    ) / q**l
 
 
 def test_return_prob_limits():
     assert isinstance(dg.return_prob(2, 64, 2, 2), Fraction)
-    assert isinstance(dg.return_prob(2, 65, 2, 2), float)
-    with pytest.raises(OverflowError):
-        dg.return_prob(2, 65, 2, 2, mode="exact")
+    # past EXACT_L_LIMIT, then past EXACT_POWER_LIMIT: the float path
+    for q, l, tau, w in ((2, 65, 2, 2), (3, 80, 3, 5), (3, 6, 64, 65),
+                         (2, 64, 64, 65)):
+        assert l > dg.EXACT_L_LIMIT or w * tau > dg.EXACT_POWER_LIMIT
+        got = dg.return_prob(q, l, tau, w)
+        want = closed_form_sum(q, l, tau, w)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-9 * want
     with pytest.raises(ValueError):
         dg.return_prob(2, 2, 2, 0)
-    with pytest.raises(ValueError):
-        dg.return_prob(2, 2, 2, 1, mode="bogus")
 
 
 def test_signed_log_sum_cancellation_flag():
@@ -61,9 +77,21 @@ def test_walk_closed_equals_recursion_exactly():
         for l in range(1, 5):
             for steps in range(9):
                 for w in range(l + 1):
-                    closed = dg.walk_dist_closed(q, l, steps, w, mode="exact")
+                    closed = dg.walk_dist_closed(q, l, steps, w)
                     oracle = dg.walk_pointwise_recursive(q, l, steps, w)
                     assert closed == oracle
+
+
+def test_walk_float_path_matches_recursion(monkeypatch):
+    for limit in ("EXACT_L_LIMIT", "EXACT_POWER_LIMIT"):
+        with monkeypatch.context() as patch:
+            patch.setattr(dg, limit, 0)  # every walk of >= 1 step is float
+            for q, l, steps in itertools.product((2, 3), range(1, 5), range(1, 9)):
+                for w in range(l + 1):
+                    closed = dg.walk_dist_closed(q, l, steps, w)
+                    oracle = dg.walk_pointwise_recursive(q, l, steps, w)
+                    assert isinstance(closed, float)
+                    assert abs(closed - oracle) <= 1e-12
 
 
 def test_walk_mass_normalization():
@@ -109,7 +137,7 @@ def test_alpha_beta_frozen_example():
     d = dg.alpha_beta(params, 2)
     assert d.alpha == 1 and d.beta == 1
     assert d.im_size == 2 and d.im_ratio == Fraction(1, 2)
-    assert d.mode == "exact"
+    assert isinstance(d.alpha, Fraction) and isinstance(d.beta, Fraction)
 
 
 def test_alpha_beta_uniform_is_universal():
@@ -169,9 +197,9 @@ def test_enumerated_ensembles_are_probability_spaces():
 
 def test_enumeration_budget():
     with pytest.raises(ValueError):
-        dg.enumerate_mackay(EnsembleParams(q=3, l=8, n=8, tau=4), budget=100)
+        dg.enumerate_mackay(EnsembleParams(q=3, l=8, n=8, tau=4))
     with pytest.raises(ValueError):
-        dg.enumerate_uniform(2, 10, 10, budget=100)
+        dg.enumerate_uniform(2, 10, 10)
 
 
 def test_column_outcomes_match_generation_support():

@@ -32,7 +32,7 @@ def test_unknown_problem_rejected():
 
 
 def test_cond_and_marg_tables():
-    params = sc.ch_params([0.5, 0.5], bsc(0.1), 0.05, 0.05, warn=False)
+    params = sc.ch_params([0.5, 0.5], bsc(0.1), 0.05, 0.05)
     cond = params.cond("y", "x")
     assert np.allclose(cond, bsc(0.1))
     assert np.allclose(params.marg("x"), [0.5, 0.5])
@@ -41,19 +41,18 @@ def test_cond_and_marg_tables():
 
 
 def test_eps_conditions_warn_not_fail():
-    with pytest.warns(UserWarning):
-        params = sc.ch_params([0.5, 0.5], bsc(0.1), 0.01, 0.5, warn=True)
-    assert params.eps_warnings
-    quiet = sc.ch_params([0.5, 0.5], bsc(0.1), 0.01, 0.5, warn=False)
-    assert quiet.eps_warnings  # recorded either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = sc.ch_params([0.5, 0.5], bsc(0.1), 0.01, 0.5)
+    assert params.eps_warnings  # recorded, not raised or warned
 
 
 def test_eps_conditions_satisfied_cases():
     # generous eps_a with tiny eps_b - eps_a satisfies the sqrt condition
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.4, 0.4001, warn=False)
+    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.4, 0.4001)
     assert not params.eps_warnings
     params = sc.lossy_params([0.5, 0.5], bsc(0.25), [[0, 1], [1, 0]],
-                             0.0001, 0.35, warn=False)
+                             0.0001, 0.35)
     assert not params.eps_warnings
 
 
@@ -67,7 +66,7 @@ def test_sw_dims_from_rates():
 
 
 def test_ch_dims_bsc_frozen():
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05, warn=False)
+    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
     dims = sc.dims_for(params, 100)
     assert dims.real["A"] == pytest.approx(100 * (h2(0.11) + 0.05), abs=1e-9)
     assert dims.real["B"] == pytest.approx(100 * (1 - h2(0.11) - 0.05), abs=1e-9)
@@ -76,7 +75,7 @@ def test_ch_dims_bsc_frozen():
 
 def test_lossy_dims_frozen():
     params = sc.lossy_params([0.5, 0.5], bsc(0.25), [[0, 1], [1, 0]],
-                             0.01, 0.1, warn=False)
+                             0.01, 0.1)
     dims = sc.dims_for(params, 16)
     assert dims.real["A"] == pytest.approx(16 * (h2(0.25) - 0.01), abs=1e-9)
     assert dims.real["B"] == pytest.approx(16 * (1 - h2(0.25) + 0.1), abs=1e-9)
@@ -86,15 +85,15 @@ def test_wz_reduces_to_lossy_dims_when_z_trivial():
     rho = [[0, 1], [1, 0]]
     f = [[0], [1]]  # y -> y, z ignored
     wz = sc.wz_params(Distribution([[0.5], [0.5]]), bsc(0.25), f, rho,
-                      0.01, 0.1, warn=False)
-    lossy = sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.1, warn=False)
+                      0.01, 0.1)
+    lossy = sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.1)
     dw, dl = sc.dims_for(wz, 16), sc.dims_for(lossy, 16)
     assert dw.rounded == dl.rounded
 
 
 def test_oho_dims_signs():
     params = sc.oho_params(Distribution.dsbs(0.1), bsc(0.1),
-                           0.05, 0.15, 0.15, warn=False)
+                           0.05, 0.15, 0.15)
     dims = sc.dims_for(params, 12)
     p = params.joint.p
     hz_y = h2(0.1)
@@ -104,8 +103,9 @@ def test_oho_dims_signs():
 
 def test_dims_clamp_warns():
     params = sc.sw_params(Distribution.dsbs(0.11), 1.4, 0.01)
-    with pytest.warns(UserWarning):
-        dims = sc.dims_for(params, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dims = sc.dims_for(params, 10)  # reported in `clamped`, not warned
     assert dims.rounded["A"] == 10 and dims.clamped["A"]
     assert dims.rounded["B"] == 1 and dims.clamped["B"]
 
@@ -113,7 +113,7 @@ def test_dims_clamp_warns():
 # -- instances ---------------------------------------------------------------------
 
 def test_build_instance_shapes_and_determinism():
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05, warn=False)
+    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
     inst = sc.build_instance(params, 12, seed=5)
     assert inst.matrices["A"].l == inst.dims.rounded["A"]
     assert inst.matrices["B"].n == 12
@@ -140,7 +140,7 @@ def test_rate_of_uses_rank():
 
 def test_sample_message_lies_in_image():
     from cosetcode.cosets import solve_coset
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05, warn=False)
+    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
     inst = sc.build_instance(params, 10, seed=3)
     for t in range(10):
         m = sc.sample_message(inst, derive_seed(3, "m", t))
@@ -164,8 +164,7 @@ def _bsc_gp_params(eps_a=0.05, eps_b=0.02, eps_ahat=0.01):
     chan = np.zeros((2, 2, 2))  # [x, z, y]
     for z in range(2):
         chan[:, z, :] = bsc(0.11)
-    return sc.gp_params([0.5, 0.5], mu_xw_z, chan, eps_a, eps_b, eps_ahat,
-                        warn=False)
+    return sc.gp_params([0.5, 0.5], mu_xw_z, chan, eps_a, eps_b, eps_ahat)
 
 
 def test_sw_round_trip_contracts():
@@ -182,7 +181,7 @@ def test_sw_round_trip_contracts():
 
 
 def test_ch_encode_decode_contracts():
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05, warn=False)
+    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
     inst = sc.build_instance(params, 10, seed=4)
     successes = 0
     for t in range(10):
@@ -200,7 +199,7 @@ def test_ch_encode_decode_contracts():
 
 
 def test_ch_encoder_failure():
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05, warn=False)
+    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
     A = SparseMatrix.from_dense([[1, 1]], 2)
     inst = sc.SchemeInstance("ch", 2, {"A": A, "B": A},
                              {"A": np.array([0])}, sc.dims_for(params, 2))
@@ -225,7 +224,7 @@ def test_gp_contracts():
 
 def test_lossy_and_wz_contracts():
     rho = [[0, 1], [1, 0]]
-    params = sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.2, warn=False)
+    params = sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.2)
     inst = sc.build_instance(params, 10, seed=9)
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -236,7 +235,7 @@ def test_lossy_and_wz_contracts():
 
     f = [[0, 0], [1, 1]]  # reproduce y regardless of z
     wz = sc.wz_params(Distribution.dsbs(0.2), bsc(0.25), f, rho,
-                      0.01, 0.3, warn=False)
+                      0.01, 0.3)
     winst = sc.build_instance(wz, 10, seed=9)
     for _ in range(5):
         x = rng.integers(0, 2, 10)
@@ -248,7 +247,7 @@ def test_lossy_and_wz_contracts():
 
 def test_oho_contracts():
     params = sc.oho_params(Distribution.dsbs(0.1), bsc(0.1),
-                           0.05, 0.15, 0.15, warn=False)
+                           0.05, 0.15, 0.15)
     inst = sc.build_instance(params, 10, seed=11)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -273,7 +272,7 @@ def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
         return decoded[-1][2]
 
     monkeypatch.setattr(sc, "ml_code_cond_iid", spy)
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15, warn=False)
+    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15)
     n = 16
     exact = fixed_point_metric(log_table(params.marg("yx")), n)
     assert np.isfinite(exact).all()
@@ -312,15 +311,13 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
     chan = np.stack([bsc(0.11)] * 2, axis=1)  # [x, z, y]
     cases = {  # problem -> (params, number of stacked systems)
         "sw": (sc.sw_params(Distribution.dsbs(0.11), 0.85, 0.85), 2),
-        "ch": (sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15, warn=False), 2),
-        "gp": (sc.gp_params([0.5, 0.5], mu_xw_z, chan, 0.05, 0.15, 0.01,
-                            warn=False), 3),
-        "lossy": (sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.1,
-                                  warn=False), 2),
+        "ch": (sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15), 2),
+        "gp": (sc.gp_params([0.5, 0.5], mu_xw_z, chan, 0.05, 0.15, 0.01), 3),
+        "lossy": (sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.1), 2),
         "wz": (sc.wz_params(Distribution.dsbs(0.1), bsc(0.25), [[0, 0], [1, 1]],
-                            rho, 0.01, 0.1, warn=False), 2),
+                            rho, 0.01, 0.1), 2),
         "oho": (sc.oho_params(Distribution.dsbs(0.1), bsc(0.1), 0.05, 0.15,
-                              0.15, warn=False), 3),
+                              0.15), 3),
     }
     for problem, (params, systems) in cases.items():
         solved.clear()

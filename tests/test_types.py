@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,20 +18,18 @@ def test_distribution_validation():
         tl.Distribution([0.5, 0.6])
     with pytest.raises(ValueError):
         tl.Distribution([-0.1, 1.1])
-    with pytest.raises(ValueError):
-        tl.Distribution(None, exact=[Fraction(1, 3), Fraction(1, 3)])
 
 
 def test_distribution_constructors():
-    b = tl.Distribution.bernoulli(Fraction(1, 4))
-    assert list(b.exact) == [Fraction(3, 4), Fraction(1, 4)]
+    b = tl.Distribution.bernoulli(0.25)
+    assert list(b.p) == [0.75, 0.25]
     u = tl.Distribution.uniform(3)
-    assert all(x == Fraction(1, 3) for x in u.exact)
-    d = tl.Distribution.dsbs(Fraction(1, 10))
-    assert d.exact[0][0] == Fraction(9, 20)
-    assert d.exact[0][1] == Fraction(1, 20)
+    assert list(u.p) == [1 / 3] * 3
+    d = tl.Distribution.dsbs(0.1)
+    assert d.p[0][0] == d.p[1][1] == 0.45
+    assert d.p[0][1] == d.p[1][0] == 0.05
     # marginals of a DSBS are uniform
-    assert list(d.marginal(0).exact) == [Fraction(1, 2), Fraction(1, 2)]
+    assert list(d.marginal(0).p) == [0.5, 0.5]
 
 
 def test_marginal_and_conditional():
@@ -58,7 +55,6 @@ def test_empirical_and_weight():
     assert t.counts == (3, 2, 1) and t.n == 6
     assert t.weight == 3
     assert np.allclose(t.freq(), [0.5, 1 / 3, 1 / 6])
-    assert t.freq_exact() == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
     with pytest.raises(ValueError):
         tl.empirical([], 2)
     with pytest.raises(ValueError):
@@ -157,12 +153,7 @@ def test_typical_count_matches_enumeration(mu, n, gamma):
 
 def test_enumerate_typical_budget():
     with pytest.raises(ValueError):
-        list(tl.enumerate_typical([0.5, 0.5], 30, 0.1, budget=100))
-
-
-def test_seq_prob_exact():
-    mu = [Fraction(3, 4), Fraction(1, 4)]
-    assert tl.seq_prob_exact((2, 1), mu) == Fraction(9, 64)
+        list(tl.enumerate_typical([0.5, 0.5], 30, 0.1))
 
 
 # -- bound functions -----------------------------------------------------------------
@@ -197,9 +188,9 @@ def test_cond_bounds_reduce_to_plain():
 # -- lemma suites --------------------------------------------------------------------
 
 @pytest.mark.parametrize("mu", [
-    tl.Distribution.bernoulli(Fraction(1, 2)),
-    tl.Distribution.bernoulli(Fraction(3, 10)),
-    tl.Distribution(None, exact=[Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)]),
+    tl.Distribution.bernoulli(0.5),
+    tl.Distribution.bernoulli(0.3),
+    tl.Distribution([0.5, 0.3, 0.2]),
 ])
 @pytest.mark.parametrize("n", [6, 10])
 def test_single_variable_suites(mu, n):
