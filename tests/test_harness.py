@@ -1,5 +1,6 @@
 """Monte Carlo runner: config validation, sampling, determinism."""
 
+import hashlib
 import json
 import math
 import threading
@@ -252,3 +253,58 @@ def test_summary_reports_admissibility(tmp_path):
     assert written["eps_warnings"] == []
     assert written["dims_clamped"] == summary["dims_clamped"]
     assert (tmp_path / "exp.csv").read_text() == hn.summary_csv(summary)
+
+
+# -- pinned outputs -------------------------------------------------------------------
+
+BSC11 = [[0.89, 0.11], [0.11, 0.89]]
+BSC10 = [[0.9, 0.1], [0.1, 0.9]]
+BSC25 = [[0.75, 0.25], [0.25, 0.75]]
+DSBS11 = [[0.445, 0.055], [0.055, 0.445]]
+DSBS10 = [[0.45, 0.05], [0.05, 0.45]]
+HAMMING = [[0.0, 1.0], [1.0, 0.0]]
+TERNARY = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+
+
+@pytest.mark.parametrize("problem, n, scheme, digests", [
+    ("sw", 16, {"joint": DSBS11, "rate_x": 0.85, "rate_y": 0.85},
+     ("72baefe2828faa8011e4a3da43f4ce8692b761a97400595d23506b8af7badf5c",
+      "0eefaa87484729bae664ddf249c930f1cf55232ad8f8572edcff556dd285e434")),
+    ("ch", 16, {"mu_x": [0.5, 0.5], "channel": BSC11, "eps_a": 0.05,
+                "eps_b": 0.15},
+     ("fdd8e4a879c3b8c048563eeb5eafb248c427e2032b15d2a8d0b2abb579001d7f",
+      "754a9df792b9b48ec21d9b414d4994be6708bf63e9be5974f6d73afaf716a669")),
+    ("gp", 16, {"mu_z": [0.5, 0.5], "mu_xw_z": [[[0.5, 0.0], [0.0, 0.5]]] * 2,
+                "channel": [[BSC11[0]] * 2, [BSC11[1]] * 2],
+                "eps_a": 0.05, "eps_b": 0.15, "eps_ahat": 0.01},
+     ("fdd8e4a879c3b8c048563eeb5eafb248c427e2032b15d2a8d0b2abb579001d7f",
+      "754a9df792b9b48ec21d9b414d4994be6708bf63e9be5974f6d73afaf716a669")),
+    ("lossy", 16, {"mu_x": [0.5, 0.5], "test_channel": BSC25, "rho": HAMMING,
+                   "eps_a": 0.01, "eps_b": 0.1},
+     ("58aba29fdae641e6fd6ae07bb278f9dfaa630e1be21ef6e91f370ad8d26020f2",
+      "9d1705618c8da1115b68e991562425dcd185e1bb47018489c0a6dd98bd20773d")),
+    ("wz", 16, {"mu_xz": DSBS10, "test_channel": BSC25, "f": [[0, 0], [1, 1]],
+                "rho": HAMMING, "eps_a": 0.01, "eps_b": 0.1},
+     ("2c4d057fb9eed27baaf1a969986d0c8e06c6f58299a72a13e531bfef1bda67e4",
+      "5084d2c67d6b4219d01f19f3170ecd1aca6a039c8f8f25a0c8dd08db33e9f080")),
+    ("oho", 16, {"mu_xy": DSBS10, "channel": BSC10, "eps_a": 0.05,
+                 "eps_b": 0.15, "eps_bhat": 0.15},
+     ("7b4311741b78fb3332afd5ae82b9e52c64921d5210f36f46994fafaa78d2ea7d",
+      "1403ff002c615ca4329dc2fdc1955278f31b6352093113092b2997e4647c7255")),
+    # q = 3: ties among ternary members; 32 of the 40 trials are encoder
+    # failures, so empty and non-empty cosets meet in one draw
+    ("ch", 8, {"mu_x": [1 / 3] * 3, "channel": TERNARY, "eps_a": 0.05,
+               "eps_b": 0.15},
+     ("86a892a3f4908b50cd99ca7127e5f390ea0cb7abe094f72a4b7bad717ed4633f",
+      "ea25e7d190e20f2d7b0ee3e78997d6e1d4e9816e5617cc6b5adb596bf20423ee")),
+])
+def test_outputs_are_pinned(problem, n, scheme, digests):
+    # the CSVs of fixed-seed runs, byte for byte: a decoder, sampler or
+    # batching change that moves any record or summary figure fails here
+    cfg = hn.ExperimentConfig.from_dict({
+        "problem": problem, "n": [n], "trials": 20, "seed": 2026,
+        "best_of": 2, "scheme": scheme})
+    summary, records = hn.run_experiment(cfg)
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (hn.summary_csv(summary), hn.records_csv(records)))
+    assert got == digests
