@@ -37,6 +37,7 @@ class Elimination:
     pivots: np.ndarray  # pivot columns, one per reduced row
     basis: np.ndarray  # (k, n) kernel basis rows
     _kernel: object = field(default=None, repr=False)
+    _onehot: object = field(default=None, repr=False)
     _steps: object = field(default=None, repr=False)
 
     @property
@@ -47,29 +48,64 @@ class Elimination:
     def rank(self) -> int:
         return self.pivots.size
 
+    @property
+    def size(self) -> int:
+        """Members of each non-empty coset: q**k for a k-dimensional kernel."""
+        return self.q ** self.basis.shape[0]
+
+    def check_budget(self):
+        if self.size > BUDGET:
+            raise BudgetError(f"coset has {self.size} elements, budget {BUDGET}")
+
+    def _enumerate(self) -> np.ndarray:
+        """All kernel members, (size, n), rows in itertools.product order of
+        their basis coefficients (the first coefficient most significant)."""
+        self.check_budget()
+        members = np.zeros((1, self.n), dtype=np.int64)
+        steps = np.arange(self.q)[:, None]
+        for row in self.basis:
+            members = (members[:, None, :] + steps * row).reshape(-1, self.n)
+        return members % self.q
+
     def kernel(self) -> np.ndarray:
-        """All c @ basis mod q, rows in itertools.product order of c; cached."""
+        """All kernel members as a (size, n) array, in index order; cached."""
         if self._kernel is None:
-            k = self.basis.shape[0]
-            place = self.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-            coeffs = (np.arange(self.q ** k, dtype=np.int64)[:, None]
-                      // place) % self.q
-            kernel = (coeffs @ self.basis) % self.q
+            kernel = self._enumerate()
             kernel.setflags(write=False)
             self._kernel = kernel
         return self._kernel
 
+    def onehot(self) -> np.ndarray:
+        """Symbol indicators of the kernel members, (size, n q) float64:
+        column i q + a of row c is [member c has a at position i]; cached."""
+        if self._onehot is None:
+            onehot = np.eye(self.q).take(self._enumerate(), axis=0).reshape(
+                self.size, -1)
+            onehot.setflags(write=False)
+            self._onehot = onehot
+        return self._onehot
+
+    def members(self, index) -> np.ndarray:
+        """Kernel members number `index`, read off the one-hot kernel."""
+        onehot = self.onehot()[index]
+        return onehot.reshape(len(onehot), self.n, self.q).argmax(axis=2)
+
+    def cosets(self, targets) -> "CosetBatch":
+        """The solution sets of a (T, rows) block of targets, one per row."""
+        t = np.asarray(targets, dtype=np.int64) % self.q
+        if t.ndim != 2 or t.shape[1] != self.matrix.shape[0]:
+            raise ValueError("target length does not match row count")
+        reduced = (t @ self.transform.T) % self.q
+        empty = reduced[:, self.rank:].any(axis=1)
+        particular = np.zeros((t.shape[0], self.n), dtype=np.int64)
+        particular[:, self.pivots] = reduced[:, :self.rank]
+        particular[empty] = 0
+        return CosetBatch(particular, empty, t, self)
+
     def coset(self, target) -> "CosetDescription":
         """The solution set for one target vector."""
-        t = np.asarray(target, dtype=np.int64).reshape(-1) % self.q
-        if t.shape[0] != self.matrix.shape[0]:
-            raise ValueError("target length does not match row count")
-        reduced = (self.transform @ t) % self.q
-        particular = None
-        if not np.any(reduced[self.rank:]):
-            particular = np.zeros(self.n, dtype=np.int64)
-            particular[self.pivots] = reduced[:self.rank]
-        return CosetDescription(particular, t, self)
+        t = np.asarray(target, dtype=np.int64).reshape(1, -1)
+        return self.cosets(t)[0]
 
 
 @dataclass
@@ -103,7 +139,7 @@ class CosetDescription:
 
     @property
     def size(self) -> int:
-        return 0 if self.is_empty else self.q ** self.basis.shape[0]
+        return 0 if self.is_empty else self.elimination.size
 
     def retarget(self, target) -> "CosetDescription":
         """The coset of the same matrix for another target, without a new
@@ -118,13 +154,44 @@ class CosetDescription:
         itertools.product order of the basis coefficients; cached."""
         if self.is_empty:
             raise EmptyCosetError("coset is empty")
-        if self.size > BUDGET:
-            raise BudgetError(f"coset has {self.size} elements, budget {BUDGET}")
         if self._elements is None:
             out = (self.particular[None, :] + self.elimination.kernel()) % self.q
             out.setflags(write=False)
             self._elements = out
         return self._elements
+
+
+@dataclass(eq=False)
+class CosetBatch:
+    """The cosets {u : M u = t_j} of one elimination, one per trial j.
+
+    Coset j is `particular[j]` plus the elimination's kernel, or empty when
+    `empty[j]` (its particular row is then zero)."""
+
+    particular: np.ndarray  # (T, n)
+    empty: np.ndarray  # (T,) bool
+    target: np.ndarray  # (T, rows) stacked targets
+    elimination: Elimination
+
+    def __len__(self) -> int:
+        return self.empty.size
+
+    def __getitem__(self, j) -> CosetDescription:
+        return CosetDescription(None if self.empty[j] else self.particular[j],
+                                self.target[j], self.elimination)
+
+    @property
+    def q(self) -> int:
+        return self.elimination.q
+
+    @property
+    def n(self) -> int:
+        return self.elimination.n
+
+    @property
+    def size(self) -> int:
+        """Members of all the non-empty cosets of the batch together."""
+        return int(np.count_nonzero(~self.empty)) * self.elimination.size
 
 
 def _dense_of(m) -> np.ndarray:
@@ -168,36 +235,103 @@ def solve_coset(constraints, q: int | None = None) -> CosetDescription:
     return elim.coset(np.concatenate(targets))
 
 
-def _argbest_lex(elements: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Row with maximal score; exact score ties broken by smallest row."""
-    best = scores.max()
-    cand = elements[scores == best]
-    order = np.lexsort(cand.T[::-1])
-    return cand[order[0]].copy()
+def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):
+    """Split trial indices into blocks whose score arrays, `scores_per_trial`
+    entries a trial, fit in `room` entries (at least one trial a block).
+
+    The callers pass the entries of the element arrays that enumeration
+    used to build per trial, so a block's scores take no more memory."""
+    step = max(1, room // scores_per_trial)
+    return [rows[i:i + step] for i in range(0, rows.size, step)]
 
 
-def ml_code_iid(coset: CosetDescription, metric: np.ndarray) -> np.ndarray:
-    """argmax of sum_i metric[i, u_i] over the coset; metric has shape (q,)
-    or (n, q).
+def _exact_scores(product, terms: np.ndarray) -> np.ndarray:
+    """`product(terms)` for a product that sums indicator-selected terms.
 
-    The single-coset decoding kernel.  `metric` must be integer-valued
-    (fixed_point_metric, -inf allowed), so every sum is exact and exact ties
-    go to the lexicographically smallest member; it is used as it is."""
-    elems = coset.elements()
-    metric = np.asarray(metric)
-    if metric.ndim == 1:
-        scores = metric[elems].sum(axis=1)
-    else:
-        # u_i sits at flat index i q + u_i of the (n, q) table
-        flat = elems + metric.shape[1] * np.arange(coset.n)
-        scores = metric.ravel()[flat].sum(axis=1)
-    return _argbest_lex(elems, scores)
+    The terms are integers (fixed_point_metric), so every sum is exact in any
+    order; -inf terms enter as 0 and are counted in the same product call,
+    and any score that takes one is -inf."""
+    finite = np.isfinite(terms)
+    if finite.all():
+        return product(terms)
+    scores, counts = product(np.stack([np.where(finite, terms, 0.0),
+                                       (~finite).astype(float)]))
+    scores[counts > 0] = -np.inf
+    return scores
 
 
-def ml_code_cond_iid(coset: CosetDescription, v, metric: np.ndarray) -> np.ndarray:
-    """argmax_u sum_i metric[v_i, u_i]: ml_code_iid on the rows metric[v];
-    `v` is one index array, or a tuple of them for several given axes."""
-    return ml_code_iid(coset, np.asarray(metric)[v])
+def _smallest_best(scores: np.ndarray, codes, members) -> np.ndarray:
+    """Per row of `scores`, the column of the lexicographically smallest
+    member among the best-scoring ones.
+
+    `codes` ranks every member exactly, as an integer code below 2**53, and
+    a masked argmin picks the tied member; where codes would not be exact it
+    is None, and `members(rows, columns)` forms the tied members only, for
+    one lexsort keyed by row first."""
+    tied = scores == scores.max(axis=1, keepdims=True)
+    if codes is not None:
+        return np.where(tied, codes, np.inf).argmin(axis=1)
+    rows, columns = np.nonzero(tied)
+    order = np.lexsort((*members(rows, columns).T[::-1], rows))
+    return columns[order[np.flatnonzero(np.diff(rows, prepend=-1))]]
+
+
+def _place(q: int, n: int):
+    """Weights q**(n-1-i) of lexicographic integer codes, or None when a
+    code would reach 2**53 and float sums of codes stop being exact."""
+    if q ** n > 1 << 53:
+        return None
+    return float(q) ** np.arange(n - 1, -1, -1)
+
+
+def ml_code_iid(cosets: CosetBatch, metric: np.ndarray) -> np.ndarray:
+    """Per trial j, the argmax of sum_i metric[j, i, u_i] over coset j.
+
+    The single-coset decoding kernel.  `metric` has shape (q,), (n, q) or
+    (T, n, q) and must be integer-valued (fixed_point_metric, -inf allowed),
+    so every sum is exact and exact ties go to the lexicographically
+    smallest member; it is used as it is.  Returns a (T, n) array whose rows
+    for empty cosets are -1.
+
+    Each trial's particular solution p is folded into its metric (entry a at
+    position i becomes metric[j, i, (a + p_i) mod q]), so one product with
+    the elimination's one-hot kernel scores every member of a block of
+    cosets; folded the same way, the weights of the members' integer codes
+    rank the tied ones."""
+    elim = cosets.elimination
+    elim.check_budget()
+    q, n, trials = elim.q, elim.n, len(cosets)
+    out = np.full((trials, n), -1, dtype=np.int64)
+    live = np.flatnonzero(~cosets.empty)
+    if not live.size:
+        return out
+    onehot = elim.onehot()
+    p = cosets.particular[live]
+    # column i q + a of trial j takes table[i, (a + p_ji) mod q]
+    columns = ((p[:, :, None] + np.arange(q)) % q
+               + q * np.arange(n)[:, None]).reshape(live.size, n * q)
+    folded = np.broadcast_to(metric, (trials, n, q)).reshape(trials, n * q)[
+        live[:, None], columns]
+    place = _place(q, n)
+    weights = None if place is None else (place[:, None] * np.arange(q)).ravel()[
+        columns]
+
+    def members(rows, index):
+        return (p[rows] + elim.members(index)) % q
+
+    for rows in _blocks(np.arange(live.size), elim.size, elim.size * n):
+        scores = _exact_scores(lambda t: t @ onehot.T, folded[rows])
+        codes = None if weights is None else weights[rows] @ onehot.T
+        best = _smallest_best(scores, codes, lambda r, c: members(rows[r], c))
+        out[live[rows]] = members(rows, best)
+    return out
+
+
+def ml_code_cond_iid(cosets: CosetBatch, v, metric: np.ndarray) -> np.ndarray:
+    """Per trial j, argmax_u sum_i metric[v_ji, u_i]: ml_code_iid on the rows
+    metric[v]; `v` is one (T, n) index array, or a tuple of them for several
+    given axes."""
+    return ml_code_iid(cosets, np.asarray(metric)[v])
 
 
 def fixed_point_metric(log_joint, n: int) -> np.ndarray:
@@ -308,32 +442,41 @@ def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
     return x, y
 
 
-def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
+def _product_enumerate(coset_x: CosetBatch, coset_y: CosetBatch,
                        metric: np.ndarray):
-    """Exact ML pair by scoring every pair of the product coset.
+    """Exact ML pair of every trial by scoring every pair of its product
+    coset; returns (x, y), each (T, n), rows -1 where a factor is empty.
 
-    The scores are sum_a [x = a] . metric[a, y], one matrix product of the
-    symbol indicators of x against the metric rows at y.  The terms are
-    integers (fixed_point_metric), so the products and sums are exact in any
-    order; positions where the metric is -inf are counted by a second
-    product, and a pair with any such position scores -inf."""
-    ex = coset_x.elements()
-    ey = coset_y.elements()
-    # columns indexed by (position i, symbol a), on both sides of the product
-    onehot = (ex[:, :, None] == np.arange(metric.shape[0])).reshape(
-        ex.shape[0], -1).astype(float)
+    A trial's scores are sum_a [x = a] . metric[a, y], one product of the
+    one-hot kernel of x against the metric at the y members, both particular
+    solutions folded in; the pairs' integer codes (x first) rank the tied
+    pairs."""
+    ex, ey = coset_x.elimination, coset_y.elimination
+    (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
+    x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
+    live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
+    onehot, ky = ex.onehot(), ey.kernel()
+    place = _place(max(qx, qy), 2 * n)
+    for rows in _blocks(live, ex.size * ey.size, (ex.size + ey.size) * n):
+        px, py = coset_x.particular[rows], coset_y.particular[rows]
+        xs = (px[:, :, None] + np.arange(qx)) % qx  # [j, i, a]: x symbol
+        ys = (py[:, None, :] + ky) % qy  # [j, c, i]: y member c
+        table = metric[xs[..., None], ys.transpose(0, 2, 1)[:, :, None, :]]
+        scores = _exact_scores(lambda t: onehot @ t, table.reshape(
+            rows.size, n * qx, ey.size)).reshape(rows.size, -1)
+        codes = None
+        if place is not None:
+            code_x = (place[:n, None] * xs).reshape(rows.size, -1) @ onehot.T
+            codes = (code_x[:, :, None] + (ys @ place[n:])[:, None, :]).reshape(
+                rows.size, -1)
 
-    def product(table):
-        return onehot @ table.T[ey].reshape(ey.shape[0], -1).T
+        def pairs(r, index):
+            cx, cy = np.divmod(index, ey.size)
+            return np.hstack([(px[r] + ex.members(cx)) % qx, ys[r, cy]])
 
-    finite = np.isfinite(metric)
-    scores = product(np.where(finite, metric, 0.0))
-    if not finite.all():
-        scores[product((~finite).astype(float)) > 0] = -np.inf
-    xi, yi = np.nonzero(scores == scores.max())
-    pairs = np.hstack([ex[xi], ey[yi]])
-    first = np.lexsort(pairs.T[::-1])[0]
-    return ex[xi[first]].copy(), ey[yi[first]].copy()
+        first = pairs(np.arange(rows.size), _smallest_best(scores, codes, pairs))
+        x[rows], y[rows] = first[:, :n], first[:, n:]
+    return x, y
 
 
 # dispatch cost model, in the time the enumeration path takes per pair (about
@@ -342,27 +485,27 @@ def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
 TRELLIS_SECTION = 6000
 
 
-def product_costs(coset_x: CosetDescription, coset_y: CosetDescription):
-    """(pairs, branches) of a product decode: the |X| |Y| pairs the
-    enumeration path scores, and the n q_x^rank_x q_y^rank_y q_x q_y
+def product_costs(coset_x, coset_y):
+    """(pairs, branches) of a product decode, per trial: the |X| |Y| pairs
+    the enumeration path scores, and the n q_x^rank_x q_y^rank_y q_x q_y
     branches the trellis path relaxes."""
-    states = (coset_x.q ** coset_x.elimination.rank
-              * coset_y.q ** coset_y.elimination.rank)
-    return (coset_x.size * coset_y.size,
-            coset_x.n * states * coset_x.q * coset_y.q)
+    ex, ey = coset_x.elimination, coset_y.elimination
+    states = ex.q ** ex.rank * ey.q ** ey.rank
+    return ex.size * ey.size, ex.n * states * ex.q * ey.q
 
 
-def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
+def ml_code_product(coset_x: CosetBatch, coset_y: CosetBatch,
                     metric: np.ndarray):
-    """Joint argmax of sum_i metric[x_i, y_i] over a product of cosets.
+    """Per trial j, the joint argmax of sum_i metric[x_i, y_i] over the
+    product of coset_x[j] and coset_y[j]; returns (x, y), each (T, n), rows
+    -1 where a factor coset is empty.
 
     `metric` must be integer-valued (fixed_point_metric, -inf allowed), so
     the ML pair is exact and exact ties go to the lexicographically smallest
-    (x, y); it is used as it is.  The pair comes from enumeration (at most
-    BUDGET pairs) or from the syndrome trellis (at most BUDGET branches),
-    whichever the cost model rates cheaper; both give the same pair."""
-    if coset_x.is_empty or coset_y.is_empty:
-        raise EmptyCosetError("a factor coset is empty")
+    (x, y); it is used as it is.  The pairs come from enumeration (at most
+    BUDGET pairs a trial) or from the syndrome trellis (at most BUDGET
+    branches, one walk a trial), whichever the cost model rates cheaper;
+    both give the same pairs."""
     pairs, branches = product_costs(coset_x, coset_y)
     if pairs > BUDGET and branches > BUDGET:
         raise BudgetError(f"product has {pairs} pairs and a trellis of "
@@ -370,9 +513,13 @@ def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
     trellis = pairs > BUDGET or (
         branches <= BUDGET
         and branches + coset_x.n * TRELLIS_SECTION < pairs)
-    if trellis:
-        return _product_trellis(coset_x, coset_y, metric)
-    return _product_enumerate(coset_x, coset_y, metric)
+    if not trellis:
+        return _product_enumerate(coset_x, coset_y, metric)
+    x, y = (np.full((len(coset_x), coset_x.n), -1, dtype=np.int64)
+            for _ in range(2))
+    for j in np.flatnonzero(~(coset_x.empty | coset_y.empty)):
+        x[j], y[j] = _product_trellis(coset_x[j], coset_y[j], metric)
+    return x, y
 
 
 def log_table(p) -> np.ndarray:

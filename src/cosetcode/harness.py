@@ -1,8 +1,8 @@
 """Seeded Monte Carlo runner for the coding schemes.
 
 Each trial derives its own seed from the master seed, so results are
-byte-identical for a fixed seed.  The trials of a draw run in order on the
-calling thread.
+byte-identical for a fixed seed.  The trials of a code draw run as one batch
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ SCHEME_KEYS = {
     "oho": {"mu_xy": "xy", "channel": "yz", "eps_a": "", "eps_b": "",
             "eps_bhat": ""},
 }
+# conditional tables, each with its number of trailing output axes: every
+# row over the leading (given) axes is a pmf
+CONDITIONAL_KEYS = {"channel": 1, "test_channel": 1, "mu_xw_z": 2}
 
 
 def _integer(key: str, value, low=None) -> int:
@@ -51,8 +54,9 @@ def _integer(key: str, value, low=None) -> int:
 
 
 def _check_scheme(problem: str, scheme: dict):
-    """Numbers are finite, table axes match their alphabets, and every
-    alphabet a matrix is drawn over has prime size."""
+    """Numbers are finite, table axes match their alphabets, conditional
+    tables have rows summing to 1, and every alphabet a matrix is drawn over
+    has prime size."""
     sizes, fixed_by = {}, {}
     for key, axes in SCHEME_KEYS[problem].items():
         value = scheme[key]
@@ -74,6 +78,13 @@ def _check_scheme(problem: str, scheme: dict):
                 raise ValueError(f"{key} indexes {axis} by {size} symbols, "
                                  f"{fixed_by[axis]} by {sizes[axis]}")
             fixed_by.setdefault(axis, key)
+        if key in CONDITIONAL_KEYS:
+            # the tolerance Distribution applies to a joint
+            outs = tuple(range(table.ndim - CONDITIONAL_KEYS[key], table.ndim))
+            sums = table.sum(axis=outs)
+            if np.abs(sums - 1.0).max() > 1e-12:
+                raise ValueError(f"{key} rows must each sum to 1, got row "
+                                 f"sums {sums.tolist()}")
     for axis in sc.MATRIX_ALPHABET[problem].values():
         if not is_prime(sizes[axis]):
             raise ValueError(f"{fixed_by[axis]}: alphabet size {sizes[axis]} "
@@ -185,41 +196,47 @@ class TrialRecord:
             raise ValueError("an encoder failure cannot be a success")
 
 
-def sample_source(mu, n: int, seed) -> np.ndarray:
-    """i.i.d. sampling by inverse CDF; joint pmfs yield index tuples."""
+def _uniforms(seeds, n: int) -> np.ndarray:
+    """One row of n uniforms per seed, each from its own stream."""
+    return np.reshape([rng_from_seed(s).random(n) for s in seeds],
+                      (len(seeds), n))
+
+
+def sample_source(mu, n: int, seeds) -> np.ndarray:
+    """i.i.d. sampling by inverse CDF, one (T, n) row per seed, each from
+    its own stream; joint pmfs yield a tuple of index arrays."""
     p = np.asarray(getattr(mu, "p", mu), dtype=float)
     flat = p.ravel()
     cdf = np.cumsum(flat)
-    u = rng_from_seed(seed).random(n)
-    idx = np.searchsorted(cdf, u, side="right")
+    idx = np.searchsorted(cdf, _uniforms(seeds, n), side="right")
     idx = np.minimum(idx, flat.size - 1)
     if p.ndim == 1:
         return idx.astype(np.int64)
     return tuple(a.astype(np.int64) for a in np.unravel_index(idx, p.shape))
 
 
-def sample_channel(cond, inputs, seed) -> np.ndarray:
-    """Memoryless channel: cond indexed [input..., output]."""
+def sample_channel(cond, inputs, seeds) -> np.ndarray:
+    """Memoryless channel: cond indexed [input..., output]; `inputs` are
+    (T, n) blocks, and row j uses the stream of seeds[j]."""
     cond = np.asarray(cond, dtype=float)
     if not isinstance(inputs, tuple):
         inputs = (inputs,)
     inputs = tuple(np.asarray(v, dtype=np.int64) for v in inputs)
-    n = inputs[0].size
-    rows = cond[inputs]  # (n, q_out)
-    cdf = np.cumsum(rows, axis=1)
-    u = rng_from_seed(seed).random(n)
-    out = (u[:, None] > cdf).sum(axis=1)
+    rows = cond[inputs]  # (T, n, q_out)
+    cdf = np.cumsum(rows, axis=-1)
+    u = _uniforms(seeds, inputs[0].shape[1])
+    out = (u[..., None] > cdf).sum(axis=-1)
     return np.minimum(out, cond.shape[-1] - 1).astype(np.int64)
 
 
-def distortion_of(x, w, rho) -> float:
-    """Average per-symbol distortion of a reproduction."""
+def distortion_of(x, w, rho):
+    """Average per-symbol distortion of a reproduction, per row of a block."""
     x = np.asarray(x, dtype=np.int64)
     w = np.asarray(w, dtype=np.int64)
     if x.shape != w.shape:
         raise ValueError("length mismatch")
     rho = np.asarray(rho, dtype=float)
-    return float(rho[x, w].mean())
+    return rho[x, w].mean(axis=-1)
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
@@ -233,61 +250,98 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
-              seed: int):
-    """One block: sample, encode, transmit, decode.
+def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a == b).all(axis=1)
 
-    Returns (ok, distortion, encoder_failure); decoder outputs are checked
-    against their syndrome contracts and violations raise AssertionError.
+
+def _check(problem: str, contract: str, got, want, trials):
+    """Raise AssertionError naming the scheme and the first trial (of
+    `trials`, one per row) whose row of `got` differs from `want`: one
+    comparison per batch, kept under `python -O`."""
+    bad = ~_same(got, want)
+    if bad.any():
+        raise AssertionError(f"{problem} trial {trials[bad.argmax()]}: "
+                             f"decoder output breaks {contract}")
+
+
+def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
+              seeds):
+    """All trials of one code draw as one batch: sample, encode, transmit,
+    decode, check; one trial per seed.
+
+    Every trial draws from its own derive_seed(seed, ...) streams, so its
+    outcome does not depend on the batch.  Returns one (ok, distortion,
+    encoder_failure) per seed.  Decoder outputs are checked against their
+    syndrome contracts, and a violation raises AssertionError naming the
+    scheme and the trial.  A coder's `failed` mask marks its own trials as
+    encoder failures; an EncoderFailure raised by a coder marks them all.
     """
-    n = inst.n
+    n, seeds = inst.n, list(seeds)
+    every = np.arange(len(seeds))
+
+    def streams(tag, trials=every):
+        return [derive_seed(seeds[j], tag) for j in trials]
+
+    failed = np.zeros(len(seeds), dtype=bool)
+    ok = np.zeros(len(seeds), dtype=bool)
+    dist = np.zeros(len(seeds))
     try:
         if problem == "sw":
-            x, y = sample_source(params.joint, n, derive_seed(seed, "src"))
+            x, y = sample_source(params.joint, n, streams("src"))
             bx, by = sc.sw_encode_x(inst, x), sc.sw_encode_y(inst, y)
             xh, yh = sc.sw_decode(inst, params, bx, by)
-            assert np.array_equal(inst.matrices["A"].matvec(xh), bx)
-            assert np.array_equal(inst.matrices["B"].matvec(yh), by)
-            return (bool(np.array_equal(xh, x) and np.array_equal(yh, y)),
-                    None, False)
-        if problem == "ch":
-            m = sc.sample_message(inst, derive_seed(seed, "msg"))
-            x = sc.ch_encode(inst, params, m)
-            assert np.array_equal(inst.matrices["B"].matvec(x), m)
-            y = sample_channel(params.cond("y", "x"), x, derive_seed(seed, "chan"))
-            mh = sc.ch_decode(inst, params, y)
-            return bool(np.array_equal(mh, m)), None, False
-        if problem == "gp":
-            m = sc.sample_message(inst, derive_seed(seed, "msg"))
-            z = sample_source(params.marg("z"), n, derive_seed(seed, "side"))
-            x = sc.gp_encode(inst, params, m, z)
-            y = sample_channel(params.cond("y", "xz"), (x, z),
-                               derive_seed(seed, "chan"))
-            mh = sc.gp_decode(inst, params, y)
-            return bool(np.array_equal(mh, m)), None, False
-        if problem == "lossy":
-            x = sample_source(params.marg("x"), n, derive_seed(seed, "src"))
+            _check(problem, "A x = b_x", inst.matrices["A"].matvec(xh), bx, every)
+            _check(problem, "B y = b_y", inst.matrices["B"].matvec(yh), by, every)
+            ok = _same(xh, x) & _same(yh, y)
+        elif problem in ("ch", "gp"):
+            m = sc.sample_message(inst, streams("msg"))
+            if problem == "ch":
+                x, failed = sc.ch_encode(inst, params, m)
+                live = np.flatnonzero(~failed)
+                _check(problem, "B x = m", inst.matrices["B"].matvec(x[live]),
+                       m[live], live)
+                y = sample_channel(params.cond("y", "x"), x[live],
+                                   streams("chan", live))
+                m_hat = sc.ch_decode(inst, params, y)
+            else:
+                z = sample_source(params.marg("z"), n, streams("side"))
+                x, failed = sc.gp_encode(inst, params, m, z)
+                live = np.flatnonzero(~failed)
+                y = sample_channel(params.cond("y", "xz"), (x[live], z[live]),
+                                   streams("chan", live))
+                m_hat = sc.gp_decode(inst, params, y)
+            ok[live] = _same(m_hat, m[live])
+        elif problem == "lossy":
+            x = sample_source(params.marg("x"), n, streams("src"))
             b = sc.lossy_encode(inst, params, x)
-            y = sc.lossy_decode(inst, params, b)
-            assert np.array_equal(inst.matrices["B"].matvec(y), b)
-            return None, distortion_of(x, y, params.rho), False
-        if problem == "wz":
-            x, z = sample_source(params.marg("xz"), n, derive_seed(seed, "src"))
+            y, failed = sc.lossy_decode(inst, params, b)
+            live = np.flatnonzero(~failed)
+            _check(problem, "B y = b", inst.matrices["B"].matvec(y[live]),
+                   b[live], live)
+            dist = distortion_of(x, y, params.rho)
+        elif problem == "wz":
+            x, z = sample_source(params.marg("xz"), n, streams("src"))
             b = sc.wz_encode(inst, params, x)
-            w = sc.wz_decode(inst, params, b, z)
-            return None, distortion_of(x, w, params.rho), False
-        if problem == "oho":
-            x, y = sample_source(params.marg("xy"), n, derive_seed(seed, "src"))
+            w, failed = sc.wz_decode(inst, params, b, z)
+            dist = distortion_of(x, w, params.rho)
+        elif problem == "oho":
+            x, y = sample_source(params.marg("xy"), n, streams("src"))
             bx, by = sc.oho_encode_x(inst, x), sc.oho_encode_y(inst, params, y)
-            xh = sc.oho_decode(inst, params, bx, by)
-            assert np.array_equal(inst.matrices["Bhat"].matvec(xh), bx)
-            return bool(np.array_equal(xh, x)), None, False
-        raise ValueError(f"unknown problem {problem!r}")
+            xh, failed = sc.oho_decode(inst, params, bx, by)
+            live = np.flatnonzero(~failed)
+            _check(problem, "Bhat x = b_x",
+                   inst.matrices["Bhat"].matvec(xh[live]), bx[live], live)
+            ok = _same(xh, x)
+        else:
+            raise ValueError(f"unknown problem {problem!r}")
     except sc.EncoderFailure:
-        rho_max = float(np.max(params.rho)) if params.rho is not None else None
-        if problem in ("lossy", "wz"):
-            return None, rho_max, True
-        return False, None, True
+        failed = np.ones(len(seeds), dtype=bool)
+    if problem in ("lossy", "wz"):
+        rho_max = float(np.max(params.rho))
+        return [(None, rho_max, True) if f else (None, float(d), False)
+                for f, d in zip(failed, dist)]
+    return [(False, None, True) if f else (bool(o), None, False)
+            for f, o in zip(failed, ok)]
 
 
 def _rate_fields(problem: str, inst: sc.SchemeInstance) -> dict:
@@ -306,8 +360,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     Per code draw the trial outcomes are aggregated; the per-n row reports
     the best draw and the mean over draws.  The summary also carries the
     epsilon-admissibility warnings and, per n, which dimensions were clamped.
-    Trials run in order on the calling thread; `threads` is accepted and has
-    no effect on output or speed.
+    The trials of each draw run as one batch on the calling thread; `threads`
+    is accepted and has no effect on output or speed.
     """
     params = cfg.scheme_params()
     records = []
@@ -323,14 +377,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
             if rate_fields is None:
                 rate_fields = _rate_fields(cfg.problem, inst)
                 dims_clamped[str(n)] = dict(inst.dims.clamped)
-            recs = []
-            for t in range(cfg.trials):
-                s = derive_seed(cfg.seed, "trial", n, k, t)
-                t0 = time.monotonic()
-                ok, dist, fail = run_trial(cfg.problem, params, inst, s)
-                recs.append(TrialRecord(n=n, draw=k, trial=t, seed=s, ok=ok,
-                                        distortion=dist, encoder_failure=fail,
-                                        seconds=time.monotonic() - t0))
+            seeds = [derive_seed(cfg.seed, "trial", n, k, t)
+                     for t in range(cfg.trials)]
+            t0 = time.monotonic()
+            outcomes = run_trial(cfg.problem, params, inst, seeds)
+            # the batch's time, divided evenly among its trials
+            seconds = (time.monotonic() - t0) / cfg.trials
+            recs = [TrialRecord(n=n, draw=k, trial=t, seed=s, ok=ok,
+                                distortion=dist, encoder_failure=fail,
+                                seconds=seconds)
+                    for t, (s, (ok, dist, fail)) in enumerate(zip(seeds, outcomes))]
             records.extend(recs)
             if cfg.problem in ("lossy", "wz"):
                 vals = [r.distortion for r in recs]

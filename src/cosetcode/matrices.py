@@ -88,10 +88,11 @@ class SparseMatrix:
         return self._dense
 
     def matvec(self, u) -> np.ndarray:
+        """M u for one vector, or for every row of a (T, n) block."""
         u = np.asarray(u, dtype=np.int64)
-        if u.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got {u.shape}")
-        return (self.dense() @ (u % self.q)) % self.q
+        if u.ndim not in (1, 2) or u.shape[-1] != self.n:
+            raise ValueError(f"expected vectors of length {self.n}, got {u.shape}")
+        return ((u % self.q) @ self.dense().T) % self.q
 
     def rank_and_image(self):
         """Rank over GF(q) and a reduced-echelon basis of the column space."""

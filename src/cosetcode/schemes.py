@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosets import (
+    CosetBatch,
     fixed_point_metric,
     log_table,
     ml_code_cond_iid,
@@ -29,6 +30,7 @@ from .matrices import (
     generate_mackay,
     generate_uniform,
     recommended_tau,
+    rng_from_seed,
     sample_image_point,
 )
 from .types_lab import Distribution, entropy, zeta
@@ -37,7 +39,9 @@ PROBLEMS = ("sw", "ch", "gp", "lossy", "wz", "oho")
 
 
 class EncoderFailure(Exception):
-    """A constrained search came up empty; counted as a block error."""
+    """A constrained search came up empty for every trial of a batch;
+    counted as a block error.  A coder whose search fails for some trials
+    only returns them in its `failed` mask instead."""
 
 
 @dataclass
@@ -303,7 +307,7 @@ class SchemeInstance:
     """One drawn code: matrices plus the shared image vectors.
 
     Each stacked system of matrices is eliminated once, on first use, and
-    every later coset of it is a retarget of that elimination.
+    every batch of its cosets comes from that elimination.
     """
 
     problem: str
@@ -319,20 +323,24 @@ class SchemeInstance:
     def __post_init__(self):
         for name, vec in self.vectors.items():
             # shared vectors must be solvable targets
-            if self.coset([(name, vec)]).is_empty:
+            if self.coset([(name, vec)], 1).empty[0]:
                 raise ValueError(f"shared vector for {name} is not in the image")
 
-    def coset(self, constraints):
-        """{u : M u = t} for (matrix name, target) pairs stacked in order."""
+    def coset(self, constraints, trials: int) -> CosetBatch:
+        """Per trial j, {u : M u = t_j} for (matrix name, targets) pairs
+        stacked in order; a target is a (trials, rows) block, or one vector
+        that every trial shares."""
         names = tuple(name for name, _ in constraints)
-        compiled = self._cosets.get(names)
-        if compiled is None:
-            # idempotent fill: a racing thread's elimination, of another
-            # target, may win, so the result is retargeted below
-            compiled = self._cosets.setdefault(names, solve_coset(
-                [(self.matrices[name], t) for name, t in constraints]))
-        return compiled.retarget(np.concatenate(
-            [np.asarray(t, dtype=np.int64).reshape(-1) for _, t in constraints]))
+        elim = self._cosets.get(names)
+        if elim is None:
+            # idempotent fill: the elimination does not depend on the target
+            elim = self._cosets.setdefault(names, solve_coset(
+                [(self.matrices[name], np.zeros(self.matrices[name].l))
+                 for name in names]).elimination)
+        return elim.cosets(np.hstack([
+            np.broadcast_to(np.asarray(t, dtype=np.int64),
+                            (trials, self.matrices[name].l))
+            for name, t in constraints]))
 
 
 def _is_identity_cond(cond_x_zw: np.ndarray) -> bool:
@@ -383,9 +391,13 @@ def build_instance(params: SchemeParams, n: int, seed,
                           stage2_forced=stage2_forced)
 
 
-def sample_message(inst: SchemeInstance, seed, name: str = "B") -> np.ndarray:
-    """Uniform point of Im B, the message law for the channel problems."""
-    return sample_image_point(inst.matrices[name], seed)
+def sample_message(inst: SchemeInstance, seeds, name: str = "B") -> np.ndarray:
+    """Uniform points of Im B, the message law for the channel problems:
+    B u for u uniform on GF(q)^n, one row per seed, each from its own
+    stream."""
+    matrix = inst.matrices[name]
+    u = [rng_from_seed(s).integers(0, matrix.q, size=matrix.n) for s in seeds]
+    return matrix.matvec(np.reshape(u, (len(seeds), matrix.n)))
 
 
 def rate_of(matrix: SparseMatrix, n: int) -> float:
@@ -395,6 +407,10 @@ def rate_of(matrix: SparseMatrix, n: int) -> float:
 
 
 # -- encode/decode ------------------------------------------------------------
+#
+# Every coder takes a batch: one (T, n) row per trial of a code draw.  A
+# coder whose constrained search can come up empty returns (result, failed),
+# `failed` a (T,) mask; the result rows of failed trials hold no codeword.
 
 def sw_encode_x(inst: SchemeInstance, x) -> np.ndarray:
     return inst.matrices["A"].matvec(x)
@@ -405,70 +421,66 @@ def sw_encode_y(inst: SchemeInstance, y) -> np.ndarray:
 
 
 def sw_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y):
-    coset_x = inst.coset([("A", b_x)])
-    coset_y = inst.coset([("B", b_y)])
+    coset_x = inst.coset([("A", b_x)], len(b_x))
+    coset_y = inst.coset([("B", b_y)], len(b_y))
     return ml_code_product(coset_x, coset_y, params.metric_marg("xy", inst.n))
 
 
-def ch_encode(inst: SchemeInstance, params: SchemeParams, m) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"]), ("B", m)])
-    if coset.is_empty:
-        raise EncoderFailure("no channel input matches (c, m)")
-    return ml_code_iid(coset, params.metric_marg("x", inst.n))
+def ch_encode(inst: SchemeInstance, params: SchemeParams, m):
+    """Channel inputs for messages m; failed where no input matches (c, m)."""
+    cosets = inst.coset([("A", inst.vectors["A"]), ("B", m)], len(m))
+    return ml_code_iid(cosets, params.metric_marg("x", inst.n)), cosets.empty
 
 
 def ch_decode(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"])])
+    cosets = inst.coset([("A", inst.vectors["A"])], len(y))
     # argmax of mu_{XY}(x|y): the joint table indexed [y, x] has the same argmax
-    x_hat = ml_code_cond_iid(coset, y, params.metric_marg("yx", inst.n))
+    x_hat = ml_code_cond_iid(cosets, y, params.metric_marg("yx", inst.n))
     return inst.matrices["B"].matvec(x_hat)
 
 
-def gp_encode(inst: SchemeInstance, params: SchemeParams, m, z) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"]), ("B", m)])
-    if coset.is_empty:
-        raise EncoderFailure("no auxiliary sequence matches (c, m)")
-    w = ml_code_cond_iid(coset, z, params.metric_cond("w", "z", inst.n))
+def gp_encode(inst: SchemeInstance, params: SchemeParams, m, z):
+    """Channel inputs for messages m and side information z; failed where no
+    auxiliary sequence matches (c, m) or no input matches c-hat."""
+    cosets = inst.coset([("A", inst.vectors["A"]), ("B", m)], len(m))
+    w = ml_code_cond_iid(cosets, z, params.metric_cond("w", "z", inst.n))
     if inst.stage2_forced:
-        return w.copy()
-    coset2 = inst.coset([("Ahat", inst.vectors["Ahat"])])
-    if coset2.is_empty:
-        raise EncoderFailure("no channel input matches c-hat")
-    return ml_code_cond_iid(coset2, (z, w), params.metric_cond("x", "zw", inst.n))
+        return w, cosets.empty
+    coset2 = inst.coset([("Ahat", inst.vectors["Ahat"])], len(m))
+    x = ml_code_cond_iid(coset2, (z, w), params.metric_cond("x", "zw", inst.n))
+    return x, cosets.empty | coset2.empty
 
 
 def gp_decode(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"])])
-    w_hat = ml_code_cond_iid(coset, y, params.metric_cond("w", "y", inst.n))
+    cosets = inst.coset([("A", inst.vectors["A"])], len(y))
+    w_hat = ml_code_cond_iid(cosets, y, params.metric_cond("w", "y", inst.n))
     return inst.matrices["B"].matvec(w_hat)
 
 
 def lossy_encode(inst: SchemeInstance, params: SchemeParams, x) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"])])
-    y = ml_code_cond_iid(coset, x, params.metric_cond("y", "x", inst.n))
+    cosets = inst.coset([("A", inst.vectors["A"])], len(x))
+    y = ml_code_cond_iid(cosets, x, params.metric_cond("y", "x", inst.n))
     return inst.matrices["B"].matvec(y)
 
 
-def lossy_decode(inst: SchemeInstance, params: SchemeParams, b) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"]), ("B", b)])
-    if coset.is_empty:
-        raise EncoderFailure("codeword does not address a bin")
-    return ml_code_iid(coset, params.metric_marg("y", inst.n))
+def lossy_decode(inst: SchemeInstance, params: SchemeParams, b):
+    """Reproductions of codewords b; failed where b addresses no bin."""
+    cosets = inst.coset([("A", inst.vectors["A"]), ("B", b)], len(b))
+    return ml_code_iid(cosets, params.metric_marg("y", inst.n)), cosets.empty
 
 
 def wz_encode(inst: SchemeInstance, params: SchemeParams, x) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"])])
-    y = ml_code_cond_iid(coset, x, params.metric_cond("y", "x", inst.n))
+    cosets = inst.coset([("A", inst.vectors["A"])], len(x))
+    y = ml_code_cond_iid(cosets, x, params.metric_cond("y", "x", inst.n))
     return inst.matrices["B"].matvec(y)
 
 
-def wz_decode(inst: SchemeInstance, params: SchemeParams, b, z) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"]), ("B", b)])
-    if coset.is_empty:
-        raise EncoderFailure("codeword does not address a bin")
-    y_hat = ml_code_cond_iid(coset, z, params.metric_cond("y", "z", inst.n))
-    z = np.asarray(z, dtype=np.int64)
-    return params.f[y_hat, z]
+def wz_decode(inst: SchemeInstance, params: SchemeParams, b, z):
+    """Reproductions of codewords b with side information z; failed where b
+    addresses no bin."""
+    cosets = inst.coset([("A", inst.vectors["A"]), ("B", b)], len(b))
+    y_hat = ml_code_cond_iid(cosets, z, params.metric_cond("y", "z", inst.n))
+    return params.f[y_hat, np.asarray(z, dtype=np.int64)], cosets.empty
 
 
 def oho_encode_x(inst: SchemeInstance, x) -> np.ndarray:
@@ -476,17 +488,16 @@ def oho_encode_x(inst: SchemeInstance, x) -> np.ndarray:
 
 
 def oho_encode_y(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"])])
-    z = ml_code_cond_iid(coset, y, params.metric_cond("z", "y", inst.n))
+    cosets = inst.coset([("A", inst.vectors["A"])], len(y))
+    z = ml_code_cond_iid(cosets, y, params.metric_cond("z", "y", inst.n))
     return inst.matrices["B"].matvec(z)
 
 
-def oho_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y) -> np.ndarray:
-    coset = inst.coset([("A", inst.vectors["A"]), ("B", b_y)])
-    if coset.is_empty:
-        raise EncoderFailure("helper codeword does not address a bin")
-    z_hat = ml_code_iid(coset, params.metric_marg("z", inst.n))
-    coset_x = inst.coset([("Bhat", b_x)])
-    if coset_x.is_empty:
-        raise EncoderFailure("primary codeword does not address a bin")
-    return ml_code_cond_iid(coset_x, z_hat, params.metric_cond("x", "z", inst.n))
+def oho_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y):
+    """Primary sources from codewords b_x and helper codewords b_y; failed
+    where either codeword addresses no bin."""
+    cosets = inst.coset([("A", inst.vectors["A"]), ("B", b_y)], len(b_y))
+    z_hat = ml_code_iid(cosets, params.metric_marg("z", inst.n))
+    coset_x = inst.coset([("Bhat", b_x)], len(b_x))
+    x_hat = ml_code_cond_iid(coset_x, z_hat, params.metric_cond("x", "z", inst.n))
+    return x_hat, cosets.empty | coset_x.empty

@@ -15,11 +15,13 @@ ENUM_BUDGET = 1 << 22
 class Distribution:
     """Finite pmf over a (possibly multi-axis) alphabet.
 
-    `probs` is a float array; it must sum to 1.
+    `probs` is a float array of finite, non-negative entries summing to 1.
     """
 
     def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
+        if not np.isfinite(p).all():
+            raise ValueError("non-finite pmf entry")
         if np.any(p < 0):
             raise ValueError("negative pmf entry")
         if abs(p.sum() - 1.0) > 1e-12:

@@ -178,6 +178,10 @@ BAD_CONFIGS = {
                                       joint=[[0.5, 0.5]]), "joint"),
     "rho-axes": (scheme_doc("lossy", LOSSY, rho=[[0, 1]]), "rho"),
     "channel-axes": (scheme_doc("ch", CH, channel=[[0.9, 0.1]]), "channel"),
+    "channel-rows": (scheme_doc("ch", CH, channel=[[0.8, 0.1], [0.1, 1.0]]),
+                     "channel"),
+    "test_channel-rows": (scheme_doc("lossy", LOSSY, test_channel=[
+        [0.75, 0.25], [0.25, 0.7]]), "test_channel"),
 }
 
 

@@ -156,6 +156,10 @@ def test_retarget_matches_fresh_solve(data):
     compiled = solve_coset([(M, t0)], q=q)
     assert_matches_reference(compiled.retarget(t), M, t, q)
     assert compiled.retarget(t0) is compiled
+    # a batch of targets gives each row the coset a fresh solve gives
+    batch = compiled.elimination.cosets(np.array([t, t0]))
+    assert_matches_reference(batch[0], M, t, q)
+    assert_matches_reference(batch[1], M, t0, q)
 
 
 @pytest.mark.parametrize("q, M, t0, t, kernel_dim, empty", [
@@ -179,9 +183,14 @@ def test_solve_requires_q_for_plain_arrays():
 
 # -- ML coding ------------------------------------------------------------------
 
-def _full_space(q, n):
+def _full_space(q, n, trials=1):
     Z = SparseMatrix(q, 1, n)  # zero matrix: coset of 0 is everything
-    return solve_coset([(Z, [0])])
+    return solve_coset([(Z, [0])]).elimination.cosets(np.zeros((trials, 1)))
+
+
+def batch_of(*cosets):
+    """The batch of single cosets that share one elimination."""
+    return cosets[0].elimination.cosets(np.stack([c.target for c in cosets]))
 
 
 def joined(*members):
@@ -208,18 +217,22 @@ def iid_oracle(coset, rows):
                       for u in coset.elements())
 
 
-def random_coset(data, q, n):
-    """A coset of a drawn matrix; with any target it may be empty."""
+def random_batch(data, q, n, trials):
+    """Cosets of one drawn matrix, one per trial; any trial's target may
+    make its coset empty."""
     entries = st.integers(0, q - 1)
     l = data.draw(st.integers(1, 3))
     M = np.array(data.draw(st.lists(
         st.lists(entries, min_size=n, max_size=n), min_size=l, max_size=l)))
-    if data.draw(st.booleans()):
-        t = np.array(data.draw(st.lists(entries, min_size=l, max_size=l)))
-    else:
-        t = M @ np.array(data.draw(st.lists(entries, min_size=n,
-                                            max_size=n))) % q
-    return solve_coset([(M, t)], q=q)
+    targets = []
+    for _ in range(trials):
+        if data.draw(st.booleans()):
+            targets.append(data.draw(st.lists(entries, min_size=l, max_size=l)))
+        else:
+            targets.append(M @ np.array(data.draw(st.lists(
+                entries, min_size=n, max_size=n))) % q)
+    return solve_coset([(M, targets[0])], q=q).elimination.cosets(
+        np.array(targets))
 
 
 def random_metric(data, shape, n):
@@ -240,29 +253,54 @@ def random_metric(data, shape, n):
     return metric
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_single_coset_kernel_matches_oracle(data):
+    # the batched kernel against exact_best, trial by trial: q in {2, 3, 5},
+    # ties, -inf entries, and empty cosets beside non-empty ones in a batch
     q = data.draw(st.sampled_from([2, 3, 5]))
     n = data.draw(st.integers(1, {2: 7, 3: 4, 5: 3}[q]))
-    coset = random_coset(data, q, n)
-    # given axes: none (a (q,) metric), one index array, or a tuple of two
+    trials = data.draw(st.integers(1, 4))
+    batch = random_batch(data, q, n, trials)
+    # given axes: none (a shared (q,) or (n, q) metric, or one (n, q) table
+    # per trial), one (T, n) index array, or a tuple of two
     given = tuple(data.draw(st.lists(st.sampled_from([2, 3]), max_size=2)))
-    metric = random_metric(data, given + (q,), n)
-    v = tuple(np.array(data.draw(st.lists(st.integers(0, g - 1), min_size=n,
-                                          max_size=n))) for g in given)
-    v = v[0] if len(v) == 1 else v
-    rows = metric[v] if given else np.tile(metric, (n, 1))
-    if coset.is_empty:
-        with pytest.raises(EmptyCosetError):
-            ml_code_iid(coset, rows)
-        return
-    want = iid_oracle(coset, rows)
-    assert joined(ml_code_iid(coset, rows)) == want
     if given:
-        assert joined(ml_code_cond_iid(coset, v, metric)) == want
+        metric = random_metric(data, given + (q,), n)
+        v = tuple(np.array(data.draw(st.lists(
+            st.lists(st.integers(0, g - 1), min_size=n, max_size=n),
+            min_size=trials, max_size=trials))) for g in given)
+        v = v[0] if len(v) == 1 else v
+        rows = metric[v]
+        got = ml_code_cond_iid(batch, v, metric)
+        assert np.array_equal(ml_code_iid(batch, rows), got)
     else:
-        assert joined(ml_code_iid(coset, metric)) == want
+        lead = data.draw(st.sampled_from([(), (n,), (trials, n)]))
+        metric = random_metric(data, lead + (q,), n)
+        rows = np.broadcast_to(metric, (trials, n, q))
+        got = ml_code_iid(batch, metric)
+    assert got.shape == (trials, n)
+    for j in range(trials):
+        if batch.empty[j]:
+            assert (got[j] == -1).all()
+        else:
+            assert joined(got[j]) == iid_oracle(batch[j], rows[j])
+
+
+@pytest.mark.parametrize("q, n", [(2, 64), (3, 40)])
+def test_ties_past_integer_codes_use_lexsort(q, n):
+    # q**n >= 2**63: members are too long for an int64 code, so the tied
+    # members of every trial are ranked by one lexsort instead
+    assert q ** n >= 1 << 63
+    rng = rng_from_seed(q)
+    M = np.hstack([np.eye(n - 3, dtype=int), rng.integers(0, q, (n - 3, 3))])
+    targets = M @ rng.integers(0, q, (5, n)).T % q
+    batch = solve_coset([(M, targets[:, 0])], q=q).elimination.cosets(targets.T)
+    metric = np.zeros((5, n, q))
+    metric[:2, :, 1:] = -np.inf  # two trials with -inf entries
+    got = ml_code_iid(batch, metric)
+    for j in range(5):
+        assert joined(got[j]) == iid_oracle(batch[j], metric[j])
 
 
 def test_ml_iid_matches_brute():
@@ -271,27 +309,25 @@ def test_ml_iid_matches_brute():
         for trial in range(25):
             n = 5
             M = rng.integers(0, q, size=(2, n))
-            t = rng.integers(0, q, size=2)
-            coset = solve_coset([(M, t)], q=q)
-            if coset.is_empty:
-                continue
+            targets = rng.integers(0, q, size=(4, 2))
+            batch = solve_coset([(M, targets[0])], q=q).elimination.cosets(targets)
             p = rng.random(q)
             metric = fixed_point_metric(np.log2(p / p.sum()), n)
-            got = ml_code_iid(coset, metric)
-            assert np.array_equal(M @ got % q, coset.target)
-            assert joined(got) == iid_oracle(coset, np.tile(metric, (n, 1)))
+            got = ml_code_iid(batch, metric)
+            for j in np.flatnonzero(~batch.empty):
+                assert np.array_equal(M @ got[j] % q, targets[j])
+                assert joined(got[j]) == iid_oracle(batch[j],
+                                                    np.tile(metric, (n, 1)))
 
 
 def test_ml_iid_uniform_scores_pick_lexicographic_minimum():
-    coset = _full_space(3, 3)
-    got = ml_code_iid(coset, np.zeros(3))
-    assert tuple(got) == (0, 0, 0)
+    got = ml_code_iid(_full_space(3, 3, trials=2), np.zeros(3))
+    assert got.tolist() == [[0, 0, 0]] * 2
 
 
 def test_ml_iid_positionwise_table():
-    coset = _full_space(2, 3)
     metric = np.array([[0.0, -1.0], [-1.0, 0.0], [0.0, -1.0]])
-    assert tuple(ml_code_iid(coset, metric)) == (0, 1, 0)
+    assert ml_code_iid(_full_space(2, 3), metric).tolist() == [[0, 1, 0]]
 
 
 def test_ml_cond_iid_matches_brute():
@@ -300,26 +336,38 @@ def test_ml_cond_iid_matches_brute():
     for trial in range(25):
         n = 6
         M = rng.integers(0, q, size=(3, n))
-        t = rng.integers(0, q, size=3)
-        coset = solve_coset([(M, t)], q=q)
-        if coset.is_empty:
-            continue
-        v = rng.integers(0, q, size=n)
+        targets = rng.integers(0, q, size=(4, 3))
+        batch = solve_coset([(M, targets[0])], q=q).elimination.cosets(targets)
+        v = rng.integers(0, q, size=(4, n))
         cond = rng.random((q, q))
         cond /= cond.sum(axis=1, keepdims=True)
         metric = fixed_point_metric(np.log2(cond), n)
-        got = ml_code_cond_iid(coset, v, metric)
-        assert np.array_equal(M @ got % q, coset.target)
-        assert joined(got) == iid_oracle(coset, metric[v])
+        got = ml_code_cond_iid(batch, v, metric)
+        for j in np.flatnonzero(~batch.empty):
+            assert np.array_equal(M @ got[j] % q, targets[j])
+            assert joined(got[j]) == iid_oracle(batch[j], metric[v[j]])
 
 
-def test_ml_empty_raises():
-    A = SparseMatrix.from_dense([[1, 1]], 2)
-    coset = solve_coset([(A, [0]), (A, [1])])
-    with pytest.raises(EmptyCosetError):
-        ml_code_iid(coset, np.zeros(2))
-    with pytest.raises(EmptyCosetError):
-        ml_code_cond_iid(coset, np.array([0, 1]), np.zeros((2, 2)))
+def test_ml_empty_cosets_give_minus_one_rows():
+    # one elimination, three targets: the middle one is inconsistent
+    A = SparseMatrix.from_dense([[1, 1], [1, 1]], 2)
+    batch = solve_coset([(A, [0, 0])]).elimination.cosets([[0, 0], [0, 1],
+                                                            [1, 1]])
+    assert batch.empty.tolist() == [False, True, False]
+    assert batch.size == 4  # two members in each non-empty coset
+    got = ml_code_iid(batch, np.zeros(2))
+    assert got.tolist() == [[0, 0], [-1, -1], [0, 1]]
+    v = np.zeros((3, 2), dtype=int)
+    assert ml_code_cond_iid(batch, v, np.zeros((2, 2))).tolist() == got.tolist()
+
+
+def test_kernel_budget_is_checked_before_scoring():
+    # 2^25 members: over BUDGET, refused before any table is formed
+    A = SparseMatrix.from_dense(np.zeros((1, 25), dtype=int), 2)
+    batch = solve_coset([(A, [0])]).elimination.cosets(np.zeros((3, 1)))
+    with pytest.raises(BudgetError, match="coset has 33554432 elements"):
+        ml_code_iid(batch, np.zeros(2))
+    assert batch.elimination._onehot is None
 
 
 # -- product ML -------------------------------------------------------------------
@@ -336,16 +384,18 @@ def product_oracle(cx, cy, metric):
 def test_product_paths_match_oracle(data):
     qx, qy = (data.draw(st.sampled_from([2, 3, 5])) for _ in range(2))
     n = data.draw(st.integers(1, {2: 6, 3: 4, 5: 3}[max(qx, qy)]))
-    cx, cy = random_coset(data, qx, n), random_coset(data, qy, n)
+    trials = data.draw(st.integers(1, 3))
+    bx, by = random_batch(data, qx, n, trials), random_batch(data, qy, n, trials)
     metric = random_metric(data, (qx, qy), n)
-    if cx.is_empty or cy.is_empty:
-        with pytest.raises(EmptyCosetError):
-            ml_code_product(cx, cy, metric)
-        return
-    want = product_oracle(cx, cy, metric)
-    assert joined(*_product_trellis(cx, cy, metric)) == want
-    assert joined(*_product_enumerate(cx, cy, metric)) == want
-    assert joined(*ml_code_product(cx, cy, metric)) == want
+    paths = [_product_enumerate(bx, by, metric), ml_code_product(bx, by, metric)]
+    for j in range(trials):
+        if bx.empty[j] or by.empty[j]:
+            assert all((x[j] == -1).all() and (y[j] == -1).all()
+                       for x, y in paths)
+            continue
+        want = product_oracle(bx[j], by[j], metric)
+        assert joined(*_product_trellis(bx[j], by[j], metric)) == want
+        assert all(joined(x[j], y[j]) == want for x, y in paths)
 
 
 def test_ml_product_matches_brute():
@@ -353,20 +403,19 @@ def test_ml_product_matches_brute():
     for q in (2, 3):
         for trial in range(20):
             n = 5
-            cx = solve_coset([(rng.integers(0, q, size=(2, n)),
-                               rng.integers(0, q, size=2))], q=q)
-            cy = solve_coset([(rng.integers(0, q, size=(2, n)),
-                               rng.integers(0, q, size=2))], q=q)
-            if cx.is_empty or cy.is_empty:
-                continue
+            bx, by = (solve_coset([(M, t[0])], q=q).elimination.cosets(t)
+                      for M, t in ((rng.integers(0, q, size=(2, n)),
+                                    rng.integers(0, q, size=(3, 2)))
+                                   for _ in range(2)))
             p = rng.random((q, q))
             if trial % 2:
                 p[0, 0] = 0.0  # exercise structural zeros
             p /= p.sum()
             L = log_table(p)
             metric = fixed_point_metric(L, n)
-            got = joined(*ml_code_product(cx, cy, metric))
-            assert got == product_oracle(cx, cy, metric)
+            x, y = ml_code_product(bx, by, metric)
+            for j in np.flatnonzero(~(bx.empty | by.empty)):
+                assert joined(x[j], y[j]) == product_oracle(bx[j], by[j], metric)
 
 
 def test_ml_product_dispatch_by_cost(monkeypatch):
@@ -381,39 +430,43 @@ def test_ml_product_dispatch_by_cost(monkeypatch):
     assert product_costs(wide, wide) == (1 << 22, 1 << 16)
     assert product_costs(narrow, narrow) == (16, 1 << 34)
     metric = fixed_point_metric(L, 16)
-    want_wide = joined(*_product_enumerate(wide, wide, metric))
-    want_narrow = product_oracle(narrow, narrow, metric)
+    wide, narrow = batch_of(wide), batch_of(narrow)
+    want_wide = joined(*(u[0] for u in _product_enumerate(wide, wide, metric)))
+    want_narrow = product_oracle(narrow[0], narrow[0], metric)
     # every (u, u) agrees everywhere: 2^11 tied ML pairs, the smallest wins
-    first = min(tuple(int(v) for v in u) for u in wide.elements())
+    first = min(tuple(int(v) for v in u) for u in wide[0].elements())
     assert want_wide == first + first
 
     def unused(*args):
         raise AssertionError("the cost model picks the other path")
 
     monkeypatch.setattr(cosets, "_product_enumerate", unused)
-    assert joined(*ml_code_product(wide, wide, metric)) == want_wide
+    assert joined(*(u[0] for u in ml_code_product(wide, wide, metric))) \
+        == want_wide
     monkeypatch.undo()
     monkeypatch.setattr(cosets, "_product_trellis", unused)
-    assert joined(*ml_code_product(narrow, narrow, metric)) == want_narrow
+    assert joined(*(u[0] for u in ml_code_product(narrow, narrow, metric))) \
+        == want_narrow
 
 
 def test_ml_product_budget_and_empty():
     # 2^13 members and 2^13 states each: both paths exceed BUDGET = 2^24
     half = SparseMatrix.from_dense(np.hstack(
         [np.eye(13, dtype=int), np.zeros((13, 13), dtype=int)]), 2)
-    both = solve_coset([(half, [0] * 13)])
+    both = batch_of(solve_coset([(half, [0] * 13)]))
     with pytest.raises(BudgetError, match=r"67108864 pairs and a trellis of "
                                           r"6979321856 branches, budget 16777216"):
         ml_code_product(both, both, np.zeros((2, 2)))
     # rank 0: 2^40 pairs are far over budget, the one-state trellis fits
-    big = solve_coset([(SparseMatrix(2, 1, 20), [0])])
+    big = batch_of(solve_coset([(SparseMatrix(2, 1, 20), [0])]))
     x, y = ml_code_product(big, big, np.zeros((2, 2)))
     assert not x.any() and not y.any()
-    A = SparseMatrix.from_dense([[1, 1]], 2)
-    empty = solve_coset([(A, [0]), (A, [1])])
-    ok = solve_coset([(A, [0])])
-    with pytest.raises(EmptyCosetError):
-        ml_code_product(empty, ok, np.zeros((2, 2)))
+    # a trial with an empty factor gets -1 rows on either path
+    A = SparseMatrix.from_dense([[1, 1], [1, 1]], 2)
+    mixed = solve_coset([(A, [0, 0])]).elimination.cosets([[0, 1], [1, 1]])
+    for path in (ml_code_product, _product_enumerate):
+        x, y = path(mixed, mixed, np.zeros((2, 2)))
+        assert x.tolist() == y.tolist() == [[-1, -1], [0, 1]]
 
 
 def test_fixed_point_bound_at_largest_n():

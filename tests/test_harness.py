@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import warnings
 from pathlib import Path
@@ -72,38 +76,44 @@ def test_config_channel_alias():
 # -- sampling ----------------------------------------------------------------------
 
 def test_sample_source_law():
-    idx = hn.sample_source([0.25, 0.75], 40_000, seed=1)
-    assert idx.shape == (40_000,)
+    idx = hn.sample_source([0.25, 0.75], 40_000, [1])
+    assert idx.shape == (1, 40_000)
     assert abs(idx.mean() - 0.75) < 0.01
-    assert np.array_equal(idx, hn.sample_source([0.25, 0.75], 40_000, seed=1))
+    assert np.array_equal(idx, hn.sample_source([0.25, 0.75], 40_000, [1]))
+    # each row comes from its own seed's stream, whatever the batch
+    rows = hn.sample_source([0.25, 0.75], 40_000, [2, 1])
+    assert np.array_equal(rows[1], idx[0]) and not np.array_equal(rows[0], idx[0])
 
 
 def test_sample_source_joint_returns_tuple():
-    x, y = hn.sample_source(np.full((2, 2), 0.25), 1000, seed=2)
-    assert x.shape == y.shape == (1000,)
+    x, y = hn.sample_source(np.full((2, 2), 0.25), 1000, [2, 3])
+    assert x.shape == y.shape == (2, 1000)
     assert set(np.unique(x)) <= {0, 1}
 
 
 def test_sample_source_degenerate():
-    idx = hn.sample_source([0.0, 1.0], 100, seed=3)
+    idx = hn.sample_source([0.0, 1.0], 100, [3])
     assert np.all(idx == 1)
+    assert hn.sample_source([0.0, 1.0], 100, []).shape == (0, 100)
 
 
 def test_sample_channel_identity_and_bsc():
-    x = hn.sample_source([0.5, 0.5], 5000, seed=4)
-    y = hn.sample_channel(np.eye(2), x, seed=5)
+    x = hn.sample_source([0.5, 0.5], 5000, [4, 14])
+    y = hn.sample_channel(np.eye(2), x, [5, 15])
     assert np.array_equal(x, y)
-    y = hn.sample_channel([[0.9, 0.1], [0.1, 0.9]], x, seed=6)
+    y = hn.sample_channel([[0.9, 0.1], [0.1, 0.9]], x, [6, 16])
     assert abs(((x != y).mean()) - 0.1) < 0.02
+    assert np.array_equal(
+        y[1:], hn.sample_channel([[0.9, 0.1], [0.1, 0.9]], x[1:], [16]))
 
 
 def test_sample_channel_multi_input():
-    x = np.zeros(10, dtype=np.int64)
-    z = np.ones(10, dtype=np.int64)
+    x = np.zeros((2, 10), dtype=np.int64)
+    z = np.ones((2, 10), dtype=np.int64)
     cond = np.zeros((2, 2, 2))
     cond[0, 1, 1] = 1.0  # (x=0, z=1) -> 1 surely
     cond[:, :, 0] = np.where(cond[:, :, 1] == 0, 1.0, 0.0)
-    out = hn.sample_channel(cond, (x, z), seed=7)
+    out = hn.sample_channel(cond, (x, z), [7, 8])
     assert np.all(out == 1)
 
 
@@ -112,6 +122,8 @@ def test_sample_channel_multi_input():
 def test_distortion_of():
     rho = [[0.0, 1.0], [1.0, 0.0]]
     assert hn.distortion_of([0, 1, 1, 0], [0, 1, 0, 1], rho) == 0.5
+    assert hn.distortion_of([[0, 1, 1, 0], [0, 0, 0, 0]],
+                            [[0, 1, 0, 1], [0, 0, 0, 0]], rho).tolist() == [0.5, 0.0]
     with pytest.raises(ValueError):
         hn.distortion_of([0, 1], [0], rho)
 
@@ -253,6 +265,41 @@ def test_summary_reports_admissibility(tmp_path):
     assert written["eps_warnings"] == []
     assert written["dims_clamped"] == summary["dims_clamped"]
     assert (tmp_path / "exp.csv").read_text() == hn.summary_csv(summary)
+
+
+def test_syndrome_checks_survive_python_O():
+    # `python -O` strips assert statements; the contract checks are explicit,
+    # so a decoder that returns a non-member still fails the run
+    code = textwrap.dedent("""
+        import numpy as np
+        from cosetcode import harness as hn
+        from cosetcode import schemes as sc
+
+        if __debug__:
+            raise SystemExit("not running under python -O")
+        decode = sc.ml_code_product
+
+        def non_member(coset_x, coset_y, metric):
+            x, y = decode(coset_x, coset_y, metric)
+            elim = coset_x.elimination
+            i = np.flatnonzero(elim.matrix.any(axis=0))[0]  # A e_i != 0
+            x = x.copy()
+            x[..., i] = (x[..., i] + 1) % elim.q
+            return x, y
+
+        sc.ml_code_product = non_member
+        hn.run_experiment(hn.ExperimentConfig.from_dict({
+            "problem": "sw", "n": [8], "trials": 4, "seed": 7, "best_of": 1,
+            "scheme": {"joint": [[0.445, 0.055], [0.055, 0.445]],
+                       "rate_x": 0.8, "rate_y": 0.8}}))
+    """)
+    src = str(Path(hn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode != 0
+    assert "AssertionError: sw trial 0: decoder output breaks A x = b_x" \
+        in proc.stderr, proc.stderr
 
 
 # -- pinned outputs -------------------------------------------------------------------

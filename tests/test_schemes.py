@@ -140,11 +140,16 @@ def test_rate_of_uses_rank():
 
 def test_sample_message_lies_in_image():
     from cosetcode.cosets import solve_coset
+    from cosetcode.matrices import sample_image_point
     params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
     inst = sc.build_instance(params, 10, seed=3)
-    for t in range(10):
-        m = sc.sample_message(inst, derive_seed(3, "m", t))
-        assert not solve_coset([(inst.matrices["B"], m)]).is_empty
+    seeds = [derive_seed(3, "m", t) for t in range(10)]
+    m = sc.sample_message(inst, seeds)
+    assert m.shape == (10, inst.matrices["B"].l)
+    for row, seed in zip(m, seeds):
+        assert not solve_coset([(inst.matrices["B"], row)]).is_empty
+        # row j is the point its own seed draws
+        assert np.array_equal(row, sample_image_point(inst.matrices["B"], seed))
 
 
 def test_identity_cond_detection():
@@ -171,31 +176,27 @@ def test_sw_round_trip_contracts():
     params = sc.sw_params(Distribution.dsbs(0.05), 0.9, 0.9)
     inst = sc.build_instance(params, 8, seed=2)
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.integers(0, 2, 8)
-        y = (x + (rng.random(8) < 0.05)) % 2
-        bx, by = sc.sw_encode_x(inst, x), sc.sw_encode_y(inst, y)
-        xh, yh = sc.sw_decode(inst, params, bx, by)
-        assert np.array_equal(inst.matrices["A"].matvec(xh), bx)
-        assert np.array_equal(inst.matrices["B"].matvec(yh), by)
+    x = rng.integers(0, 2, (10, 8))
+    y = (x + (rng.random((10, 8)) < 0.05)) % 2
+    bx, by = sc.sw_encode_x(inst, x), sc.sw_encode_y(inst, y)
+    xh, yh = sc.sw_decode(inst, params, bx, by)
+    assert xh.shape == yh.shape == (10, 8)
+    assert np.array_equal(inst.matrices["A"].matvec(xh), bx)
+    assert np.array_equal(inst.matrices["B"].matvec(yh), by)
 
 
 def test_ch_encode_decode_contracts():
     params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
     inst = sc.build_instance(params, 10, seed=4)
-    successes = 0
-    for t in range(10):
-        m = sc.sample_message(inst, derive_seed(4, "m", t))
-        try:
-            x = sc.ch_encode(inst, params, m)
-        except sc.EncoderFailure:
-            continue  # (c, m) can be jointly unsolvable; counted as an error
-        successes += 1
-        assert np.array_equal(inst.matrices["B"].matvec(x), m)
-        assert np.array_equal(inst.matrices["A"].matvec(x), inst.vectors["A"])
-        mh = sc.ch_decode(inst, params, x)  # noiseless pass-through
-        assert mh.shape == m.shape
-    assert successes >= 1
+    m = sc.sample_message(inst, [derive_seed(4, "m", t) for t in range(10)])
+    # (c, m) can be jointly unsolvable; such a trial is an encoder failure
+    x, failed = sc.ch_encode(inst, params, m)
+    live = ~failed
+    assert live.any()
+    assert np.array_equal(inst.matrices["B"].matvec(x[live]), m[live])
+    assert (inst.matrices["A"].matvec(x[live]) == inst.vectors["A"]).all()
+    mh = sc.ch_decode(inst, params, x[live])  # noiseless pass-through
+    assert mh.shape == m[live].shape
 
 
 def test_ch_encoder_failure():
@@ -203,23 +204,25 @@ def test_ch_encoder_failure():
     A = SparseMatrix.from_dense([[1, 1]], 2)
     inst = sc.SchemeInstance("ch", 2, {"A": A, "B": A},
                              {"A": np.array([0])}, sc.dims_for(params, 2))
-    with pytest.raises(sc.EncoderFailure):
-        sc.ch_encode(inst, params, np.array([1]))
+    # an empty coset marks only its own trial
+    x, failed = sc.ch_encode(inst, params, np.array([[1], [0]]))
+    assert failed.tolist() == [True, False]
+    assert x[1].tolist() == [0, 0]
 
 
 def test_gp_contracts():
     params = _bsc_gp_params()
     inst = sc.build_instance(params, 8, seed=7)
     rng = np.random.default_rng(1)
-    for t in range(5):
-        m = sc.sample_message(inst, derive_seed(7, "m", t))
-        z = rng.integers(0, 2, 8)
-        x = sc.gp_encode(inst, params, m, z)
-        # W = X here, so the codeword satisfies both syndrome constraints
-        assert np.array_equal(inst.matrices["B"].matvec(x), m)
-        assert np.array_equal(inst.matrices["A"].matvec(x), inst.vectors["A"])
-        mh = sc.gp_decode(inst, params, x)
-        assert mh.shape == m.shape
+    m = sc.sample_message(inst, [derive_seed(7, "m", t) for t in range(5)])
+    z = rng.integers(0, 2, (5, 8))
+    x, failed = sc.gp_encode(inst, params, m, z)
+    assert not failed.any()
+    # W = X here, so the codeword satisfies both syndrome constraints
+    assert np.array_equal(inst.matrices["B"].matvec(x), m)
+    assert (inst.matrices["A"].matvec(x) == inst.vectors["A"]).all()
+    mh = sc.gp_decode(inst, params, x)
+    assert mh.shape == m.shape
 
 
 def test_lossy_and_wz_contracts():
@@ -227,22 +230,21 @@ def test_lossy_and_wz_contracts():
     params = sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.2)
     inst = sc.build_instance(params, 10, seed=9)
     rng = np.random.default_rng(2)
-    for _ in range(5):
-        x = rng.integers(0, 2, 10)
-        b = sc.lossy_encode(inst, params, x)
-        y = sc.lossy_decode(inst, params, b)
-        assert np.array_equal(inst.matrices["B"].matvec(y), b)
+    x = rng.integers(0, 2, (5, 10))
+    b = sc.lossy_encode(inst, params, x)
+    y, failed = sc.lossy_decode(inst, params, b)
+    assert not failed.any()
+    assert np.array_equal(inst.matrices["B"].matvec(y), b)
 
     f = [[0, 0], [1, 1]]  # reproduce y regardless of z
     wz = sc.wz_params(Distribution.dsbs(0.2), bsc(0.25), f, rho,
                       0.01, 0.3)
     winst = sc.build_instance(wz, 10, seed=9)
-    for _ in range(5):
-        x = rng.integers(0, 2, 10)
-        z = rng.integers(0, 2, 10)
-        b = sc.wz_encode(winst, wz, x)
-        w = sc.wz_decode(winst, wz, b, z)
-        assert w.shape == x.shape
+    x = rng.integers(0, 2, (5, 10))
+    z = rng.integers(0, 2, (5, 10))
+    b = sc.wz_encode(winst, wz, x)
+    w, failed = sc.wz_decode(winst, wz, b, z)
+    assert w.shape == x.shape and failed.shape == (5,)
 
 
 def test_oho_contracts():
@@ -250,13 +252,14 @@ def test_oho_contracts():
                            0.05, 0.15, 0.15)
     inst = sc.build_instance(params, 10, seed=11)
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        x = rng.integers(0, 2, 10)
-        y = (x + (rng.random(10) < 0.1)) % 2
-        bx = sc.oho_encode_x(inst, x)
-        by = sc.oho_encode_y(inst, params, y)
-        xh = sc.oho_decode(inst, params, bx, by)
-        assert np.array_equal(inst.matrices["Bhat"].matvec(xh), bx)
+    x = rng.integers(0, 2, (5, 10))
+    y = (x + (rng.random((5, 10)) < 0.1)) % 2
+    bx = sc.oho_encode_x(inst, x)
+    by = sc.oho_encode_y(inst, params, y)
+    xh, failed = sc.oho_decode(inst, params, bx, by)
+    live = ~failed
+    assert live.any()
+    assert np.array_equal(inst.matrices["Bhat"].matvec(xh[live]), bx[live])
 
 
 def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
@@ -267,9 +270,10 @@ def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
     decoded = []
     original = sc.ml_code_cond_iid
 
-    def spy(coset, v, metric):
-        decoded.append((coset, v, original(coset, v, metric)))
-        return decoded[-1][2]
+    def spy(cosets, v, metric):
+        got = original(cosets, v, metric)
+        decoded.extend((cosets[j], v[j], got[j]) for j in range(len(cosets)))
+        return got
 
     monkeypatch.setattr(sc, "ml_code_cond_iid", spy)
     params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15)
@@ -278,8 +282,8 @@ def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
     assert np.isfinite(exact).all()
     for k in range(4):
         inst = sc.build_instance(params, n, derive_seed(2026, "inst", n, k))
-        for t in range(100):
-            hn.run_trial("ch", params, inst, derive_seed(2026, "trial", k, t))
+        hn.run_trial("ch", params, inst,
+                     [derive_seed(2026, "trial", k, t) for t in range(100)])
     assert len(decoded) == 400
     for coset, y, got in decoded:
         rows = exact[y]
@@ -322,8 +326,9 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
     for problem, (params, systems) in cases.items():
         solved.clear()
         inst = sc.build_instance(params, 10, seed=5)
-        for t in range(25):
-            hn.run_trial(problem, params, inst, derive_seed(5, problem, t))
+        for batch in range(3):
+            hn.run_trial(problem, params, inst,
+                         [derive_seed(5, problem, batch, t) for t in range(9)])
         assert sorted(solved.values()) == [1] * systems, problem
 
 
@@ -344,7 +349,7 @@ def test_concurrent_first_use_of_a_coset():
 
             def first_use(t):
                 barrier.wait(timeout=30)
-                return inst.coset([("A", t)])
+                return inst.coset([("A", t)], 1)[0]
 
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 cosets = list(pool.map(first_use, targets, timeout=60))

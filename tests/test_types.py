@@ -20,6 +20,15 @@ def test_distribution_validation():
         tl.Distribution([-0.1, 1.1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distribution_rejects_non_finite_entries(bad):
+    # NaN fails both the sign and the sum comparison, so it needs its own check
+    with pytest.raises(ValueError, match="non-finite"):
+        tl.Distribution([bad, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        tl.Distribution([[0.5, bad], [0.25, 0.25]])
+
+
 def test_distribution_constructors():
     b = tl.Distribution.bernoulli(0.25)
     assert list(b.p) == [0.75, 0.25]
