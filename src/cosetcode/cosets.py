@@ -103,7 +103,7 @@ class Elimination:
         return CosetBatch(particular, empty, t, self)
 
     def coset(self, target) -> "CosetDescription":
-        """The solution set for one target vector."""
+        """The solution set for one target vector, without a new elimination."""
         t = np.asarray(target, dtype=np.int64).reshape(1, -1)
         return self.cosets(t)[0]
 
@@ -141,14 +141,6 @@ class CosetDescription:
     def size(self) -> int:
         return 0 if self.is_empty else self.elimination.size
 
-    def retarget(self, target) -> "CosetDescription":
-        """The coset of the same matrix for another target, without a new
-        elimination; the same target gives back this coset."""
-        t = np.asarray(target, dtype=np.int64).reshape(-1) % self.q
-        if np.array_equal(t, self.target):
-            return self
-        return self.elimination.coset(t)
-
     def elements(self) -> np.ndarray:
         """All coset members as a (size, n) array, particular + kernel in
         itertools.product order of the basis coefficients; cached."""
@@ -181,10 +173,6 @@ class CosetBatch:
                                 self.target[j], self.elimination)
 
     @property
-    def q(self) -> int:
-        return self.elimination.q
-
-    @property
     def n(self) -> int:
         return self.elimination.n
 
@@ -201,7 +189,7 @@ def _dense_of(m) -> np.ndarray:
 def solve_coset(constraints, q: int | None = None) -> CosetDescription:
     """Gaussian elimination on stacked (matrix, target) constraints.
 
-    The result's `retarget` reuses the elimination for other targets."""
+    The result's `elimination` serves every other target of the matrix."""
     if not constraints:
         raise ValueError("need at least one constraint")
     if q is None:

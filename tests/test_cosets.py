@@ -153,11 +153,10 @@ def test_retarget_matches_fresh_solve(data):
         st.lists(entries, min_size=n, max_size=n), min_size=l, max_size=l)))
     t0, t = (np.array(data.draw(st.lists(entries, min_size=l, max_size=l)))
              for _ in range(2))
-    compiled = solve_coset([(M, t0)], q=q)
-    assert_matches_reference(compiled.retarget(t), M, t, q)
-    assert compiled.retarget(t0) is compiled
+    elim = solve_coset([(M, t0)], q=q).elimination
+    assert_matches_reference(elim.coset(t), M, t, q)
     # a batch of targets gives each row the coset a fresh solve gives
-    batch = compiled.elimination.cosets(np.array([t, t0]))
+    batch = elim.cosets(np.array([t, t0]))
     assert_matches_reference(batch[0], M, t, q)
     assert_matches_reference(batch[1], M, t0, q)
 
@@ -169,7 +168,7 @@ def test_retarget_matches_fresh_solve(data):
     (2, np.array([[1, 1], [1, 1]]), [0, 1], [1, 1], 1, False),  # from empty
 ])
 def test_retarget_edge_cases(q, M, t0, t, kernel_dim, empty):
-    coset = solve_coset([(M, t0)], q=q).retarget(t)
+    coset = solve_coset([(M, t0)], q=q).elimination.coset(t)
     assert coset.basis.shape[0] == kernel_dim and coset.is_empty == empty
     assert_matches_reference(coset, M, t, q)
 
@@ -287,20 +286,31 @@ def test_single_coset_kernel_matches_oracle(data):
             assert joined(got[j]) == iid_oracle(batch[j], rows[j])
 
 
+def _narrow_batch(q, n, trials, seed):
+    """Cosets with 3 free positions of a random full-rank system."""
+    rng = rng_from_seed(seed)
+    M = np.hstack([np.eye(n - 3, dtype=int), rng.integers(0, q, (n - 3, 3))])
+    targets = (M @ rng.integers(0, q, (trials, n)).T % q).T
+    return solve_coset([(M, targets[0])], q=q).elimination.cosets(targets)
+
+
 @pytest.mark.parametrize("q, n", [(2, 64), (3, 40)])
 def test_ties_past_integer_codes_use_lexsort(q, n):
-    # q**n >= 2**63: members are too long for an int64 code, so the tied
-    # members of every trial are ranked by one lexsort instead
-    assert q ** n >= 1 << 63
-    rng = rng_from_seed(q)
-    M = np.hstack([np.eye(n - 3, dtype=int), rng.integers(0, q, (n - 3, 3))])
-    targets = M @ rng.integers(0, q, (5, n)).T % q
-    batch = solve_coset([(M, targets[:, 0])], q=q).elimination.cosets(targets.T)
-    metric = np.zeros((5, n, q))
+    # q**n > 2**53: a member's code is no longer exact as a float sum, so
+    # the tied members of every trial are ranked by one lexsort instead
+    assert q ** n > 1 << 53
+    batch = _narrow_batch(q, n, 5, q)
+    metric = np.zeros((5, n, q))  # every member ties
     metric[:2, :, 1:] = -np.inf  # two trials with -inf entries
     got = ml_code_iid(batch, metric)
     for j in range(5):
         assert joined(got[j]) == iid_oracle(batch[j], metric[j])
+    # the product: pairs of 2n symbols
+    bx, by = _narrow_batch(q, n // 2, 3, 1), _narrow_batch(q, n // 2, 3, 2)
+    for metric in (np.zeros((q, q)), np.where(np.eye(q), 0.0, -np.inf)):
+        x, y = _product_enumerate(bx, by, metric)
+        for j in range(3):
+            assert joined(x[j], y[j]) == product_oracle(bx[j], by[j], metric)
 
 
 def test_ml_iid_matches_brute():
