@@ -39,9 +39,9 @@ PROBLEMS = ("sw", "ch", "gp", "lossy", "wz", "oho")
 
 
 class EncoderFailure(Exception):
-    """A constrained search came up empty for every trial of a batch;
-    counted as a block error.  A coder whose search fails for some trials
-    only returns them in its `failed` mask instead."""
+    """A coding failure of every trial of a batch, each counted as a block
+    error.  The coders here return the trials whose constrained search came
+    up empty in a `failed` mask instead of raising."""
 
 
 @dataclass
