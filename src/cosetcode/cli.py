@@ -33,6 +33,12 @@ def _out_path(args, default_name: str) -> str:
     return os.path.join(base, default_name)
 
 
+def _check_count(value: int, flag: str, low: int):
+    """Refuse a count argument below `low` before any work starts."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_gen_matrix(args) -> int:
     params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau)
     if args.ensemble == "mackay":
@@ -91,6 +97,7 @@ def types_check_report(q: int, n: int, gamma: float, gamma2: float):
 
 
 def cmd_types_check(args) -> int:
+    _check_count(args.n, "--n", 1)
     results = types_check_report(args.q, args.n, args.gamma, args.gamma2)
     ok_all = True
     for name, ok, margin in results:
@@ -100,6 +107,7 @@ def cmd_types_check(args) -> int:
 
 
 def cmd_hash_check(args) -> int:
+    _check_count(args.cases, "--cases", 1)
     params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau,
                             xi=args.xi)
     diag = dg.alpha_beta(params, args.n)
@@ -138,8 +146,11 @@ def cmd_run(args) -> int:
     if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     cfg = hn.ExperimentConfig.from_dict(doc)
-    summary, records = hn.run_experiment(cfg, threads=args.threads)
     prefix = args.out or cfg.out or _out_path(args, f"{cfg.problem}_run")
+    directory = os.path.dirname(prefix) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"output directory {directory} does not exist")
+    summary, records = hn.run_experiment(cfg, threads=args.threads)
     csv_path = hn.write_outputs(summary, records, prefix)
     sys.stdout.write(hn.summary_csv(summary))
     print(f"# written: {csv_path}")
@@ -154,6 +165,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     """Brute-force cross-checks of the closed forms."""
+    _check_count(args.steps, "--steps", 0)
     ok_all = True
     # kernel-weight probability against full ensemble enumeration
     params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau)

@@ -29,6 +29,12 @@ class Elimination:
     right-hand side E t, whose first `rank` entries are the pivot values of
     the particular solution and whose remaining entries are zero exactly
     when the system is consistent.
+
+    Pivots are taken from the last column to the first, so each basis row
+    starts at its own free column and is zero at the other free columns, and
+    the particular solution is zero at every free column: a member's values
+    at the free columns are its basis coefficients, and the index order of
+    the members is their lexicographic order.
     """
 
     q: int
@@ -59,7 +65,8 @@ class Elimination:
 
     def _enumerate(self) -> np.ndarray:
         """All kernel members, (size, n), rows in itertools.product order of
-        their basis coefficients (the first coefficient most significant)."""
+        their basis coefficients (the first coefficient most significant),
+        which is lexicographic order."""
         self.check_budget()
         members = np.zeros((1, self.n), dtype=np.int64)
         steps = np.arange(self.q)[:, None]
@@ -143,7 +150,8 @@ class CosetDescription:
 
     def elements(self) -> np.ndarray:
         """All coset members as a (size, n) array, particular + kernel in
-        itertools.product order of the basis coefficients; cached."""
+        itertools.product order of the basis coefficients, which is
+        lexicographic order; cached."""
         if self.is_empty:
             raise EmptyCosetError("coset is empty")
         if self._elements is None:
@@ -211,13 +219,14 @@ def solve_coset(constraints, q: int | None = None) -> CosetDescription:
         targets.append(t)
     M = np.vstack(mats).astype(np.int64)
     rows = M.shape[0]
-    # eliminate [M | I]: the right block accumulates the row operations E
-    aug = np.hstack([M, np.eye(rows, dtype=np.int64)])
-    pivots = gauss_jordan(aug, q, ncols=n)
+    # eliminate [M reversed | I], pivots last column first; the right block
+    # accumulates the row operations E
+    aug = np.hstack([M[:, ::-1], np.eye(rows, dtype=np.int64)])
+    pivots = [n - 1 - c for c in gauss_jordan(aug, q, ncols=n)]
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[range(len(free)), free] = 1
-    basis[:, pivots] = (-aug[:len(pivots), free].T) % q
+    basis[:, pivots] = (-aug[:len(pivots), [n - 1 - c for c in free]].T) % q
     pivots = np.array(pivots, dtype=np.int64)
     elim = Elimination(q, M, aug[:, n:].copy(), pivots, basis)
     return elim.coset(np.concatenate(targets))
@@ -248,30 +257,6 @@ def _exact_scores(product, terms: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _smallest_best(scores: np.ndarray, codes, members) -> np.ndarray:
-    """Per row of `scores`, the column of the lexicographically smallest
-    member among the best-scoring ones.
-
-    `codes` ranks every member exactly, as an integer code below 2**53, and
-    a masked argmin picks the tied member; where codes would not be exact it
-    is None, and `members(rows, columns)` forms the tied members only, for
-    one lexsort keyed by row first."""
-    tied = scores == scores.max(axis=1, keepdims=True)
-    if codes is not None:
-        return np.where(tied, codes, np.inf).argmin(axis=1)
-    rows, columns = np.nonzero(tied)
-    order = np.lexsort((*members(rows, columns).T[::-1], rows))
-    return columns[order[np.flatnonzero(np.diff(rows, prepend=-1))]]
-
-
-def _place(q: int, n: int):
-    """Weights q**(n-1-i) of lexicographic integer codes, or None when a
-    code would reach 2**53 and float sums of codes stop being exact."""
-    if q ** n > 1 << 53:
-        return None
-    return float(q) ** np.arange(n - 1, -1, -1)
-
-
 def ml_code_iid(cosets: CosetBatch, metric: np.ndarray) -> np.ndarray:
     """Per trial j, the argmax of sum_i metric[j, i, u_i] over coset j.
 
@@ -284,8 +269,8 @@ def ml_code_iid(cosets: CosetBatch, metric: np.ndarray) -> np.ndarray:
     Each trial's particular solution p is folded into its metric (entry a at
     position i becomes metric[j, i, (a + p_i) mod q]), so one product with
     the elimination's one-hot kernel scores every member of a block of
-    cosets; folded the same way, the weights of the members' integer codes
-    rank the tied ones."""
+    cosets.  Index order is lexicographic order, so the first best index is
+    the smallest ML member."""
     elim = cosets.elimination
     elim.check_budget()
     q, n, trials = elim.q, elim.n, len(cosets)
@@ -300,18 +285,9 @@ def ml_code_iid(cosets: CosetBatch, metric: np.ndarray) -> np.ndarray:
                + q * np.arange(n)[:, None]).reshape(live.size, n * q)
     folded = np.broadcast_to(metric, (trials, n, q)).reshape(trials, n * q)[
         live[:, None], columns]
-    place = _place(q, n)
-    weights = None if place is None else (place[:, None] * np.arange(q)).ravel()[
-        columns]
-
-    def members(rows, index):
-        return (p[rows] + elim.members(index)) % q
-
     for rows in _blocks(np.arange(live.size), elim.size, elim.size * n):
         scores = _exact_scores(lambda t: t @ onehot.T, folded[rows])
-        codes = None if weights is None else weights[rows] @ onehot.T
-        best = _smallest_best(scores, codes, lambda r, c: members(rows[r], c))
-        out[live[rows]] = members(rows, best)
+        out[live[rows]] = (p[rows] + elim.members(scores.argmax(axis=1))) % q
     return out
 
 
@@ -437,14 +413,14 @@ def _product_enumerate(coset_x: CosetBatch, coset_y: CosetBatch,
 
     A trial's scores are sum_a [x = a] . metric[a, y], one product of the
     one-hot kernel of x against the metric at the y members, both particular
-    solutions folded in; the pairs' integer codes (x first) rank the tied
-    pairs."""
+    solutions folded in.  Pair (c_x, c_y) has flat index c_x |Y| + c_y, and
+    index order is lexicographic order of each factor, so the first best
+    index is the smallest ML pair (x first)."""
     ex, ey = coset_x.elimination, coset_y.elimination
     (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
     live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
     onehot, ky = ex.onehot(), ey.kernel()
-    place = _place(max(qx, qy), 2 * n)
     for rows in _blocks(live, ex.size * ey.size, (ex.size + ey.size) * n):
         px, py = coset_x.particular[rows], coset_y.particular[rows]
         xs = (px[:, :, None] + np.arange(qx)) % qx  # [j, i, a]: x symbol
@@ -452,18 +428,9 @@ def _product_enumerate(coset_x: CosetBatch, coset_y: CosetBatch,
         table = metric[xs[..., None], ys.transpose(0, 2, 1)[:, :, None, :]]
         scores = _exact_scores(lambda t: onehot @ t, table.reshape(
             rows.size, n * qx, ey.size)).reshape(rows.size, -1)
-        codes = None
-        if place is not None:
-            code_x = (place[:n, None] * xs).reshape(rows.size, -1) @ onehot.T
-            codes = (code_x[:, :, None] + (ys @ place[n:])[:, None, :]).reshape(
-                rows.size, -1)
-
-        def pairs(r, index):
-            cx, cy = np.divmod(index, ey.size)
-            return np.hstack([(px[r] + ex.members(cx)) % qx, ys[r, cy]])
-
-        first = pairs(np.arange(rows.size), _smallest_best(scores, codes, pairs))
-        x[rows], y[rows] = first[:, :n], first[:, n:]
+        cx, cy = np.divmod(scores.argmax(axis=1), ey.size)
+        x[rows] = (px + ex.members(cx)) % qx
+        y[rows] = ys[np.arange(rows.size), cy]
     return x, y
 
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import cosetcode
+from cosetcode import cli, schemes
+from cosetcode import diagnostics as dg
 from cosetcode import harness as hn
-from cosetcode import schemes
 from cosetcode.cli import EXIT_OK, EXIT_USAGE, main
 from cosetcode.matrices import SparseMatrix
 
@@ -85,6 +86,26 @@ def test_oracle_passes(capsys):
                  "--steps", "6"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle", "--steps", "-3"], "--steps"),
+    (["hash-check", "--cases", "0"], "--cases"),
+    (["hash-check", "--cases", "-4"], "--cases"),
+    (["types-check", "--n", "0"], "--n"),
+], ids=["oracle-steps", "hash-check-cases-zero", "hash-check-cases-negative",
+        "types-check-n"])
+def test_bad_count_exits_2_before_any_enumeration(argv, flag, capsys,
+                                                  monkeypatch):
+    def enumerate_(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    for name in ("enumerate_mackay", "alpha_beta"):
+        monkeypatch.setattr(dg, name, enumerate_)
+    monkeypatch.setattr(cli, "types_check_report", enumerate_)
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {flag} must be >= ")
 
 
 def sw_doc(**over):
@@ -201,6 +222,26 @@ def test_bad_config_exits_2_before_any_draw(doc, key, tmp_path, capsys,
                  "--out", str(tmp_path / "out")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(named, err)
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_run_missing_output_directory_exits_2_before_any_draw(
+        where, tmp_path, capsys, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
+
+    monkeypatch.setattr(schemes, "build_instance", draw)
+    prefix = str(tmp_path / "missing" / "x")
+    if where == "flag":
+        argv = ["--out", prefix]
+        path = run_config(tmp_path)
+    else:
+        argv = []
+        path = run_config(tmp_path, sw_doc(out=prefix))
+    assert main(["run", "--config", str(path)] + argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {tmp_path / 'missing'} does not exist\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_run_seed_override_on_non_object_config(tmp_path, capsys):

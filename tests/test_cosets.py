@@ -87,16 +87,17 @@ def test_budget_error():
 
 
 def reference_solve(M, t, q):
-    """Per-target loop elimination of [M | t], the reference for the
-    compiled solver: (particular or None, basis, reduced rows, elements),
-    elements in itertools.product order of the basis coefficients."""
+    """Per-target loop elimination of [M | t], pivots from the last column
+    to the first, the reference for the compiled solver: (particular or
+    None, basis, reduced rows, elements), elements in itertools.product
+    order of the basis coefficients."""
     inv = [0] + [pow(a, q - 2, q) for a in range(1, q)]
     M = np.asarray(M, dtype=np.int64) % q
     rows, n = M.shape
     aug = np.hstack([M, (np.asarray(t, dtype=np.int64) % q)[:, None]])
     r = 0
     pivots = []
-    for c in range(n):
+    for c in range(n - 1, -1, -1):
         piv = next((i for i in range(r, rows) if aug[i, c] != 0), None)
         if piv is None:
             continue
@@ -129,7 +130,7 @@ def assert_matches_reference(coset, M, t, q):
     """`coset` equals a fresh solve and the loop reference for (M, t)."""
     particular, basis, reduced, elements = reference_solve(M, t, q)
     fresh = solve_coset([(M, t)], q=q)
-    assert np.array_equal(rref(M, q), reduced)
+    assert np.array_equal(rref(M[:, ::-1], q)[:, ::-1], reduced)
     assert coset.is_empty == fresh.is_empty == (particular is None)
     assert np.array_equal(coset.basis, fresh.basis)
     assert np.array_equal(coset.basis, basis)
@@ -141,6 +142,8 @@ def assert_matches_reference(coset, M, t, q):
     assert np.array_equal(fresh.particular, particular)
     assert np.array_equal(coset.elements(), elements)  # row order included
     assert np.array_equal(fresh.elements(), elements)
+    members = [tuple(u) for u in coset.elements().tolist()]
+    assert all(a < b for a, b in zip(members, members[1:]))  # lexicographic
 
 
 @settings(max_examples=200, deadline=None)
@@ -295,9 +298,9 @@ def _narrow_batch(q, n, trials, seed):
 
 
 @pytest.mark.parametrize("q, n", [(2, 64), (3, 40)])
-def test_ties_past_integer_codes_use_lexsort(q, n):
-    # q**n > 2**53: a member's code is no longer exact as a float sum, so
-    # the tied members of every trial are ranked by one lexsort instead
+def test_ties_past_float_exact_codes_take_smallest_member(q, n):
+    # q**n > 2**53, where no float sum could rank members by an integer
+    # code: index order alone must give every trial its smallest tied member
     assert q ** n > 1 << 53
     batch = _narrow_batch(q, n, 5, q)
     metric = np.zeros((5, n, q))  # every member ties
