@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, subcommand contracts."""
 
+import hashlib
 import json
 import os
 import re
@@ -67,6 +68,18 @@ def test_gen_matrix_roundtrip(capsys):
     assert (m.q, m.l, m.n) == (3, 2, 4)
     assert main(args) == EXIT_OK
     assert capsys.readouterr().out == first  # seeded determinism
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--q", "2", "--l", "4", "--n", "12", "--tau", "2", "--seed", "7"],
+     "a5c958033465c187ddb96691f3af920604c3993d5dfca981a4ff52f0e3ad86a8"),
+    (["--q", "5", "--l", "3", "--n", "6", "--tau", "4", "--seed", "7"],
+     "7d61f16b1903262493f86a5be524d61ec0256ea8e041a85e19903adc8fd988ed"),
+], ids=["q2", "q5"])
+def test_gen_matrix_output_is_pinned(argv, digest, capsys):
+    assert main(["gen-matrix"] + argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_types_check_passes(capsys):
