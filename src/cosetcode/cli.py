@@ -98,6 +98,9 @@ def types_check_report(q: int, n: int, gamma: float, gamma2: float):
 
 def cmd_types_check(args) -> int:
     _check_count(args.n, "--n", 1)
+    for flag, value in (("--gamma", args.gamma), ("--gamma2", args.gamma2)):
+        if not value > 0:
+            raise ValueError(f"{flag} must be > 0, got {value}")
     results = types_check_report(args.q, args.n, args.gamma, args.gamma2)
     ok_all = True
     for name, ok, margin in results:
@@ -110,6 +113,9 @@ def cmd_hash_check(args) -> int:
     _check_count(args.cases, "--cases", 1)
     params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau,
                             xi=args.xi)
+    if args.q**args.n > dg.ENUM_BUDGET:
+        raise ValueError(f"--n must keep q**n <= {dg.ENUM_BUDGET}, "
+                         f"got {args.q}**{args.n}")
     diag = dg.alpha_beta(params, args.n)
     mats = dg.enumerate_mackay(params)
     rng = rng_from_seed(args.seed)

@@ -1,4 +1,4 @@
-"""Sparse l x n matrices over GF(q): generation, products, rank/image."""
+"""Matrices over GF(q) from sparse ensembles: generation, products, rank/image."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldSpec
-
-# dense mirror kept whenever l*n fits this budget (always true at desk scale)
-DENSE_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -40,51 +37,22 @@ class EnsembleParams:
 
 
 class SparseMatrix:
-    """Column-sparse matrix over GF(q) with an optional dense mirror.
+    """l x n matrix over GF(q), held as one read-only int64 array.
 
-    Immutable after construction; duplicate (row,col) contributions are
-    summed mod q at insertion and zero coefficients are dropped.
-    """
+    The ensembles draw it column-sparse; every product, elimination and
+    comparison reads the array."""
 
-    def __init__(self, q: int, l: int, n: int, columns=None):
+    def __init__(self, q: int, dense):
         FieldSpec(q)  # primality check
+        dense = np.asarray(dense, dtype=np.int64) % q
+        if dense.ndim != 2 or 0 in dense.shape:
+            raise ValueError(f"expected an l x n array, l, n >= 1, got {dense.shape}")
+        dense.setflags(write=False)
         self.q = q
-        if l < 1 or n < 1:
-            raise ValueError("l and n must be >= 1")
-        self.l = l
-        self.n = n
-        cols = []
-        for i in range(n):
-            entries = {}
-            if columns is not None:
-                for row, val in columns[i]:
-                    if not (0 <= row < l):
-                        raise ValueError("row index out of range")
-                    entries[row] = (entries.get(row, 0) + val) % q
-            cols.append(tuple(sorted((r, v) for r, v in entries.items() if v != 0)))
-        self.columns = tuple(cols)
-        self._dense = None
-        if l * n <= DENSE_LIMIT:
-            dense = np.zeros((l, n), dtype=np.int64)
-            for i, col in enumerate(self.columns):
-                for r, v in col:
-                    dense[r, i] = v
-            dense.setflags(write=False)
-            self._dense = dense
-
-    @classmethod
-    def from_dense(cls, dense, q: int) -> "SparseMatrix":
-        dense = np.asarray(dense) % q
-        l, n = dense.shape
-        columns = [
-            [(r, int(dense[r, i])) for r in range(l) if dense[r, i] != 0]
-            for i in range(n)
-        ]
-        return cls(q, l, n, columns)
+        self.l, self.n = dense.shape
+        self._dense = dense
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            raise ValueError("matrix too large for dense mirror")
         return self._dense
 
     def matvec(self, u) -> np.ndarray:
@@ -92,46 +60,47 @@ class SparseMatrix:
         u = np.asarray(u, dtype=np.int64)
         if u.ndim not in (1, 2) or u.shape[-1] != self.n:
             raise ValueError(f"expected vectors of length {self.n}, got {u.shape}")
-        return ((u % self.q) @ self.dense().T) % self.q
+        return ((u % self.q) @ self._dense.T) % self.q
 
     def rank_and_image(self):
         """Rank over GF(q) and a reduced-echelon basis of the column space."""
-        basis = rref(self.dense().T, self.q)
+        basis = rref(self._dense.T, self.q)
         return basis.shape[0], basis
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
             and other.q == self.q
-            and other.l == self.l
-            and other.n == self.n
-            and other.columns == self.columns
+            and np.array_equal(other._dense, self._dense)
         )
 
-    def __hash__(self):
-        return hash((self.q, self.l, self.n, self.columns))
-
     def to_text(self) -> str:
+        """`q l n`, then per column `col i` and its nonzero `(row,value)`s."""
         lines = [f"{self.q} {self.l} {self.n}"]
-        for i, col in enumerate(self.columns):
-            parts = [f"col {i}"] + [f"({r},{v})" for r, v in col]
+        for i, col in enumerate(self._dense.T):
+            parts = [f"col {i}"] + [f"({r},{col[r]})" for r in np.flatnonzero(col)]
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "SparseMatrix":
+        """Parse `to_text`; repeated entries of one position add up mod q."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         q, l, n = (int(x) for x in lines[0].split())
-        columns = [[] for _ in range(n)]
+        dense = np.zeros((l, n), dtype=np.int64)
         for ln in lines[1:]:
             parts = ln.split()
             if parts[0] != "col":
                 raise ValueError(f"bad column line: {ln!r}")
             i = int(parts[1])
+            if not (0 <= i < n):
+                raise ValueError("column index out of range")
             for tok in parts[2:]:
-                r, v = tok.strip("()").split(",")
-                columns[i].append((int(r), int(v)))
-        return cls(q, l, n, columns)
+                r, v = (int(x) for x in tok.strip("()").split(","))
+                if not (0 <= r < l):
+                    raise ValueError("row index out of range")
+                dense[r, i] += v
+        return cls(q, dense)
 
 
 def gauss_jordan(m: np.ndarray, q: int, ncols: int | None = None) -> list:
@@ -182,27 +151,26 @@ def derive_seed(seed, *tags) -> int:
 
 def generate_mackay(params: EnsembleParams, seed) -> SparseMatrix:
     """Draw a sparse matrix: per column, tau additions of a random nonzero
-    element at a random row.  Cancellations are stored as absence.
+    element at a random row.  Cancellations come out as zeros.
 
     For q = 2 the only nonzero element is 1, and a draw from the empty range
     [0, q - 1) consumes no randomness, so it is skipped."""
     rng = rng_from_seed(seed)
     q, l, n, tau = params.q, params.l, params.n, params.tau
-    vals = [1] * tau
-    columns = [[] for _ in range(n)]
+    rows = np.empty((n, tau), dtype=np.int64)
+    vals = np.ones((n, tau), dtype=np.int64)
     for i in range(n):
-        rows = rng.integers(0, l, size=tau).tolist()
+        rows[i] = rng.integers(0, l, size=tau)
         if q != 2:
-            vals = (1 + rng.integers(0, q - 1, size=tau)).tolist()
-        columns[i] = list(zip(rows, vals))
-    return SparseMatrix(q, l, n, columns)
+            vals[i] = 1 + rng.integers(0, q - 1, size=tau)
+    dense = np.zeros((l, n), dtype=np.int64)
+    np.add.at(dense, (rows, np.arange(n)[:, None]), vals)
+    return SparseMatrix(q, dense)
 
 
 def generate_uniform(q: int, l: int, n: int, seed) -> SparseMatrix:
     """Every entry i.i.d. uniform over GF(q)."""
-    rng = rng_from_seed(seed)
-    dense = rng.integers(0, q, size=(l, n))
-    return SparseMatrix.from_dense(dense, q)
+    return SparseMatrix(q, rng_from_seed(seed).integers(0, q, size=(l, n)))
 
 
 def recommended_tau(l: int, rate: float) -> int:

@@ -369,7 +369,7 @@ def build_instance(params: SchemeParams, n: int, seed,
         if name == "Ahat" and stage2_forced:
             # deterministic stage 2: a zero matrix leaves the full space,
             # whose indicator-argmax is the forced reproduction
-            matrices[name] = SparseMatrix(q, 1, n, [[] for _ in range(n)])
+            matrices[name] = SparseMatrix(q, np.zeros((1, n)))
             continue
         t = tau if tau is not None else recommended_tau(l, l * math.log2(q) / n)
         if ensemble == "mackay":

@@ -101,14 +101,20 @@ def test_oracle_passes(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["oracle", "--steps", "-3"], "--steps"),
-    (["hash-check", "--cases", "0"], "--cases"),
-    (["hash-check", "--cases", "-4"], "--cases"),
-    (["types-check", "--n", "0"], "--n"),
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--steps", "-3"], "--steps must be >= "),
+    (["hash-check", "--cases", "0"], "--cases must be >= "),
+    (["hash-check", "--cases", "-4"], "--cases must be >= "),
+    (["types-check", "--n", "0"], "--n must be >= "),
+    (["types-check", "--gamma", "-1"], "--gamma must be > 0, got -1.0"),
+    (["types-check", "--gamma", "nan"], "--gamma must be > 0, got nan"),
+    (["types-check", "--gamma2", "0"], "--gamma2 must be > 0, got 0.0"),
+    (["hash-check", "--q", "2", "--l", "1", "--tau", "2", "--n", "21"],
+     "--n must keep q**n <= 1048576, got 2**21"),
 ], ids=["oracle-steps", "hash-check-cases-zero", "hash-check-cases-negative",
-        "types-check-n"])
-def test_bad_count_exits_2_before_any_enumeration(argv, flag, capsys,
+        "types-check-n", "types-check-gamma-negative", "types-check-gamma-nan",
+        "types-check-gamma2-zero", "hash-check-n-over-budget"])
+def test_bad_count_exits_2_before_any_enumeration(argv, message, capsys,
                                                   monkeypatch):
     def enumerate_(*args, **kwargs):
         raise AssertionError("enumeration started")
@@ -118,7 +124,7 @@ def test_bad_count_exits_2_before_any_enumeration(argv, flag, capsys,
     monkeypatch.setattr(cli, "types_check_report", enumerate_)
     assert main(argv) == EXIT_USAGE
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {flag} must be >= ")
+    assert out == "" and err.startswith(f"error: {message}")
 
 
 def sw_doc(**over):

@@ -60,8 +60,8 @@ def test_solve_matches_brute_force(q):
 
 
 def test_stacked_constraints():
-    A = SparseMatrix.from_dense([[1, 1, 0]], 2)
-    B = SparseMatrix.from_dense([[0, 1, 1]], 2)
+    A = SparseMatrix(2, [[1, 1, 0]])
+    B = SparseMatrix(2, [[0, 1, 1]])
     coset = solve_coset([(A, [1]), (B, [0])])
     for u in coset.elements():
         assert (u[0] + u[1]) % 2 == 1
@@ -73,14 +73,14 @@ def test_stacked_constraints():
 
 
 def test_inconsistent_system_is_empty():
-    A = SparseMatrix.from_dense([[1, 1]], 2)
+    A = SparseMatrix(2, [[1, 1]])
     coset = solve_coset([(A, [0]), (A, [1])])
     assert coset.is_empty and coset.size == 0
 
 
 def test_budget_error():
     # 2^25 members: over BUDGET, refused before the kernel is formed
-    A = SparseMatrix.from_dense(np.zeros((1, 25), dtype=int), 2)
+    A = SparseMatrix(2, np.zeros((1, 25), dtype=int))
     coset = solve_coset([(A, [0])])
     with pytest.raises(BudgetError, match="coset has 33554432 elements"):
         coset.elements()
@@ -186,7 +186,7 @@ def test_solve_requires_q_for_plain_arrays():
 # -- ML coding ------------------------------------------------------------------
 
 def _full_space(q, n, trials=1):
-    Z = SparseMatrix(q, 1, n)  # zero matrix: coset of 0 is everything
+    Z = SparseMatrix(q, np.zeros((1, n)))  # zero matrix: coset of 0 is everything
     return solve_coset([(Z, [0])]).elimination.cosets(np.zeros((trials, 1)))
 
 
@@ -363,7 +363,7 @@ def test_ml_cond_iid_matches_brute():
 
 def test_ml_empty_cosets_give_minus_one_rows():
     # one elimination, three targets: the middle one is inconsistent
-    A = SparseMatrix.from_dense([[1, 1], [1, 1]], 2)
+    A = SparseMatrix(2, [[1, 1], [1, 1]])
     batch = solve_coset([(A, [0, 0])]).elimination.cosets([[0, 0], [0, 1],
                                                             [1, 1]])
     assert batch.empty.tolist() == [False, True, False]
@@ -376,7 +376,7 @@ def test_ml_empty_cosets_give_minus_one_rows():
 
 def test_kernel_budget_is_checked_before_scoring():
     # 2^25 members: over BUDGET, refused before any table is formed
-    A = SparseMatrix.from_dense(np.zeros((1, 25), dtype=int), 2)
+    A = SparseMatrix(2, np.zeros((1, 25), dtype=int))
     batch = solve_coset([(A, [0])]).elimination.cosets(np.zeros((3, 1)))
     with pytest.raises(BudgetError, match="coset has 33554432 elements"):
         ml_code_iid(batch, np.zeros(2))
@@ -464,18 +464,18 @@ def test_ml_product_dispatch_by_cost(monkeypatch):
 
 def test_ml_product_budget_and_empty():
     # 2^13 members and 2^13 states each: both paths exceed BUDGET = 2^24
-    half = SparseMatrix.from_dense(np.hstack(
-        [np.eye(13, dtype=int), np.zeros((13, 13), dtype=int)]), 2)
+    half = SparseMatrix(2, np.hstack(
+        [np.eye(13, dtype=int), np.zeros((13, 13), dtype=int)]))
     both = batch_of(solve_coset([(half, [0] * 13)]))
     with pytest.raises(BudgetError, match=r"67108864 pairs and a trellis of "
                                           r"6979321856 branches, budget 16777216"):
         ml_code_product(both, both, np.zeros((2, 2)))
     # rank 0: 2^40 pairs are far over budget, the one-state trellis fits
-    big = batch_of(solve_coset([(SparseMatrix(2, 1, 20), [0])]))
+    big = batch_of(solve_coset([(SparseMatrix(2, np.zeros((1, 20))), [0])]))
     x, y = ml_code_product(big, big, np.zeros((2, 2)))
     assert not x.any() and not y.any()
     # a trial with an empty factor gets -1 rows on either path
-    A = SparseMatrix.from_dense([[1, 1], [1, 1]], 2)
+    A = SparseMatrix(2, [[1, 1], [1, 1]])
     mixed = solve_coset([(A, [0, 0])]).elimination.cosets([[0, 1], [1, 1]])
     for path in (ml_code_product, _product_enumerate):
         x, y = path(mixed, mixed, np.zeros((2, 2)))

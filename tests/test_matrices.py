@@ -47,21 +47,41 @@ def test_params_reject_out_of_range(bad):
 # -- construction semantics ----------------------------------------------------
 
 def test_duplicate_entries_sum_mod_q():
-    # (0,1)+(0,2) cancels in GF(3); stored as absence
-    m = SparseMatrix(3, 2, 2, [[(0, 1), (0, 2)], [(1, 2)]])
-    assert m.columns == ((), ((1, 2),))
+    # (0,1)+(0,2) cancels in GF(3) and prints as a bare column
+    m = SparseMatrix.from_text("3 2 2\ncol 0 (0,1) (0,2)\ncol 1 (1,2)\n")
     assert np.array_equal(m.dense(), [[0, 0], [0, 2]])
+    assert m.to_text() == "3 2 2\ncol 0\ncol 1 (1,2)\n"
 
 
 def test_from_dense_roundtrip():
     dense = np.array([[1, 0, 2], [0, 2, 1]])
-    m = SparseMatrix.from_dense(dense, 3)
+    m = SparseMatrix(3, dense)
     assert np.array_equal(m.dense(), dense)
+    # entries are reduced mod q into a read-only copy
+    m = SparseMatrix(3, dense - 3)
+    assert np.array_equal(m.dense(), dense) and m.dense().dtype == np.int64
+    with pytest.raises(ValueError):
+        m.dense()[0, 0] = 2
 
 
-def test_text_roundtrip():
-    m = generate_mackay(EnsembleParams(q=5, l=3, n=6, tau=4), seed=7)
-    assert SparseMatrix.from_text(m.to_text()) == m
+@pytest.mark.parametrize("q, dense", [(4, [[1]]), (2, [1, 0]),
+                                      (2, np.zeros((0, 3))),
+                                      (2, np.zeros((2, 0))),
+                                      (2, np.zeros((1, 1, 1)))],
+                         ids=["non-prime", "1-d", "no-rows", "no-columns",
+                              "3-d"])
+def test_constructor_rejects(q, dense):
+    with pytest.raises(ValueError):
+        SparseMatrix(q, dense)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 5]),
+       st.integers(1, 5), st.integers(1, 6))
+def test_text_roundtrip(seed, q, l, n):
+    for m in (generate_uniform(q, l, n, seed),
+              generate_mackay(EnsembleParams(q=q, l=l, n=n, tau=4), seed)):
+        assert SparseMatrix.from_text(m.to_text()) == m
 
 
 def test_text_rejects_garbage():
@@ -69,13 +89,11 @@ def test_text_rejects_garbage():
         SparseMatrix.from_text("2 2 2\nrow 0 (0,1)\n")
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32), st.sampled_from([2, 3, 5]),
-       st.integers(1, 5), st.integers(1, 6))
-def test_dense_sparse_agree(seed, q, l, n):
-    m = generate_uniform(q, l, n, seed)
-    m2 = SparseMatrix.from_dense(m.dense(), q)
-    assert m2 == m
+@pytest.mark.parametrize("line", ["col -1 (0,1)", "col 2 (0,1)",
+                                  "col 0 (2,1)", "col 0 (-1,1)"])
+def test_text_rejects_index_out_of_range(line):
+    with pytest.raises(ValueError, match="index out of range"):
+        SparseMatrix.from_text(f"2 2 2\n{line}\n")
 
 
 # -- products ------------------------------------------------------------------
@@ -115,15 +133,15 @@ def test_matvec_rejects_wrong_length():
 # -- rank / rref ---------------------------------------------------------------
 
 def test_rank_identity_and_zero():
-    eye = SparseMatrix.from_dense(np.eye(4, dtype=int), 2)
+    eye = SparseMatrix(2, np.eye(4, dtype=int))
     assert eye.rank_and_image()[0] == 4
-    zero = SparseMatrix(3, 2, 3)
+    zero = SparseMatrix(3, np.zeros((2, 3)))
     assert zero.rank_and_image()[0] == 0
 
 
 def test_rank_known_example():
     # second row is twice the first over GF(5)
-    m = SparseMatrix.from_dense([[1, 2, 3], [2, 4, 6]], 5)
+    m = SparseMatrix(5, [[1, 2, 3], [2, 4, 6]])
     rank, basis = m.rank_and_image()
     assert rank == 1
     assert basis.shape == (1, 2)
@@ -156,12 +174,13 @@ def test_generation_deterministic():
 def mackay_reference(params, seed):
     """Per column, tau rows then tau nonzero values, drawn for every q."""
     rng = rng_from_seed(seed)
-    columns = []
-    for _ in range(params.n):
+    dense = [[0] * params.n for _ in range(params.l)]
+    for i in range(params.n):
         rows = rng.integers(0, params.l, size=params.tau)
         vals = 1 + rng.integers(0, params.q - 1, size=params.tau)
-        columns.append(list(zip(rows.tolist(), vals.tolist())))
-    return SparseMatrix(params.q, params.l, params.n, columns)
+        for r, v in zip(rows.tolist(), vals.tolist()):
+            dense[r][i] = (dense[r][i] + v) % params.q
+    return SparseMatrix(params.q, dense)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,7 +189,7 @@ def mackay_reference(params, seed):
 def test_generation_matches_reference(seed, q, l, n, tau):
     params = EnsembleParams(q=q, l=l, n=n, tau=tau)
     got = generate_mackay(params, seed)
-    assert got.columns == mackay_reference(params, seed).columns
+    assert got == mackay_reference(params, seed)
 
 
 @pytest.mark.parametrize("q,l", [(2, 3), (3, 2)])

@@ -133,9 +133,9 @@ def test_build_instance_uniform_ensemble():
 
 
 def test_rate_of_uses_rank():
-    eye = SparseMatrix.from_dense(np.eye(4, dtype=int), 2)
+    eye = SparseMatrix(2, np.eye(4, dtype=int))
     assert sc.rate_of(eye, 4) == 1.0
-    assert sc.rate_of(SparseMatrix(2, 2, 4), 4) == 0.0
+    assert sc.rate_of(SparseMatrix(2, np.zeros((2, 4))), 4) == 0.0
 
 
 def test_sample_message_lies_in_image():
@@ -201,7 +201,7 @@ def test_ch_encode_decode_contracts():
 
 def test_ch_encoder_failure():
     params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
-    A = SparseMatrix.from_dense([[1, 1]], 2)
+    A = SparseMatrix(2, [[1, 1]])
     inst = sc.SchemeInstance("ch", 2, {"A": A, "B": A},
                              {"A": np.array([0])}, sc.dims_for(params, 2))
     # an empty coset marks only its own trial
