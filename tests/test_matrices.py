@@ -84,6 +84,24 @@ def test_text_roundtrip(seed, q, l, n):
         assert SparseMatrix.from_text(m.to_text()) == m
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([2, 3, 5]),
+       st.integers(1, 5), st.integers(1, 6))
+def test_dense_sparse_agree(seed, q, l, n):
+    m = generate_uniform(q, l, n, seed)
+    assert SparseMatrix(q, m.dense()) == m
+    # the column-sparse listing names exactly the nonzero entries
+    listed = {}
+    for line in m.to_text().splitlines()[1:]:
+        _, i, *entries = line.split()
+        for tok in entries:
+            r, v = (int(x) for x in tok.strip("()").split(","))
+            listed[(r, int(i))] = v
+    dense = m.dense()
+    assert listed == {(int(r), int(i)): int(dense[r, i])
+                      for r, i in zip(*np.nonzero(dense))}
+
+
 def test_text_rejects_garbage():
     with pytest.raises(ValueError):
         SparseMatrix.from_text("2 2 2\nrow 0 (0,1)\n")
