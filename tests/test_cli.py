@@ -94,6 +94,24 @@ def test_hash_check_passes(capsys):
     assert "violations=0" in capsys.readouterr().out
 
 
+def test_hash_check_output_is_pinned(capsys, monkeypatch):
+    # a fixed seed draws the same sets and prints the same report line
+    drawn = []
+    for name in ("hash_sum_exhaustive", "collision_bound_check"):
+        def record(mats, *args, _check=getattr(dg, name)):
+            drawn.append(args[:-1])  # the drawn sets, without the diagnostics
+            return _check(mats, *args)
+
+        monkeypatch.setattr(dg, name, record)
+    assert main(["hash-check", "--q", "3", "--l", "1", "--n", "3", "--tau",
+                 "2", "--xi", "0.5", "--cases", "6", "--seed", "11"]) == EXIT_OK
+    assert capsys.readouterr().out == "PASS hash-check cases=18 violations=0\n"
+    assert drawn[0] == ([(1, 1, 2), (2, 1, 0), (0, 1, 1)],
+                        [(2, 1, 1), (1, 0, 2), (2, 1, 2), (2, 0, 0)])
+    assert hashlib.sha256(repr(drawn).encode()).hexdigest() == (
+        "2fb2c9f6dbd2109041a1e2647c5a6ff5ffe80c8d7b05051e99c91b946a8f8d98")
+
+
 def test_oracle_passes(capsys):
     assert main(["oracle", "--q", "3", "--l", "2", "--n", "2", "--tau", "2",
                  "--steps", "6"]) == EXIT_OK
