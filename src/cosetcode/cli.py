@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import math
 import os
 import sys
 
@@ -97,7 +97,17 @@ def types_check_report(q: int, n: int, gamma: float, gamma2: float):
 
 
 def cmd_types_check(args) -> int:
+    _check_count(args.q, "--q", 1)
     _check_count(args.n, "--n", 1)
+    # the suites enumerate the types of length n over q letters, and of
+    # length min(n, 8) over q^2 letters (typical-trans)
+    for length, letters in ((args.n, args.q), (min(args.n, 8), args.q**2)):
+        count = math.comb(length + letters - 1, letters - 1)
+        if count > tl.ENUM_BUDGET:
+            raise ValueError(
+                f"--q {args.q} --n {args.n} needs {count} types of length "
+                f"{length} over {letters} letters, over the budget "
+                f"{tl.ENUM_BUDGET}")
     for flag, value in (("--gamma", args.gamma), ("--gamma2", args.gamma2)):
         if not value > 0:
             raise ValueError(f"{flag} must be > 0, got {value}")
@@ -118,26 +128,31 @@ def cmd_hash_check(args) -> int:
                          f"got {args.q}**{args.n}")
     diag = dg.alpha_beta(params, args.n)
     mats = dg.enumerate_mackay(params)
+    im_set = dg.ensemble_im_set(args.q, args.l, args.tau)
     rng = rng_from_seed(args.seed)
-    space = list(itertools.product(range(args.q), repeat=args.n))
+    size = args.q**args.n
+
+    def vector(i):
+        """The i-th vector of GF(q)^n in itertools.product order."""
+        return tuple(int(c) for c in np.unravel_index(i, (args.q,) * args.n))
+
     failures = 0
     cases = 0
     for _ in range(args.cases):
-        size_t = int(rng.integers(1, min(5, len(space)) + 1))
-        size_tp = int(rng.integers(1, min(5, len(space)) + 1))
-        T = [space[i] for i in rng.choice(len(space), size_t, replace=False)]
-        Tp = [space[i] for i in rng.choice(len(space), size_tp, replace=False)]
+        size_t = int(rng.integers(1, min(5, size) + 1))
+        size_tp = int(rng.integers(1, min(5, size) + 1))
+        T = [vector(i) for i in rng.choice(size, size_t, replace=False)]
+        Tp = [vector(i) for i in rng.choice(size, size_tp, replace=False)]
         lhs, rhs = dg.hash_sum_exhaustive(mats, T, Tp, diag)
         cases += 1
         if lhs > rhs:
             failures += 1
-        u = space[int(rng.integers(len(space)))]
+        u = vector(int(rng.integers(size)))
         lhs, rhs = dg.collision_bound_check(mats, T, u, diag)
         cases += 1
         if lhs > rhs:
             failures += 1
-        lhs, rhs = dg.saturation_bound_check(
-            mats, T, diag, dg.ensemble_im_set(args.q, args.l, args.tau))
+        lhs, rhs = dg.saturation_bound_check(mats, T, diag, im_set)
         cases += 1
         if lhs > rhs:
             failures += 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -46,55 +47,52 @@ def _signed_log_sum(terms):
 
 def return_prob(q: int, l: int, tau: int, w: int):
     """Probability that a sparse-ensemble matrix maps a fixed weight-w
-    vector to zero: (1/q^l) sum_k (1 - qk/((q-1)l))^{w tau} C(l,k)(q-1)^k."""
+    vector to zero: (1/q^l) sum_k (1 - qk/((q-1)l))^{w tau} C(l,k)(q-1)^k.
+    This is the w tau-step walk law at the origin."""
     if w < 1 or l < 1 or tau < 1:
         raise ValueError("need w >= 1, l >= 1, tau >= 1")
-    power = w * tau
-    if _use_exact(l, power):
-        total = Fraction(0)
-        for k in range(l + 1):
-            base = 1 - Fraction(q * k, (q - 1) * l)
-            total += base**power * math.comb(l, k) * (q - 1) ** k
-        return total / q**l
-    terms = []
-    for k in range(l + 1):
-        base = 1.0 - (q * k) / ((q - 1) * l)
-        coef = math.lgamma(l + 1) - math.lgamma(k + 1) - math.lgamma(l - k + 1)
-        coef += k * math.log(q - 1)
-        if base == 0.0:
-            continue
-        sign = 1 if base > 0 or power % 2 == 0 else -1
-        terms.append((sign, power * math.log(abs(base)) + coef))
-    total, cancel = _signed_log_sum(terms)
-    if cancel:
-        warnings.warn("severe cancellation in return_prob; value unreliable")
-    return total / q**l
+    return walk_dist_closed(q, l, w * tau, 0)
 
 
-def _sign_pattern(l: int, w: int, k: int):
-    """sum_{k'} C(w,k') C(l-w,k-k') (-1)^{k'} (q-1)^{k-k'} as exact integer
-    coefficients of (q-1)^j; evaluated by the caller."""
-    for kp in range(max(0, k - (l - w)), min(w, k) + 1):
-        yield kp, math.comb(w, kp) * math.comb(l - w, k - kp)
+def _krawtchouk(q: int, l: int, w: int, k: int) -> int:
+    """K_k(w) = sum_{k'} (-1)^{k'} C(w,k') C(l-w,k-k') (q-1)^{k-k'}, exact."""
+    return sum(
+        (-1) ** kp * math.comb(w, kp) * math.comb(l - w, k - kp)
+        * (q - 1) ** (k - kp)
+        for kp in range(max(0, k - (l - w)), min(w, k) + 1)
+    )
 
 
 def walk_dist_closed(q: int, l: int, steps: int, w_c: int):
     """Probability that the coordinate walk sits at a fixed vector of weight
-    w_c after `steps` uniform single-coordinate nonzero additions."""
+    w_c after `steps` uniform single-coordinate nonzero additions:
+    (1/q^l) sum_k (1 - qk/((q-1)l))^steps K_k(w_c)."""
     if not (0 <= w_c <= l):
         raise ValueError("w_c must be in [0, l]")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    num = Fraction if _use_exact(l, steps) else float
-    total = num(0)
+    if _use_exact(l, steps):
+        total = Fraction(0)
+        for k in range(l + 1):
+            base = 1 - Fraction(q * k, (q - 1) * l)
+            total += base**steps * _krawtchouk(q, l, w_c, k)
+        return total / q**l
+    terms = []
     for k in range(l + 1):
-        base = 1 - num(q * k) / ((q - 1) * l)
-        kraw = sum(
-            coef * (-1) ** kp * (q - 1) ** (k - kp)
-            for kp, coef in _sign_pattern(l, w_c, k)
-        )
-        total += base**steps * kraw
-    return total / q**l
+        kraw = _krawtchouk(q, l, w_c, k)
+        # the base from integers: at q = 2 the terms k and l - k then have
+        # equal magnitudes and cancel exactly when they differ in sign
+        num = (q - 1) * l - q * k
+        if kraw == 0 or (num == 0 and steps > 0):
+            continue
+        log_base = math.log(abs(num) / ((q - 1) * l)) if num else 0.0
+        sign = (1 if kraw > 0 else -1) * (-1 if num < 0 and steps % 2 else 1)
+        terms.append((sign, steps * log_base + math.log(abs(kraw))
+                      - l * math.log(q)))
+    total, cancel = _signed_log_sum(terms)
+    if cancel:
+        warnings.warn("severe cancellation in walk_dist_closed; value unreliable")
+    return total
 
 
 def walk_dist_recursive(q: int, l: int, steps: int):
@@ -156,19 +154,11 @@ def ensemble_im_size(q: int, l: int, tau: int | None = None,
 
 def ensemble_im_set(q: int, l: int, tau: int | None = None,
                     ensemble: str = "mackay"):
-    """Explicit union-of-ranges vectors (desk scale only)."""
-    out = []
-    for c in itertools.product(range(q), repeat=l):
-        if (
-            ensemble == "mackay"
-            and q == 2
-            and tau is not None
-            and tau % 2 == 0
-            and sum(c) % 2 != 0
-        ):
-            continue
-        out.append(c)
-    return out
+    """Explicit union-of-ranges vectors (desk scale only): the even-weight
+    vectors when the image is half the space, else the full space."""
+    evens = ensemble_im_size(q, l, tau, ensemble) < q**l
+    return [c for c in itertools.product(range(q), repeat=l)
+            if not evens or sum(c) % 2 == 0]
 
 
 @dataclass
@@ -194,17 +184,25 @@ class HashDiagnostics:
 
 def alpha_beta(params: EnsembleParams, n: int,
                ensemble: str = "mackay") -> HashDiagnostics:
-    """alpha = |Im| max_{w > xi l} p_{A,w}; beta = sum_{w <= xi l} |C_w| p_{A,w}."""
+    """alpha = |Im| max_{w > xi l} p_{A,w}; beta = sum_{w <= xi l} |C_w| p_{A,w}.
+
+    Refuses an l whose |Im| alpha needs, or an n with some |C_w|, past the
+    float range: the float path multiplies floats by these integers."""
     q, l, tau, xi = params.q, params.l, params.tau, params.xi
     im = ensemble_im_size(q, l, tau, ensemble)
+    sizes = {w: math.comb(n, w) * (q - 1) ** w for w in range(1, n + 1)}
+    cutoff = xi * l
+    if n > cutoff and im > sys.float_info.max:
+        raise ValueError(f"l = {l} puts |Im| past the float range at q = {q}")
+    if max(sizes.values()) > sys.float_info.max:
+        raise ValueError(f"n = {n} puts |C_w| past the float range at q = {q}")
     per_weight = {}
-    for w in range(1, n + 1):
+    for w, size in sizes.items():
         if ensemble == "uniform":
             p = Fraction(1, q**l)
         else:
             p = return_prob(q, l, tau, w)
-        per_weight[w] = (p, math.comb(n, w) * (q - 1) ** w)
-    cutoff = xi * l
+        per_weight[w] = (p, size)
     high = [per_weight[w][0] for w in range(1, n + 1) if w > cutoff]
     alpha = im * max(high) if high else Fraction(0)
     beta = sum(

@@ -86,11 +86,13 @@ class SparseMatrix:
     def from_text(cls, text: str) -> "SparseMatrix":
         """Parse `to_text`; repeated entries of one position add up mod q."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty matrix text")
         q, l, n = (int(x) for x in lines[0].split())
         dense = np.zeros((l, n), dtype=np.int64)
         for ln in lines[1:]:
             parts = ln.split()
-            if parts[0] != "col":
+            if len(parts) < 2 or parts[0] != "col":
                 raise ValueError(f"bad column line: {ln!r}")
             i = int(parts[1])
             if not (0 <= i < n):

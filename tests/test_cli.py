@@ -59,6 +59,18 @@ def test_diag_invalid_params_usage_error(capsys):
                  "--xi", "0.5"]) == EXIT_USAGE
 
 
+def test_diag_past_the_float_range(capsys):
+    # q**l = 2**1100 is past the float range: the log-domain float path
+    assert main(["diag", "--q", "2", "--l", "1100", "--n", "4",
+                 "--tau", "2"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()[4:]
+    assert [float(row.split(",")[1]) > 0 for row in rows] == [True] * 4
+    # alpha would multiply |Im| = 2**1099: refused
+    assert main(["diag", "--q", "2", "--l", "1100", "--n", "400",
+                 "--tau", "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: l = 1100 ")
+
+
 def test_gen_matrix_roundtrip(capsys):
     args = ["gen-matrix", "--q", "3", "--l", "2", "--n", "4", "--tau", "3",
             "--seed", "5"]
@@ -129,9 +141,15 @@ def test_oracle_passes(capsys):
     (["types-check", "--gamma2", "0"], "--gamma2 must be > 0, got 0.0"),
     (["hash-check", "--q", "2", "--l", "1", "--tau", "2", "--n", "21"],
      "--n must keep q**n <= 1048576, got 2**21"),
+    (["types-check", "--q", "0"], "--q must be >= 1, got 0"),
+    (["types-check", "--q", "10", "--n", "40"],
+     "--q 10 --n 40 needs 2054455634 types of length 40 over 10 letters"),
+    (["types-check", "--q", "10", "--n", "4"],
+     "--q 10 --n 4 needs 4421275 types of length 4 over 100 letters"),
 ], ids=["oracle-steps", "hash-check-cases-zero", "hash-check-cases-negative",
         "types-check-n", "types-check-gamma-negative", "types-check-gamma-nan",
-        "types-check-gamma2-zero", "hash-check-n-over-budget"])
+        "types-check-gamma2-zero", "hash-check-n-over-budget", "types-check-q-zero",
+        "types-check-types-over-budget", "types-check-trans-types-over-budget"])
 def test_bad_count_exits_2_before_any_enumeration(argv, message, capsys,
                                                   monkeypatch):
     def enumerate_(*args, **kwargs):

@@ -52,8 +52,10 @@ def closed_form_sum(q, l, tau, w):
 def test_return_prob_limits():
     assert isinstance(dg.return_prob(2, 64, 2, 2), Fraction)
     # past EXACT_L_LIMIT, then past EXACT_POWER_LIMIT: the float path
+    # l = 1030-1100 at q = 2 and l = 700 at q = 3 put q^l past the float range
     for q, l, tau, w in ((2, 65, 2, 2), (3, 80, 3, 5), (3, 6, 64, 65),
-                         (2, 64, 64, 65)):
+                         (2, 64, 64, 65), (2, 1100, 3, 2), (2, 1030, 2, 1),
+                         (3, 700, 5, 1)):
         assert l > dg.EXACT_L_LIMIT or w * tau > dg.EXACT_POWER_LIMIT
         got = dg.return_prob(q, l, tau, w)
         want = closed_form_sum(q, l, tau, w)
@@ -92,6 +94,26 @@ def test_walk_float_path_matches_recursion(monkeypatch):
                     oracle = dg.walk_pointwise_recursive(q, l, steps, w)
                     assert isinstance(closed, float)
                     assert abs(closed - oracle) <= 1e-12
+
+
+def test_walk_float_branch_matches_exact_branch(monkeypatch):
+    # past EXACT_L_LIMIT the float branch; with the limit raised, the exact one
+    cases = [(q, l, w, w + 2 * j) for q, l, w in itertools.product(
+        (2, 3), (66, 130, 200), (1, 2, 7)) for j in (0, 1, l // 2)]
+    approx = [dg.walk_dist_closed(q, l, steps, w) for q, l, w, steps in cases]
+    monkeypatch.setattr(dg, "EXACT_L_LIMIT", 200)
+    for (q, l, w, steps), got in zip(cases, approx):
+        want = dg.walk_dist_closed(q, l, steps, w)
+        assert isinstance(got, float) and isinstance(want, Fraction)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_float_parity_zeros_are_exact():
+    # at q = 2 an odd walk never returns home: the terms k and l - k cancel
+    with pytest.warns(UserWarning, match="cancellation"):
+        assert dg.return_prob(2, 80, 1, 3) == 0.0
+    with pytest.warns(UserWarning, match="cancellation"):
+        assert dg.walk_dist_closed(2, 80, 3, 0) == 0.0
 
 
 def test_walk_mass_normalization():
@@ -138,6 +160,20 @@ def test_alpha_beta_frozen_example():
     assert d.alpha == 1 and d.beta == 1
     assert d.im_size == 2 and d.im_ratio == Fraction(1, 2)
     assert isinstance(d.alpha, Fraction) and isinstance(d.beta, Fraction)
+
+
+def test_alpha_beta_refuses_integers_past_the_float_range():
+    # alpha needs |Im| = 2**1099 once some weight exceeds the cutoff
+    params = EnsembleParams(q=2, l=1100, n=400, tau=2, xi=0.25)
+    with pytest.raises(ValueError, match=r"^l = 1100 "):
+        dg.alpha_beta(params, 400)
+    # C(1100, 550) > 2**1024
+    params = EnsembleParams(q=2, l=4, n=1100, tau=2, xi=0.25)
+    with pytest.raises(ValueError, match=r"^n = 1100 "):
+        dg.alpha_beta(params, 1100)
+    # below the cutoff alpha is 0 and |Im| is never multiplied
+    d = dg.alpha_beta(EnsembleParams(q=2, l=1100, n=4, tau=2, xi=0.25), 4)
+    assert d.alpha == 0 and all(math.isfinite(p) for p, _ in d.per_weight.values())
 
 
 def test_alpha_beta_uniform_is_universal():

@@ -107,6 +107,13 @@ def test_text_rejects_garbage():
         SparseMatrix.from_text("2 2 2\nrow 0 (0,1)\n")
 
 
+@pytest.mark.parametrize("text", ["", " \n\n", "2 2 2\ncol\n"],
+                         ids=["empty", "blank", "col-without-index"])
+def test_text_rejects_truncated(text):
+    with pytest.raises(ValueError):
+        SparseMatrix.from_text(text)
+
+
 @pytest.mark.parametrize("line", ["col -1 (0,1)", "col 2 (0,1)",
                                   "col 0 (2,1)", "col 0 (-1,1)"])
 def test_text_rejects_index_out_of_range(line):
