@@ -194,7 +194,7 @@ def alpha_beta(params: EnsembleParams, n: int,
     cutoff = xi * l
     if n > cutoff and im > sys.float_info.max:
         raise ValueError(f"l = {l} puts |Im| past the float range at q = {q}")
-    if max(sizes.values()) > sys.float_info.max:
+    if max(sizes.values(), default=0) > sys.float_info.max:
         raise ValueError(f"n = {n} puts |C_w| past the float range at q = {q}")
     per_weight = {}
     for w, size in sizes.items():

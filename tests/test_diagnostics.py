@@ -97,6 +97,11 @@ def test_walk_float_path_matches_recursion(monkeypatch):
 
 
 def test_walk_float_branch_matches_exact_branch(monkeypatch):
+    # at q = 2 an odd walk never returns home: the terms k and l - k cancel
+    with pytest.warns(UserWarning, match="cancellation"):
+        assert dg.return_prob(2, 80, 1, 3) == 0.0
+    with pytest.warns(UserWarning, match="cancellation"):
+        assert dg.walk_dist_closed(2, 80, 3, 0) == 0.0
     # past EXACT_L_LIMIT the float branch; with the limit raised, the exact one
     cases = [(q, l, w, w + 2 * j) for q, l, w in itertools.product(
         (2, 3), (66, 130, 200), (1, 2, 7)) for j in (0, 1, l // 2)]
@@ -106,14 +111,6 @@ def test_walk_float_branch_matches_exact_branch(monkeypatch):
         want = dg.walk_dist_closed(q, l, steps, w)
         assert isinstance(got, float) and isinstance(want, Fraction)
         assert abs(got - want) <= 1e-12 * want
-
-
-def test_float_parity_zeros_are_exact():
-    # at q = 2 an odd walk never returns home: the terms k and l - k cancel
-    with pytest.warns(UserWarning, match="cancellation"):
-        assert dg.return_prob(2, 80, 1, 3) == 0.0
-    with pytest.warns(UserWarning, match="cancellation"):
-        assert dg.walk_dist_closed(2, 80, 3, 0) == 0.0
 
 
 def test_walk_mass_normalization():
