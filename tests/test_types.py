@@ -1,5 +1,6 @@
 """Method-of-types toolkit: exact identities and lemma suites."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetcode import cli
 from cosetcode import types_lab as tl
 
 
@@ -221,6 +223,22 @@ def test_typical_trans_suite():
     for n in (6, 8):
         ok, _ = tl.check_typical_trans(joint, n, 0.1, 0.1)
         assert ok
+
+
+PINNED_REPORT_INPUTS = [(q, n) for q in (1, 2, 3) for n in (1, 5, 12)] + [
+    (4, 3), (5, 3)]
+
+
+def test_types_check_report_is_pinned():
+    # every verdict and every margin, to the last bit, of the six suites on
+    # a grid of alphabets, lengths and (gamma, gamma') pairs
+    rows = [(name, bool(ok), float(margin).hex())
+            for q, n in PINNED_REPORT_INPUTS
+            for gamma, gamma2 in ((0.1, 0.1), (0.3, 0.01))
+            for name, ok, margin in cli.types_check_report(q, n, gamma, gamma2)]
+    assert len(rows) == 6 * 2 * len(PINNED_REPORT_INPUTS)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "bd5b649d5fa5b7c290284365fe0584653492ce7fcc9f506c0538ecb048397bf2")
 
 
 def test_aep_gamma_range():
