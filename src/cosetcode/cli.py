@@ -99,15 +99,15 @@ def types_check_report(q: int, n: int, gamma: float, gamma2: float):
 def cmd_types_check(args) -> int:
     _check_count(args.q, "--q", 1)
     _check_count(args.n, "--n", 1)
-    # the suites enumerate the types of length n over q letters, and of
-    # length min(n, 8) over q^2 letters (typical-trans)
+    # the suites hold one array of the types of length n over q letters, and
+    # one of length min(n, 8) over q^2 letters (typical-trans)
     for length, letters in ((args.n, args.q), (min(args.n, 8), args.q**2)):
         count = math.comb(length + letters - 1, letters - 1)
-        if count > tl.ENUM_BUDGET:
+        if count * letters > tl.ENUM_BUDGET:
             raise ValueError(
                 f"--q {args.q} --n {args.n} needs {count} types of length "
-                f"{length} over {letters} letters, over the budget "
-                f"{tl.ENUM_BUDGET}")
+                f"{length} over {letters} letters, {count * letters} entries, "
+                f"over the budget {tl.ENUM_BUDGET}")
     for flag, value in (("--gamma", args.gamma), ("--gamma2", args.gamma2)):
         if not value > 0:
             raise ValueError(f"{flag} must be > 0, got {value}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -128,16 +129,20 @@ def cond_entropy(cond, p) -> float:
     return out
 
 
-def divergence(p, pprime) -> float:
-    """D(p || p') in bits; +inf if support(p) is not within support(p')."""
-    p = np.asarray(getattr(p, "p", p), dtype=float).ravel()
-    pp = np.asarray(getattr(pprime, "p", pprime), dtype=float).ravel()
-    if p.shape != pp.shape:
+def divergence(p, pprime):
+    """D(p || p') in bits along the last axis, summed letter by letter; +inf
+    where support(p) is not within support(p'). One distribution gives a
+    float, a stack of them an array over the leading axes."""
+    p = np.asarray(getattr(p, "p", p), dtype=float)
+    pp = np.asarray(getattr(pprime, "p", pprime), dtype=float)
+    if p.shape[-1:] != pp.shape[-1:]:
         raise ValueError("shape mismatch")
-    mask = p > 0
-    if np.any(pp[mask] == 0):
-        return math.inf
-    return float((p[mask] * np.log2(p[mask] / pp[mask])).sum())
+    out = np.zeros(np.broadcast_shapes(p.shape, pp.shape)[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(p.shape[-1]):
+            pa = p[..., a]
+            out += np.where(pa > 0, pa * np.log2(pa / pp[..., a]), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def mutual_information(joint: Distribution) -> float:
@@ -160,22 +165,21 @@ def is_cond_typical(u, v, cond_mu, gamma: float) -> bool:
     return cond_type_divergence(counts, cond_mu) < gamma
 
 
-def cond_type_divergence(joint_counts, cond_mu) -> float:
-    """D(nu_{u|v} || mu_{U|V} | nu_v) from joint counts indexed [v, u]."""
+def cond_type_divergence(joint_counts, cond_mu):
+    """D(nu_{u|v} || mu_{U|V} | nu_v) from joint counts indexed [..., v, u],
+    summed row by row over v. One count table gives a float, a stack of
+    them an array over the leading axes."""
     joint_counts = np.asarray(joint_counts, dtype=float)
-    n = joint_counts.sum()
+    # a row that never occurs (or an empty table) has weight 0, divergence 0
+    n = np.maximum(joint_counts.sum(axis=(-2, -1)), 1)
     cond_mu = np.asarray(cond_mu, dtype=float)
-    out = 0.0
-    for vi in range(joint_counts.shape[0]):
-        row = joint_counts[vi]
-        nv = row.sum()
-        if nv == 0:
-            continue
-        d = divergence(row / nv, cond_mu[vi])
-        if math.isinf(d):
-            return math.inf
-        out += (nv / n) * d
-    return out
+    out = np.zeros(joint_counts.shape[:-2])
+    for vi in range(joint_counts.shape[-2]):
+        row = joint_counts[..., vi, :]
+        nv = row.sum(axis=-1)
+        freq = row / np.maximum(nv, 1)[..., None]
+        out += (nv / n) * divergence(freq, cond_mu[vi])
+    return float(out) if out.ndim == 0 else out
 
 
 # -- bound functions ---------------------------------------------------------
@@ -222,14 +226,22 @@ def lam(size_u: int, n: int) -> float:
 
 # -- type enumeration --------------------------------------------------------
 
-def iter_types(n: int, q: int):
-    """All occurrence-count vectors of length q summing to n."""
-    if q == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in iter_types(n - first, q - 1):
-            yield (first,) + rest
+def type_array(n: int, k: int) -> np.ndarray:
+    """All occurrence-count vectors of length k summing to n, one per row,
+    in lexicographic order. By stars and bars they are the gaps between
+    k - 1 bars in distinct slots among n + k - 1, and
+    `itertools.combinations` lists the bar slots in the same order."""
+    slots = n + k - 1
+    dtype = np.min_scalar_type(slots)
+    rows = math.comb(slots, k - 1)
+    types = np.empty((rows, k), dtype=dtype)
+    bars = itertools.chain.from_iterable(
+        itertools.combinations(range(slots), k - 1))
+    types[:, :-1] = np.fromiter(bars, dtype, rows * (k - 1)).reshape(rows, -1)
+    types[:, -1] = slots
+    for a in range(k - 1, 0, -1):
+        types[:, a] -= types[:, a - 1] + 1
+    return types
 
 
 def type_class_size(counts) -> int:
@@ -240,35 +252,34 @@ def type_class_size(counts) -> int:
     return out
 
 
-def type_divergence(counts, mu_p) -> float:
-    n = sum(counts)
-    freq = np.array(counts, dtype=float) / n
-    return divergence(freq, mu_p)
+def _log2_prob(types, mu_p) -> np.ndarray:
+    """log2 mu(u) for a sequence u of each type; a letter outside the
+    support of mu is left out, so callers keep only types within it."""
+    out = np.zeros(len(types))
+    for a in np.flatnonzero(mu_p):
+        out += types[:, a] * math.log2(mu_p[a])
+    return out
 
 
-def enumerate_typical(mu, n: int, gamma: float):
-    """All length-n sequences in the typical set (exhaustive)."""
+def enumerate_typical(mu, n: int, gamma: float) -> np.ndarray:
+    """All length-n sequences in the typical set (exhaustive), one per row,
+    in lexicographic order."""
     mu_p = np.asarray(getattr(mu, "p", mu), dtype=float).ravel()
     q = mu_p.size
-    if q**n > ENUM_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {q}^{n} > {ENUM_BUDGET}")
-    for u in itertools.product(range(q), repeat=n):
-        counts = [0] * q
-        for s in u:
-            counts[s] += 1
-        if type_divergence(counts, mu_p) < gamma:
-            yield u
+    if q**n * n > ENUM_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {q}^{n} sequences "
+                         f"of length {n} > {ENUM_BUDGET} entries")
+    seqs = np.indices((q,) * n, dtype=np.min_scalar_type(q)).reshape(n, -1).T
+    counts = np.stack([(seqs == a).sum(axis=1) for a in range(q)], axis=1)
+    return seqs[divergence(counts / n, mu_p) < gamma]
 
 
 def typical_count(mu, n: int, gamma: float) -> int:
     """Exact size of the typical set, via type-class combinatorics."""
     mu_p = np.asarray(getattr(mu, "p", mu), dtype=float).ravel()
-    q = mu_p.size
-    total = 0
-    for counts in iter_types(n, q):
-        if type_divergence(counts, mu_p) < gamma:
-            total += type_class_size(counts)
-    return total
+    types = type_array(n, mu_p.size)
+    typical = types[divergence(types / n, mu_p) < gamma]
+    return sum(type_class_size(counts) for counts in typical.tolist())
 
 
 # -- lemma suites ------------------------------------------------------------
@@ -277,15 +288,13 @@ def check_exprob(mu: Distribution, n: int):
     """Per-sequence probability identity: -(1/n)log mu(u) = H(nu)+D(nu||mu),
     checked within 1e-12 on every type with positive probability."""
     mu_p = mu.p.ravel()
-    q = mu_p.size
-    worst = 0.0
-    for counts in iter_types(n, q):
-        if any(c > 0 and mu_p[a] == 0 for a, c in enumerate(counts)):
-            continue
-        logmu = sum(c * math.log2(mu_p[a]) for a, c in enumerate(counts) if c)
-        freq = np.array(counts, dtype=float) / n
-        rhs = entropy(freq) + divergence(freq, mu_p)
-        worst = max(worst, abs(-logmu / n - rhs))
+    types = type_array(n, mu_p.size)
+    freq = types / n
+    d = divergence(freq, mu_p)
+    # H(nu) = -D(nu || 1), the divergence from the all-ones measure
+    rhs = d - divergence(freq, np.ones_like(mu_p))
+    dev = np.abs(-_log2_prob(types, mu_p) / n - rhs)
+    worst = float(np.max(dev, initial=0.0, where=np.isfinite(d)))
     return worst <= 1e-12, worst
 
 
@@ -295,38 +304,28 @@ def check_typical_trans(mu_joint: Distribution, n: int, gamma: float,
     qv, qu = mu_joint.shape  # indexed [v, u]
     mu_v = mu_joint.p.sum(axis=1)
     cond = mu_joint.conditional(0)
-    ok = True
-    worst = -math.inf
-    for joint_counts in iter_types(n, qv * qu):
-        jc = np.array(joint_counts).reshape(qv, qu)
-        v_counts = jc.sum(axis=1)
-        d_v = divergence(v_counts / n, mu_v)
-        d_cond = cond_type_divergence(jc, cond)
-        d_joint = divergence(jc.ravel() / n, mu_joint.p.ravel())
-        if d_v < gamma and d_cond < gamma_p:
-            ok = ok and d_joint < gamma + gamma_p
-            worst = max(worst, d_joint - (gamma + gamma_p))
-        # chain rule behind the lemma, checked where finite
-        if math.isfinite(d_joint) and math.isfinite(d_cond):
-            ok = ok and abs(d_joint - d_v - d_cond) <= 1e-9
-    return ok, worst
+    types = type_array(n, qv * qu)
+    d_v = divergence(types.reshape(-1, qv, qu).sum(axis=2) / n, mu_v)
+    d_cond = cond_type_divergence(types.reshape(-1, qv, qu), cond)
+    d_joint = divergence(types / n, mu_joint.p.ravel())
+    excess = d_joint[(d_v < gamma) & (d_cond < gamma_p)] - (gamma + gamma_p)
+    # chain rule behind the lemma, checked where finite
+    finite = np.isfinite(d_joint) & np.isfinite(d_cond)
+    chain = np.abs(d_joint - d_v - d_cond)[finite]
+    ok = bool(np.all(excess < 0) and np.all(chain <= 1e-9))
+    return ok, float(np.max(excess, initial=-math.inf))
 
 
 def check_type_lemma(mu: Distribution, n: int, gamma: float):
     """Typical types are uniformly close to mu: |nu(a)-mu(a)| <= sqrt(2 gamma)."""
     mu_p = mu.p.ravel()
     bound = math.sqrt(2 * gamma)
-    worst = -math.inf
-    ok = True
-    for counts in iter_types(n, mu_p.size):
-        if type_divergence(counts, mu_p) < gamma:
-            dev = float(np.max(np.abs(np.array(counts) / n - mu_p)))
-            worst = max(worst, dev - bound)
-            ok = ok and dev <= bound + 1e-12
-            ok = ok and all(
-                c == 0 for a, c in enumerate(counts) if mu_p[a] == 0
-            )
-    return ok, worst
+    types = type_array(n, mu_p.size)
+    typical = types[divergence(types / n, mu_p) < gamma]
+    dev = np.max(np.abs(typical / n - mu_p), axis=1)
+    ok = bool(np.all(dev <= bound + 1e-12)
+              and not np.any(typical[:, mu_p == 0]))
+    return ok, float(np.max(dev - bound, initial=-math.inf))
 
 
 def check_typical_aep(mu: Distribution, n: int, gamma: float):
@@ -336,25 +335,22 @@ def check_typical_aep(mu: Distribution, n: int, gamma: float):
     mu_p = mu.p.ravel()
     h = entropy(mu_p)
     bound = zeta(mu_p.size, gamma)
-    worst = -math.inf
-    ok = True
-    for counts in iter_types(n, mu_p.size):
-        if type_divergence(counts, mu_p) < gamma:
-            logmu = sum(c * math.log2(mu_p[a]) for a, c in enumerate(counts) if c)
-            dev = abs(-logmu / n - h)
-            worst = max(worst, dev - bound)
-            ok = ok and dev <= bound + 1e-12
-    return ok, worst
+    types = type_array(n, mu_p.size)
+    typical = types[divergence(types / n, mu_p) < gamma]
+    dev = np.abs(-_log2_prob(typical, mu_p) / n - h)
+    ok = bool(np.all(dev <= bound + 1e-12))
+    return ok, float(np.max(dev - bound, initial=-math.inf))
 
 
 def check_typical_prob(mu: Distribution, n: int, gamma: float):
     """Exact atypicality mass <= 2^{-n[gamma - lambda]}."""
     mu_p = mu.p.ravel()
+    types = type_array(n, mu_p.size)
     tail = 0.0
-    for counts in iter_types(n, mu_p.size):
-        if type_divergence(counts, mu_p) >= gamma:
-            p = math.prod(mu_p[a] ** c for a, c in enumerate(counts) if c)
-            tail += type_class_size(counts) * p
+    for counts in types[divergence(types / n, mu_p) >= gamma].tolist():
+        p = math.prod(mu_p[a] ** c for a, c in enumerate(counts) if c)
+        # the class size may be past the float range, so the product is exact
+        tail += float(type_class_size(counts) * Fraction(p))
     bound = 2.0 ** (-n * (gamma - lam(mu_p.size, n)))
     return tail <= bound + 1e-12, tail - bound
 

@@ -95,9 +95,11 @@ def test_gen_matrix_output_is_pinned(argv, digest, capsys):
 
 
 def test_types_check_passes(capsys):
-    assert main(["types-check", "--q", "2", "--n", "8"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 6 and "FAIL" not in out
+    # at n = 1100 some type class sizes are past the float range
+    for n in ("8", "1100"):
+        assert main(["types-check", "--q", "2", "--n", n]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 6 and "FAIL" not in out
 
 
 def test_hash_check_passes(capsys):
@@ -146,10 +148,13 @@ def test_oracle_passes(capsys):
      "--q 10 --n 40 needs 2054455634 types of length 40 over 10 letters"),
     (["types-check", "--q", "10", "--n", "4"],
      "--q 10 --n 4 needs 4421275 types of length 4 over 100 letters"),
+    (["types-check", "--q", "4", "--n", "8"],
+     "--q 4 --n 8 needs 490314 types of length 8 over 16 letters"),
 ], ids=["oracle-steps", "hash-check-cases-zero", "hash-check-cases-negative",
         "types-check-n", "types-check-gamma-negative", "types-check-gamma-nan",
         "types-check-gamma2-zero", "hash-check-n-over-budget", "types-check-q-zero",
-        "types-check-types-over-budget", "types-check-trans-types-over-budget"])
+        "types-check-types-over-budget", "types-check-trans-types-over-budget",
+        "types-check-trans-entries-over-budget"])
 def test_bad_count_exits_2_before_any_enumeration(argv, message, capsys,
                                                   monkeypatch):
     def enumerate_(*args, **kwargs):

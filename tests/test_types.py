@@ -78,13 +78,16 @@ def test_cond_empirical():
 
 
 def test_iter_types_and_class_size():
-    types = list(tl.iter_types(4, 2))
-    assert len(types) == 5
-    assert all(sum(t) == 4 for t in types)
+    # the rows are the distinct types of all sequences, in lexicographic order
+    for n, k in ((4, 2), (5, 3), (3, 4), (0, 3), (6, 1)):
+        seen = {tuple(np.bincount(np.array(u, dtype=int), minlength=k))
+                for u in itertools.product(range(k), repeat=n)}
+        assert tl.type_array(n, k).tolist() == [list(t) for t in sorted(seen)]
     assert tl.type_class_size((2, 2)) == 6
     # type classes partition the sequence space
     for n, q in ((5, 2), (4, 3)):
-        assert sum(tl.type_class_size(t) for t in tl.iter_types(n, q)) == q**n
+        sizes = [tl.type_class_size(t) for t in tl.type_array(n, q).tolist()]
+        assert sum(sizes) == q**n
 
 
 # -- information measures ----------------------------------------------------------
@@ -103,6 +106,14 @@ def test_divergence_properties():
     assert tl.divergence([0.9, 0.1], [0.5, 0.5]) > 0
     with pytest.raises(ValueError):
         tl.divergence([0.5, 0.5], [1.0])
+    # a stack gives the value of each row
+    rows = [[0.5, 0.5], [1.0, 0.0], [0.9, 0.1]]
+    for pp in ([0.25, 0.75], [1.0, 0.0]):
+        stacked = tl.divergence(rows, pp)
+        assert stacked.shape == (3,)
+        assert list(stacked) == [tl.divergence(r, pp) for r in rows]
+    with pytest.raises(ValueError):
+        tl.divergence(rows, [1 / 3] * 3)
 
 
 def test_chain_rule_entropy():
@@ -124,6 +135,7 @@ def test_chain_rule_divergence_on_counts():
     mu = tl.Distribution([[0.2, 0.3], [0.1, 0.4]])
     cond = mu.conditional(0)
     rng = np.random.default_rng(0)
+    tables, singles = [], []
     for _ in range(50):
         v = rng.integers(0, 2, size=10)
         u = rng.integers(0, 2, size=10)
@@ -132,6 +144,10 @@ def test_chain_rule_divergence_on_counts():
         d_v = tl.divergence(jc.sum(axis=1) / 10, mu.p.sum(axis=1))
         d_cond = tl.cond_type_divergence(jc, cond)
         assert d_joint == pytest.approx(d_v + d_cond, abs=1e-9)
+        tables.append(jc)
+        singles.append(d_cond)
+    # one call on the stack of tables gives the value of each table
+    assert list(tl.cond_type_divergence(np.stack(tables), cond)) == singles
 
 
 # -- typicality ---------------------------------------------------------------------
