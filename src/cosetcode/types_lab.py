@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -169,7 +168,7 @@ def cond_type_divergence(joint_counts, cond_mu):
     """D(nu_{u|v} || mu_{U|V} | nu_v) from joint counts indexed [..., v, u],
     summed row by row over v. One count table gives a float, a stack of
     them an array over the leading axes."""
-    joint_counts = np.asarray(joint_counts, dtype=float)
+    joint_counts = np.asarray(joint_counts)
     # a row that never occurs (or an empty table) has weight 0, divergence 0
     n = np.maximum(joint_counts.sum(axis=(-2, -1)), 1)
     cond_mu = np.asarray(cond_mu, dtype=float)
@@ -349,8 +348,10 @@ def check_typical_prob(mu: Distribution, n: int, gamma: float):
     tail = 0.0
     for counts in types[divergence(types / n, mu_p) >= gamma].tolist():
         p = math.prod(mu_p[a] ** c for a, c in enumerate(counts) if c)
-        # the class size may be past the float range, so the product is exact
-        tail += float(type_class_size(counts) * Fraction(p))
+        # the class size may be past the float range, so the product is
+        # formed exactly and rounded once
+        num, den = p.as_integer_ratio()
+        tail += type_class_size(counts) * num / den
     bound = 2.0 ** (-n * (gamma - lam(mu_p.size, n)))
     return tail <= bound + 1e-12, tail - bound
 
