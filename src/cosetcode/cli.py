@@ -123,9 +123,12 @@ def cmd_hash_check(args) -> int:
     _check_count(args.cases, "--cases", 1)
     params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau,
                             xi=args.xi)
-    if args.q**args.n > dg.ENUM_BUDGET:
-        raise ValueError(f"--n must keep q**n <= {dg.ENUM_BUDGET}, "
-                         f"got {args.q}**{args.n}")
+    # the suites hold the q**n vectors the sets are drawn from and the q**l
+    # image vectors
+    for flag, power in (("--n", args.n), ("--l", args.l)):
+        if args.q**power > dg.ENUM_BUDGET:
+            raise ValueError(f"{flag} must keep q**{flag[2:]} <= "
+                             f"{dg.ENUM_BUDGET}, got {args.q}**{power}")
     diag = dg.alpha_beta(params, args.n)
     mats = dg.enumerate_mackay(params)
     im_set = dg.ensemble_im_set(args.q, args.l, args.tau)

@@ -72,11 +72,9 @@ def walk_dist_closed(q: int, l: int, steps: int, w_c: int):
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if _use_exact(l, steps):
-        total = Fraction(0)
-        for k in range(l + 1):
-            base = 1 - Fraction(q * k, (q - 1) * l)
-            total += base**steps * _krawtchouk(q, l, w_c, k)
-        return total / q**l
+        num = sum(((q - 1) * l - q * k) ** steps * _krawtchouk(q, l, w_c, k)
+                  for k in range(l + 1))
+        return Fraction(num, ((q - 1) * l) ** steps * q**l)
     terms = []
     for k in range(l + 1):
         kraw = _krawtchouk(q, l, w_c, k)
@@ -154,11 +152,12 @@ def ensemble_im_size(q: int, l: int, tau: int | None = None,
 
 def ensemble_im_set(q: int, l: int, tau: int | None = None,
                     ensemble: str = "mackay"):
-    """Explicit union-of-ranges vectors (desk scale only): the even-weight
-    vectors when the image is half the space, else the full space."""
+    """Explicit union-of-ranges vectors (desk scale only), one per row of a
+    narrow integer array in itertools.product order: the even-weight vectors
+    when the image is half the space, else the full space."""
     evens = ensemble_im_size(q, l, tau, ensemble) < q**l
-    return [c for c in itertools.product(range(q), repeat=l)
-            if not evens or sum(c) % 2 == 0]
+    space = np.indices((q,) * l, np.min_scalar_type(q - 1)).reshape(l, -1).T
+    return space[space.sum(axis=1) % 2 == 0] if evens else space
 
 
 @dataclass
@@ -205,13 +204,8 @@ def alpha_beta(params: EnsembleParams, n: int,
         per_weight[w] = (p, size)
     high = [per_weight[w][0] for w in range(1, n + 1) if w > cutoff]
     alpha = im * max(high) if high else Fraction(0)
-    beta = sum(
-        per_weight[w][0] * per_weight[w][1]
-        for w in range(1, n + 1)
-        if w <= cutoff
-    )
-    if not isinstance(beta, (Fraction, float)):
-        beta = Fraction(beta)
+    beta = sum((per_weight[w][0] * per_weight[w][1]
+                for w in range(1, n + 1) if w <= cutoff), Fraction(0))
     used_exact = isinstance(alpha, Fraction) or isinstance(beta, Fraction)
     im_ratio = Fraction(im, q**l) if used_exact else im / q**l
     return HashDiagnostics(
@@ -294,41 +288,65 @@ def enumerate_column_outcomes(q: int, l: int, tau: int):
     return dict(dist)
 
 
-def enumerate_mackay(params: EnsembleParams):
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Every matrix of a tiny ensemble, stacked: P(dense[m]) = weight[m] /
+    total.  total <= ENUM_BUDGET, so the checks' int64 sums of weight times a
+    count (at most |T||T'|, 25 in hash-check, or |Im|) are exact."""
+
+    dense: np.ndarray  # (N, l, n) int64, read-only
+    weight: np.ndarray  # (N,) int64 numerators
+    total: int
+
+    def __post_init__(self):
+        self.dense.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+
+def enumerate_mackay(params: EnsembleParams) -> Ensemble:
     """All matrices of the tiny sparse ensemble with exact probabilities."""
     q, l, n, tau = params.q, params.l, params.n, params.tau
     if (l * (q - 1)) ** (tau * n) > ENUM_BUDGET:
         raise ValueError("generation outcome space exceeds enumeration budget")
-    col_dist = enumerate_column_outcomes(q, l, tau)
-    items = sorted(col_dist.items())
-    out = []
-    for cols in itertools.product(items, repeat=n):
-        dense = np.array([c for c, _ in cols], dtype=np.int64).T.reshape(l, n)
-        prob = math.prod((p for _, p in cols), start=Fraction(1))
-        out.append((dense, prob))
-    return out
+    per_column = (l * (q - 1)) ** tau
+    cols, probs = zip(*sorted(enumerate_column_outcomes(q, l, tau).items()))
+    counts = np.array([int(p * per_column) for p in probs], dtype=np.int64)
+    pick = np.indices((len(cols),) * n).reshape(n, -1).T
+    dense = np.array(cols, dtype=np.int64)[pick].transpose(0, 2, 1)
+    return Ensemble(dense, counts[pick].prod(axis=1), per_column**n)
 
 
-def enumerate_uniform(q: int, l: int, n: int):
+def enumerate_uniform(q: int, l: int, n: int) -> Ensemble:
     """All l x n matrices over GF(q), equiprobable."""
     count = q ** (l * n)
     if count > ENUM_BUDGET:
         raise ValueError("matrix space exceeds enumeration budget")
-    p = Fraction(1, count)
-    out = []
-    for flat in itertools.product(range(q), repeat=l * n):
-        out.append((np.array(flat, dtype=np.int64).reshape(l, n), p))
-    return out
+    dense = np.indices((q,) * (l * n)).reshape(l * n, count).T
+    return Ensemble(dense.reshape(-1, l, n), np.ones(count, np.int64), count)
+
+
+def _base_q(digits, q: int):
+    """Code each vector along the last axis as an integer in base q, first
+    digit most significant; Python integers once q**l is past int64."""
+    big = q ** digits.shape[-1] >= 2**63
+    code = np.zeros(digits.shape[:-1], dtype=object if big else np.int64)
+    for digit in np.moveaxis(digits, -1, 0):
+        code = code * q + digit
+    return code
+
+
+def _syndrome_codes(matrices: Ensemble, vectors, q: int):
+    """(N, V) base-q codes of A v mod q: every matrix A, every vector v."""
+    v = np.asarray(vectors, np.int64).reshape(-1, matrices.dense.shape[2])
+    return _base_q((v @ matrices.dense.transpose(0, 2, 1)) % q, q)
 
 
 def return_prob_exhaustive(matrices, u, q: int) -> Fraction:
     """Exact ensemble probability of A u = 0 by full enumeration."""
-    u = np.asarray(u, dtype=np.int64)
-    total = Fraction(0)
-    for dense, prob in matrices:
-        if not np.any((dense @ u) % q):
-            total += prob
-    return total
+    zero = _syndrome_codes(matrices, [u], q)[:, 0] == 0
+    return Fraction(int(matrices.weight @ zero), matrices.total)
 
 
 def hash_sum_exhaustive(matrices, T, Tp, diag):
@@ -340,12 +358,9 @@ def hash_sum_exhaustive(matrices, T, Tp, diag):
     q = diag.q
     T = [tuple(int(x) % q for x in u) for u in T]
     Tp = [tuple(int(x) % q for x in u) for u in Tp]
-    lhs = Fraction(0)
-    for dense, prob in matrices:
-        syn_t = Counter(tuple((dense @ np.array(u)) % q) for u in T)
-        syn_tp = Counter(tuple((dense @ np.array(u)) % q) for u in Tp)
-        hits = sum(c * syn_tp.get(s, 0) for s, c in syn_t.items())
-        lhs += prob * hits
+    hits = (_syndrome_codes(matrices, T, q)[:, :, None]
+            == _syndrome_codes(matrices, Tp, q)[:, None, :]).sum(axis=(1, 2))
+    lhs = Fraction(int(matrices.weight @ hits), matrices.total)
     inter = len(set(T) & set(Tp))
     rhs = (
         inter
@@ -360,13 +375,11 @@ def collision_bound_check(matrices, G, u, diag):
     bound |G| alpha/|Im| + beta.  Returns (lhs, rhs)."""
     q = diag.q
     u = np.asarray(u, dtype=np.int64) % q
-    others = [np.array(g, dtype=np.int64) % q for g in G
-              if tuple(int(x) % q for x in g) != tuple(u)]
-    lhs = Fraction(0)
-    for dense, prob in matrices:
-        su = tuple((dense @ u) % q)
-        if any(tuple((dense @ g) % q) == su for g in others):
-            lhs += prob
+    members = np.asarray(G, dtype=np.int64).reshape(-1, len(u)) % q
+    others = members[(members != u).any(axis=1)]
+    codes = _syndrome_codes(matrices, np.vstack([u, others]), q)
+    hit = (codes[:, 1:] == codes[:, :1]).any(axis=1)
+    lhs = Fraction(int(matrices.weight @ hit), matrices.total)
     rhs = Fraction(len(G)) * diag.alpha / diag.im_size + diag.beta
     return lhs, rhs
 
@@ -374,15 +387,14 @@ def collision_bound_check(matrices, G, u, diag):
 def saturation_bound_check(matrices, T, diag, im_set):
     """Probability over (A, c uniform on the ensemble image) that bin c
     misses T, versus alpha - 1 + |Im|(beta+1)/|T|.  Returns (lhs, rhs)."""
-    if not T:
+    if not len(T):
         raise ValueError("T must be nonempty")
     q = diag.q
-    T = [np.array(u, dtype=np.int64) % q for u in T]
-    im_list = [tuple(c) for c in im_set]
-    lhs = Fraction(0)
-    for dense, prob in matrices:
-        reached = {tuple((dense @ u) % q) for u in T}
-        missing = sum(1 for c in im_list if c not in reached)
-        lhs += prob * Fraction(missing, len(im_list))
+    codes = np.sort(_syndrome_codes(matrices, T, q), axis=1)
+    first = np.diff(codes, axis=1, prepend=-1) != 0  # each distinct code once
+    im_codes = _base_q(np.asarray(im_set), q)
+    reached = (first & np.isin(codes, im_codes)).sum(axis=1)
+    lhs = Fraction(int(matrices.weight @ (len(im_codes) - reached)),
+                   matrices.total * len(im_codes))
     rhs = diag.alpha - 1 + Fraction(diag.im_size) * (diag.beta + 1) / len(T)
     return lhs, rhs

@@ -156,14 +156,18 @@ def generate_mackay(params: EnsembleParams, seed) -> SparseMatrix:
     element at a random row.  Cancellations come out as zeros.
 
     For q = 2 the only nonzero element is 1, and a draw from the empty range
-    [0, q - 1) consumes no randomness, so it is skipped."""
+    [0, q - 1) consumes no randomness, so the n per-column row draws are one
+    stream and one call makes them."""
     rng = rng_from_seed(seed)
     q, l, n, tau = params.q, params.l, params.n, params.tau
-    rows = np.empty((n, tau), dtype=np.int64)
-    vals = np.ones((n, tau), dtype=np.int64)
-    for i in range(n):
-        rows[i] = rng.integers(0, l, size=tau)
-        if q != 2:
+    if q == 2:
+        rows = rng.integers(0, l, size=(n, tau))
+        vals = np.ones((n, tau), dtype=np.int64)
+    else:
+        rows = np.empty((n, tau), dtype=np.int64)
+        vals = np.empty((n, tau), dtype=np.int64)
+        for i in range(n):
+            rows[i] = rng.integers(0, l, size=tau)
             vals[i] = 1 + rng.integers(0, q - 1, size=tau)
     dense = np.zeros((l, n), dtype=np.int64)
     np.add.at(dense, (rows, np.arange(n)[:, None]), vals)

@@ -143,6 +143,8 @@ def test_oracle_passes(capsys):
     (["types-check", "--gamma2", "0"], "--gamma2 must be > 0, got 0.0"),
     (["hash-check", "--q", "2", "--l", "1", "--tau", "2", "--n", "21"],
      "--n must keep q**n <= 1048576, got 2**21"),
+    (["hash-check", "--q", "2", "--l", "21", "--n", "1", "--tau", "2"],
+     "--l must keep q**l <= 1048576, got 2**21"),
     (["types-check", "--q", "0"], "--q must be >= 1, got 0"),
     (["types-check", "--q", "10", "--n", "40"],
      "--q 10 --n 40 needs 2054455634 types of length 40 over 10 letters"),
@@ -152,7 +154,8 @@ def test_oracle_passes(capsys):
      "--q 4 --n 8 needs 490314 types of length 8 over 16 letters"),
 ], ids=["oracle-steps", "hash-check-cases-zero", "hash-check-cases-negative",
         "types-check-n", "types-check-gamma-negative", "types-check-gamma-nan",
-        "types-check-gamma2-zero", "hash-check-n-over-budget", "types-check-q-zero",
+        "types-check-gamma2-zero", "hash-check-n-over-budget",
+        "hash-check-l-over-budget", "types-check-q-zero",
         "types-check-types-over-budget", "types-check-trans-types-over-budget",
         "types-check-trans-entries-over-budget"])
 def test_bad_count_exits_2_before_any_enumeration(argv, message, capsys,

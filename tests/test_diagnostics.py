@@ -2,10 +2,13 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cosetcode import diagnostics as dg
 from cosetcode.matrices import EnsembleParams, rng_from_seed
@@ -221,11 +224,12 @@ def test_xi_feasible_validation():
 # -- enumeration oracles ----------------------------------------------------------
 
 def test_enumerated_ensembles_are_probability_spaces():
-    mats = dg.enumerate_mackay(EnsembleParams(q=3, l=2, n=2, tau=2))
-    assert sum(p for _, p in mats) == 1
-    mats = dg.enumerate_uniform(2, 2, 2)
-    assert len(mats) == 2**4
-    assert sum(p for _, p in mats) == 1
+    ens = dg.enumerate_mackay(EnsembleParams(q=3, l=2, n=2, tau=2))
+    assert ens.weight.min() > 0 and ens.weight.sum() == ens.total
+    ens = dg.enumerate_uniform(2, 2, 2)
+    assert len(ens) == 2**4
+    assert ens.weight.min() > 0 and ens.weight.sum() == ens.total
+    assert not ens.dense.flags.writeable
 
 
 def test_enumeration_budget():
@@ -279,17 +283,16 @@ def test_saturation_requires_nonempty_target():
 
 # -- product ensembles -------------------------------------------------------------
 
-def _pair_collision_prob(mats_a, mats_b, ua, ub, va, vb, q, stacked):
-    """Exact P over (A,B) of a collision between two points of the product map."""
-    total = Fraction(0)
-    for da, pa in mats_a:
-        hit_a = np.array_equal((da @ ua) % q, (da @ va) % q)
-        if not hit_a:
-            continue
-        for db, pb in mats_b:
-            if np.array_equal((db @ ub) % q, (db @ vb) % q):
-                total += pa * pb
-    return total
+def _collision_prob(ens, u, v, q):
+    """Exact P over the ensemble that A u = A v."""
+    hit = ((ens.dense @ (np.asarray(u) - np.asarray(v))) % q == 0).all(axis=1)
+    return Fraction(int(ens.weight @ hit), ens.total)
+
+
+def _pair_collision_prob(ens_a, ens_b, ua, ub, va, vb, q):
+    """Exact P over independent (A,B) of a collision between two points of
+    the product map: A ua = A va and B ub = B vb."""
+    return _collision_prob(ens_a, ua, va, q) * _collision_prob(ens_b, ub, vb, q)
 
 
 @pytest.mark.parametrize("combine", ["stacked", "paired"])
@@ -312,7 +315,7 @@ def test_product_bound_exhaustive(combine):
             lhs = Fraction(0)
             for u in T:
                 for v in Tp:
-                    lhs += _pair_collision_prob(mats, mats, u, u, v, v, q, True)
+                    lhs += _pair_collision_prob(mats, mats, u, u, v, v, q)
         else:
             # the paired bound applies to sets whose distinct members differ
             # in both coordinates; subsets of a bijection's graph guarantee it
@@ -325,9 +328,171 @@ def test_product_bound_exhaustive(combine):
             lhs = Fraction(0)
             for u1, v1 in T:
                 for u2, v2 in Tp:
-                    lhs += _pair_collision_prob(mats, mats, u1, v1, u2, v2, q, False)
+                    lhs += _pair_collision_prob(mats, mats, u1, v1, u2, v2, q)
         inter = len(set(keys_t) & set(keys_tp))
         rhs = (inter
                + Fraction(len(T) * len(Tp)) * prod.alpha / prod.im_size
                + min(len(T), len(Tp)) * prod.beta)
         assert lhs <= rhs
+
+
+# -- stacked checks against the one-matrix-at-a-time references -----------------
+
+def _reference_mackay(params):
+    """The sparse ensemble as (dense, probability) pairs, built one matrix
+    at a time: sorted column outcomes, columns in itertools.product order."""
+    q, l, n, tau = params.q, params.l, params.n, params.tau
+    items = sorted(dg.enumerate_column_outcomes(q, l, tau).items())
+    out = []
+    for cols in itertools.product(items, repeat=n):
+        dense = np.array([c for c, _ in cols], dtype=np.int64).T.reshape(l, n)
+        out.append((dense, math.prod((p for _, p in cols), start=Fraction(1))))
+    return out
+
+
+def _reference_uniform(q, l, n):
+    p = Fraction(1, q ** (l * n))
+    return [(np.array(flat, dtype=np.int64).reshape(l, n), p)
+            for flat in itertools.product(range(q), repeat=l * n)]
+
+
+def _reference_return_prob(pairs, u, q):
+    u = np.asarray(u, dtype=np.int64)
+    total = Fraction(0)
+    for dense, prob in pairs:
+        if not np.any((dense @ u) % q):
+            total += prob
+    return total
+
+
+def _reference_hash_sum(pairs, T, Tp, diag):
+    q = diag.q
+    T = [tuple(int(x) % q for x in u) for u in T]
+    Tp = [tuple(int(x) % q for x in u) for u in Tp]
+    lhs = Fraction(0)
+    for dense, prob in pairs:
+        syn_t = Counter(tuple((dense @ np.array(u)) % q) for u in T)
+        syn_tp = Counter(tuple((dense @ np.array(u)) % q) for u in Tp)
+        hits = sum(c * syn_tp.get(s, 0) for s, c in syn_t.items())
+        lhs += prob * hits
+    inter = len(set(T) & set(Tp))
+    rhs = (
+        inter
+        + Fraction(len(T) * len(Tp)) * diag.alpha / diag.im_size
+        + min(len(T), len(Tp)) * diag.beta
+    )
+    return lhs, rhs
+
+
+def _reference_collision(pairs, G, u, diag):
+    q = diag.q
+    u = np.asarray(u, dtype=np.int64) % q
+    others = [np.array(g, dtype=np.int64) % q for g in G
+              if tuple(int(x) % q for x in g) != tuple(u)]
+    lhs = Fraction(0)
+    for dense, prob in pairs:
+        su = tuple((dense @ u) % q)
+        if any(tuple((dense @ g) % q) == su for g in others):
+            lhs += prob
+    rhs = Fraction(len(G)) * diag.alpha / diag.im_size + diag.beta
+    return lhs, rhs
+
+
+def _reference_saturation(pairs, T, diag, im_set):
+    q = diag.q
+    T = [np.array(u, dtype=np.int64) % q for u in T]
+    im_list = [tuple(int(x) for x in c) for c in im_set]
+    lhs = Fraction(0)
+    for dense, prob in pairs:
+        reached = {tuple((dense @ u) % q) for u in T}
+        missing = sum(1 for c in im_list if c not in reached)
+        lhs += prob * Fraction(missing, len(im_list))
+    rhs = diag.alpha - 1 + Fraction(diag.im_size) * (diag.beta + 1) / len(T)
+    return lhs, rhs
+
+
+def _assert_stacked_equals_reference(ens, ref):
+    assert len(ens) == len(ref)
+    for dense, weight, (ref_dense, ref_prob) in zip(ens.dense, ens.weight, ref):
+        assert np.array_equal(dense, ref_dense)
+        assert Fraction(int(weight), ens.total) == ref_prob
+
+
+@st.composite
+def _ensemble_case(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["mackay", "uniform"]))
+    l, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    tau = draw(st.sampled_from([2, 4]))
+    if kind == "mackay":
+        assume((l * (q - 1)) ** (tau * n) <= 4096)
+    else:
+        assume(q ** (l * n) <= 729)
+    # vectors over 0..2q-1: reduction mod q is the checks' job
+    vec = st.tuples(*[st.integers(0, 2 * q - 1)] * n)
+    sets = [draw(st.lists(vec, min_size=1, max_size=5)) for _ in range(2)]
+    return q, kind, l, n, tau, sets, draw(vec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_ensemble_case())
+@example((3, "mackay", 2, 3, 2, ([(1, 5, 2), (1, 5, 2), (0, 0, 0)],
+                                 [(4, 2, 5), (0, 3, 3)]), (4, 2, 5)))
+@example((2, "mackay", 3, 3, 2, ([(1, 1, 0), (3, 1, 2)], [(1, 1, 2)]), (1, 1, 0)))
+@example((5, "uniform", 1, 3, 2, ([(9, 0, 1), (4, 5, 6)], [(4, 0, 1)]), (0, 0, 0)))
+def test_stacked_checks_equal_reference_loops(case):
+    """Every Fraction of the four stacked checks equals the per-matrix loop's,
+    on both ensembles, with repeats and unreduced vectors in T and T'."""
+    q, kind, l, n, tau, (T, Tp), u = case
+    params = EnsembleParams(q=q, l=l, n=n, tau=tau, xi=0.5)
+    diag = dg.alpha_beta(params, n, ensemble=kind)
+    im_set = dg.ensemble_im_set(q, l, tau, ensemble=kind)
+    if kind == "mackay":
+        ens, ref = dg.enumerate_mackay(params), _reference_mackay(params)
+    else:
+        ens, ref = dg.enumerate_uniform(q, l, n), _reference_uniform(q, l, n)
+    _assert_stacked_equals_reference(ens, ref)
+    assert (dg.hash_sum_exhaustive(ens, T, Tp, diag)
+            == _reference_hash_sum(ref, T, Tp, diag))
+    u_again = tuple(x + q for x in u)  # u again, unreduced
+    for G in (T, T + [u], [u], [u_again, u]):
+        assert (dg.collision_bound_check(ens, G, u, diag)
+                == _reference_collision(ref, G, u, diag))
+    for S in (T, Tp):
+        assert (dg.saturation_bound_check(ens, S, diag, im_set)
+                == _reference_saturation(ref, S, diag, im_set))
+    for v in itertools.product(range(q), repeat=n):
+        assert (dg.return_prob_exhaustive(ens, v, q)
+                == _reference_return_prob(ref, v, q))
+
+
+@pytest.mark.parametrize("l", [40, 70])
+def test_stacked_checks_past_int64_syndrome_codes(l):
+    """Past 2**63 syndromes the codes are Python integers, still exact."""
+    params = EnsembleParams(q=2, l=l, n=1, tau=2, xi=0.5)
+    diag = dg.alpha_beta(params, 1)
+    ens, ref = dg.enumerate_mackay(params), _reference_mackay(params)
+    _assert_stacked_equals_reference(ens, ref)
+    T, Tp = [(1,), (0,), (3,)], [(1,), (1,)]
+    assert (dg.hash_sum_exhaustive(ens, T, Tp, diag)
+            == _reference_hash_sum(ref, T, Tp, diag))
+    assert (dg.collision_bound_check(ens, T, (1,), diag)
+            == _reference_collision(ref, T, (1,), diag))
+    assert dg.return_prob_exhaustive(ens, (1,), 2) == Fraction(1, l)
+
+
+def _reference_walk(q, l, steps, w_c):
+    """The walk law as a term-by-term Fraction sum."""
+    total = Fraction(0)
+    for k in range(l + 1):
+        base = 1 - Fraction(q * k, (q - 1) * l)
+        total += base**steps * dg._krawtchouk(q, l, w_c, k)
+    return total / q**l
+
+
+def test_walk_integer_sum_equals_term_by_term_sum():
+    for q, l in itertools.product((2, 3, 5), range(1, 9)):
+        for steps in (*range(12), 40, 99):
+            for w_c in range(l + 1):
+                got = dg.walk_dist_closed(q, l, steps, w_c)
+                assert got == _reference_walk(q, l, steps, w_c)

@@ -221,7 +221,9 @@ def test_generation_matches_reference(seed, q, l, n, tau):
 def test_generation_matches_exact_law(q, l):
     """Empirical matrix frequencies vs the exactly enumerated ensemble law."""
     params = EnsembleParams(q=q, l=l, n=1, tau=2)
-    exact = {tuple(d.ravel()): p for d, p in enumerate_mackay(params)}
+    ens = enumerate_mackay(params)
+    exact = {tuple(d.ravel()): w / ens.total
+             for d, w in zip(ens.dense, ens.weight)}
     draws = 50_000
     counts = Counter()
     for s in range(draws):
