@@ -344,6 +344,16 @@ TERNARY = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
                "eps_b": 0.15},
      ("86a892a3f4908b50cd99ca7127e5f390ea0cb7abe094f72a4b7bad717ed4633f",
       "ea25e7d190e20f2d7b0ee3e78997d6e1d4e9816e5617cc6b5adb596bf20423ee")),
+    # sw at rates below the bound: every trial decodes on the product
+    # trellis, and block errors are mixed, so the records pin decoded pairs
+    ("sw", 16, {"joint": [[0.94, 0.01], [0.01, 0.04]], "rate_x": 0.25,
+                "rate_y": 0.25},
+     ("0f51ae7ae209bd3e8800e969d3be6ae19b55520e663c7deffb7c8579e3bc4f7c",
+      "686ab747f63beb230e32874427dd1c47d533d3579c3c17369ef86890dff488ae")),
+    ("sw", 8, {"joint": [[0.9, 0.02, 0], [0.02, 0.03, 0], [0, 0, 0.03]],
+               "rate_x": 0.4, "rate_y": 0.4},
+     ("a4bc2168e8bc471c7b6f969afacbfd9498af2d78e653e079d870c5471f0cf422",
+      "72cb6f0779ae98f243352d12dd5e4c7447b6bf4628348e6715ddc746096627b6")),
 ])
 def test_outputs_are_pinned(problem, n, scheme, digests):
     # the CSVs of fixed-seed runs, byte for byte: a decoder, sampler or
