@@ -26,13 +26,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _out_path(args, default_name: str) -> str:
-    if args.out:
-        return args.out
-    base = os.environ.get("COSETCODE_OUT", ".")
-    return os.path.join(base, default_name)
-
-
 def _check_count(value: int, flag: str, low: int):
     """Refuse a count argument below `low` before any work starts."""
     if value < low:
@@ -170,7 +163,8 @@ def cmd_run(args) -> int:
     if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     cfg = hn.ExperimentConfig.from_dict(doc)
-    prefix = args.out or cfg.out or _out_path(args, f"{cfg.problem}_run")
+    prefix = args.out or cfg.out or os.path.join(
+        os.environ.get("COSETCODE_OUT", "."), f"{cfg.problem}_run")
     directory = os.path.dirname(prefix) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory} does not exist")

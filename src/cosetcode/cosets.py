@@ -42,7 +42,6 @@ class Elimination:
     transform: np.ndarray  # (rows, rows) row operations E
     pivots: np.ndarray  # pivot columns, one per reduced row
     basis: np.ndarray  # (k, n) kernel basis rows
-    _kernel: object = field(default=None, repr=False)
     _onehot: object = field(default=None, repr=False)
     _steps: object = field(default=None, repr=False)
 
@@ -63,39 +62,25 @@ class Elimination:
         if self.size > BUDGET:
             raise BudgetError(f"coset has {self.size} elements, budget {BUDGET}")
 
-    def _enumerate(self) -> np.ndarray:
-        """All kernel members, (size, n), rows in itertools.product order of
-        their basis coefficients (the first coefficient most significant),
-        which is lexicographic order."""
-        self.check_budget()
-        members = np.zeros((1, self.n), dtype=np.int64)
-        steps = np.arange(self.q)[:, None]
-        for row in self.basis:
-            members = (members[:, None, :] + steps * row).reshape(-1, self.n)
-        return members % self.q
-
-    def kernel(self) -> np.ndarray:
-        """All kernel members as a (size, n) array, in index order; cached."""
-        if self._kernel is None:
-            kernel = self._enumerate()
-            kernel.setflags(write=False)
-            self._kernel = kernel
-        return self._kernel
+    def members(self, index) -> np.ndarray:
+        """Kernel members number `index`, (len(index), n): the base-q digits
+        of an index, the first most significant, are the member's basis
+        coefficients, so index order is lexicographic order."""
+        k = self.basis.shape[0]
+        place = self.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        digits = (np.asarray(index)[:, None] // place) % self.q
+        return (digits @ self.basis) % self.q
 
     def onehot(self) -> np.ndarray:
         """Symbol indicators of the kernel members, (size, n q) float64:
         column i q + a of row c is [member c has a at position i]; cached."""
         if self._onehot is None:
-            onehot = np.eye(self.q).take(self._enumerate(), axis=0).reshape(
-                self.size, -1)
+            self.check_budget()
+            onehot = np.eye(self.q).take(self.members(np.arange(self.size)),
+                                         axis=0).reshape(self.size, -1)
             onehot.setflags(write=False)
             self._onehot = onehot
         return self._onehot
-
-    def members(self, index) -> np.ndarray:
-        """Kernel members number `index`, read off the one-hot kernel."""
-        onehot = self.onehot()[index]
-        return onehot.reshape(len(onehot), self.n, self.q).argmax(axis=2)
 
     def cosets(self, targets) -> "CosetBatch":
         """The solution sets of a (T, rows) block of targets, one per row."""
@@ -122,7 +107,6 @@ class CosetDescription:
     particular: object  # ndarray, or None when the coset is empty
     target: np.ndarray  # stacked target vector
     elimination: Elimination
-    _elements: object = field(default=None, repr=False)
 
     @property
     def q(self) -> int:
@@ -149,16 +133,13 @@ class CosetDescription:
         return 0 if self.is_empty else self.elimination.size
 
     def elements(self) -> np.ndarray:
-        """All coset members as a (size, n) array, particular + kernel in
-        itertools.product order of the basis coefficients, which is
-        lexicographic order; cached."""
+        """All coset members as a (size, n) array, row c the particular plus
+        kernel member c, which is lexicographic order."""
         if self.is_empty:
             raise EmptyCosetError("coset is empty")
-        if self._elements is None:
-            out = (self.particular[None, :] + self.elimination.kernel()) % self.q
-            out.setflags(write=False)
-            self._elements = out
-        return self._elements
+        elim = self.elimination
+        elim.check_budget()
+        return (self.particular + elim.members(np.arange(elim.size))) % self.q
 
 
 @dataclass(eq=False)
@@ -345,64 +326,65 @@ def _syndrome_steps(elim: Elimination) -> np.ndarray:
     return elim._steps
 
 
-def _final_state(coset: CosetDescription) -> int:
-    """Code of the reduced target: the pivot values of the particular."""
-    place = coset.q ** np.arange(coset.elimination.rank, dtype=np.int64)
-    return int(coset.particular[coset.elimination.pivots] @ place)
-
-
-def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
+def _product_trellis(coset_x: CosetBatch, coset_y: CosetBatch,
                      metric: np.ndarray):
-    """Exact ML pair on Wolf's syndrome trellis of the product coset.
+    """Exact ML pair of every trial on Wolf's syndrome trellis of its product
+    coset; returns (x, y), each (T, n), rows -1 where a factor is empty.
 
-    The joint state is the pair of partial syndromes.  A backward pass gives
-    the best suffix value of every state; a forward walk then takes, at each
-    position, the smallest x symbol that some ML pair continues, tracking the
-    best prefix value of every state over the free y prefix; a last trellis
-    over y alone, x fixed, takes the smallest y.  `metric` must be integral
+    The joint state is the pair of partial syndromes; a trial ends in the
+    codes of its reduced targets, the pivot values of its particular
+    solutions.  Per trial, a backward pass gives the best suffix value of
+    every state; a forward walk then takes, at each position, the smallest x
+    symbol that some ML pair continues, tracking the best prefix value of
+    every state over the free y prefix; a last trellis over y alone, x fixed,
+    takes the smallest y.  A trial whose pairs all score -inf takes its
+    particular solutions, zero at every free column: member 0 of each
+    factor, the smallest pair.  `metric` must be integral
     (fixed_point_metric), so the value comparisons are exact."""
-    qx, qy = metric.shape
-    n = coset_x.n
-    steps_x = _syndrome_steps(coset_x.elimination)
-    steps_y = _syndrome_steps(coset_y.elimination)
-    end_x, end_y = _final_state(coset_x), _final_state(coset_y)
+    ex, ey = coset_x.elimination, coset_y.elimination
+    (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
+    x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
+    steps_x, steps_y = _syndrome_steps(ex), _syndrome_steps(ey)
+    ends_x, ends_y = (c.particular[:, e.pivots] @ e.q ** np.arange(e.rank)
+                      for c, e in ((coset_x, ex), (coset_y, ey)))
     sym_x = np.arange(qx)[:, None]
     branch = metric[:, None, :, None]  # (a, ., b, .)
+    back_x, back_y = (-np.arange(qx)) % qx, (-np.arange(qy)) % qy
 
     def relax(values, shift_x, shift_y):
         # [a][s, t] = max_b metric[a, b] + values[shift_x[a, s], shift_y[b, t]]
         best_b = (branch + values[:, shift_y][None]).max(axis=2)
         return best_b[sym_x, shift_x]
 
-    value = np.full((n + 1, steps_x.shape[2], steps_y.shape[2]), -np.inf)
-    value[n, end_x, end_y] = 0.0
-    for i in range(n - 1, -1, -1):
-        value[i] = relax(value[i + 1], steps_x[i], steps_y[i]).max(axis=0)
-    best = value[0, 0, 0]
-    if best == -np.inf:
-        # every pair scores -inf: all tie, so the smallest pair wins
-        return _product_trellis(coset_x, coset_y, np.zeros_like(metric))
-    back_x, back_y = (-np.arange(qx)) % qx, (-np.arange(qy)) % qy
-    prefix = np.full(value.shape[1:], -np.inf)
-    prefix[0, 0] = 0.0
-    x = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        # [a][s, t]: best prefix ending in (s, t) with x_i = a
-        cand = relax(prefix, steps_x[i][back_x], steps_y[i][back_y])
-        live = (cand + value[i + 1]).max(axis=(1, 2)) == best
-        x[i] = np.argmax(live)
-        prefix = cand[x[i]]
-    rows = metric[x][:, :, None]  # (i, b, .)
-    suffix = np.full((n + 1, steps_y.shape[2]), -np.inf)
-    suffix[n, end_y] = 0.0
-    for i in range(n - 1, -1, -1):
-        suffix[i] = (rows[i] + suffix[i + 1][steps_y[i]]).max(axis=0)
-    y = np.zeros(n, dtype=np.int64)
-    state = 0
-    for i in range(n):
-        nxt = steps_y[i][:, state]
-        y[i] = np.argmax(rows[i][:, 0] + suffix[i + 1][nxt] == suffix[i, state])
-        state = nxt[y[i]]
+    for j in np.flatnonzero(~(coset_x.empty | coset_y.empty)):
+        value = np.full((n + 1, steps_x.shape[2], steps_y.shape[2]), -np.inf)
+        value[n, ends_x[j], ends_y[j]] = 0.0
+        for i in range(n - 1, -1, -1):
+            value[i] = relax(value[i + 1], steps_x[i], steps_y[i]).max(axis=0)
+        best = value[0, 0, 0]
+        if best == -np.inf:
+            x[j], y[j] = coset_x.particular[j], coset_y.particular[j]
+            continue
+        prefix = np.full(value.shape[1:], -np.inf)
+        prefix[0, 0] = 0.0
+        xj, yj = x[j], y[j]  # views: the walks write the rows of x and y
+        for i in range(n):
+            # [a][s, t]: best prefix ending in (s, t) with x_i = a
+            cand = relax(prefix, steps_x[i][back_x], steps_y[i][back_y])
+            live = (cand + value[i + 1]).max(axis=(1, 2)) == best
+            xj[i] = np.argmax(live)
+            prefix = cand[xj[i]]
+        rows = metric[xj][:, :, None]  # (i, b, .)
+        suffix = np.full((n + 1, steps_y.shape[2]), -np.inf)
+        suffix[n, ends_y[j]] = 0.0
+        for i in range(n - 1, -1, -1):
+            suffix[i] = (rows[i] + suffix[i + 1][steps_y[i]]).max(axis=0)
+        state = 0
+        for i in range(n):
+            nxt = steps_y[i][:, state]
+            yj[i] = np.argmax(rows[i][:, 0] + suffix[i + 1][nxt]
+                              == suffix[i, state])
+            state = nxt[yj[i]]
     return x, y
 
 
@@ -420,7 +402,7 @@ def _product_enumerate(coset_x: CosetBatch, coset_y: CosetBatch,
     (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
     live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
-    onehot, ky = ex.onehot(), ey.kernel()
+    onehot, ky = ex.onehot(), ey.members(np.arange(ey.size))
     for rows in _blocks(live, ex.size * ey.size, (ex.size + ey.size) * n):
         px, py = coset_x.particular[rows], coset_y.particular[rows]
         xs = (px[:, :, None] + np.arange(qx)) % qx  # [j, i, a]: x symbol
@@ -468,13 +450,8 @@ def ml_code_product(coset_x: CosetBatch, coset_y: CosetBatch,
     trellis = pairs > BUDGET or (
         branches <= BUDGET
         and branches + coset_x.n * TRELLIS_SECTION < pairs)
-    if not trellis:
-        return _product_enumerate(coset_x, coset_y, metric)
-    x, y = (np.full((len(coset_x), coset_x.n), -1, dtype=np.int64)
-            for _ in range(2))
-    for j in np.flatnonzero(~(coset_x.empty | coset_y.empty)):
-        x[j], y[j] = _product_trellis(coset_x[j], coset_y[j], metric)
-    return x, y
+    path = _product_trellis if trellis else _product_enumerate
+    return path(coset_x, coset_y, metric)
 
 
 def log_table(p) -> np.ndarray:

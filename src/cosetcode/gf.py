@@ -31,12 +31,3 @@ class FieldSpec:
         self.inv_table = np.zeros(q, dtype=np.int64)
         for a in range(1, q):
             self.inv_table[a] = pow(a, q - 2, q)
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("FieldSpec", self.q))
-
-    def __repr__(self):
-        return f"FieldSpec(q={self.q})"

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LOG2 = math.log(2.0)
 ENUM_BUDGET = 1 << 22
 
 
@@ -345,13 +344,16 @@ def check_typical_prob(mu: Distribution, n: int, gamma: float):
     """Exact atypicality mass <= 2^{-n[gamma - lambda]}."""
     mu_p = mu.p.ravel()
     types = type_array(n, mu_p.size)
-    tail = 0.0
+    # each mu(a) is m / 2^e_a, so with e the largest e_a the tail is one
+    # integer over 2^(n e), rounded once: no class probability underflows
+    ratios = [float(p).as_integer_ratio() for p in mu_p]
+    e = max(den.bit_length() - 1 for _, den in ratios)
+    scaled = [m << (e - den.bit_length() + 1) for m, den in ratios]
+    num = 0
     for counts in types[divergence(types / n, mu_p) >= gamma].tolist():
-        p = math.prod(mu_p[a] ** c for a, c in enumerate(counts) if c)
-        # the class size may be past the float range, so the product is
-        # formed exactly and rounded once
-        num, den = p.as_integer_ratio()
-        tail += type_class_size(counts) * num / den
+        num += type_class_size(counts) * math.prod(
+            s ** c for s, c in zip(scaled, counts))
+    tail = num / (1 << (n * e))
     bound = 2.0 ** (-n * (gamma - lam(mu_p.size, n)))
     return tail <= bound + 1e-12, tail - bound
 

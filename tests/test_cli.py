@@ -207,6 +207,19 @@ def test_run_subcommand(tmp_path, capsys):
     assert header.split(",")[0] == "n"
 
 
+def test_run_default_prefix_is_under_cosetcode_out(tmp_path, capsys,
+                                                   monkeypatch):
+    # no --out flag and no config "out": <problem>_run.* in $COSETCODE_OUT
+    cfg = run_config(tmp_path)
+    out = tmp_path / "results"
+    out.mkdir()
+    monkeypatch.setenv("COSETCODE_OUT", str(out))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert f"# written: {out / 'sw_run.csv'}" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "sw_run.csv", "sw_run.gp", "sw_run.json", "sw_run_records.csv"]
+
+
 def test_run_seed_override(tmp_path, capsys):
     cfg = run_config(tmp_path)
     main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])

@@ -176,6 +176,40 @@ def test_retarget_edge_cases(q, M, t0, t, kernel_dim, empty):
     assert_matches_reference(coset, M, t, q)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_members_by_index_are_lexicographic(data):
+    # member c is the base-q digits of c (first most significant) times the
+    # basis: itertools.product order of the coefficients, lexicographic
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    k = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(max(k, 1), k + 3))
+    entries = st.integers(0, q - 1)
+    # a full-rank (n - k, n) system with columns permuted, plus one row that
+    # combines the others, so the kernel has dimension k
+    R = np.array(data.draw(st.lists(st.lists(
+        entries, min_size=k, max_size=k), min_size=n - k, max_size=n - k)),
+        dtype=np.int64).reshape(n - k, k)
+    M = np.hstack([np.eye(n - k, dtype=np.int64), R])[
+        :, data.draw(st.permutations(range(n)))]
+    c = np.array(data.draw(st.lists(entries, min_size=n - k,
+                                    max_size=n - k)), dtype=np.int64)
+    M = np.vstack([M, c @ M % q])
+    elim = solve_coset([(M, np.zeros(n - k + 1, dtype=int))], q=q).elimination
+    assert elim.basis.shape[0] == k and elim.size == q ** k
+    coeffs = np.array(list(itertools.product(range(q), repeat=k)),
+                      dtype=np.int64).reshape(q ** k, k)
+    want = coeffs @ elim.basis % q
+    got = elim.members(np.arange(elim.size))
+    assert got.shape == (q ** k, n) and np.array_equal(got, want)
+    rows = [tuple(u) for u in got.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    index = np.array(data.draw(st.lists(st.integers(0, q ** k - 1),
+                                        max_size=6)), dtype=np.int64)
+    assert np.array_equal(elim.members(index), want[index])
+    assert np.array_equal(elim.onehot(), np.eye(q)[want].reshape(q ** k, -1))
+
+
 def test_solve_requires_q_for_plain_arrays():
     with pytest.raises(ValueError):
         solve_coset([(np.eye(2, dtype=int), [0, 0])])
@@ -400,15 +434,32 @@ def test_product_paths_match_oracle(data):
     trials = data.draw(st.integers(1, 3))
     bx, by = random_batch(data, qx, n, trials), random_batch(data, qy, n, trials)
     metric = random_metric(data, (qx, qy), n)
-    paths = [_product_enumerate(bx, by, metric), ml_code_product(bx, by, metric)]
+    paths = [path(bx, by, metric) for path in (
+        _product_enumerate, _product_trellis, ml_code_product)]
     for j in range(trials):
         if bx.empty[j] or by.empty[j]:
             assert all((x[j] == -1).all() and (y[j] == -1).all()
                        for x, y in paths)
             continue
         want = product_oracle(bx[j], by[j], metric)
-        assert joined(*_product_trellis(bx[j], by[j], metric)) == want
         assert all(joined(x[j], y[j]) == want for x, y in paths)
+
+
+def test_product_all_minus_inf_trial_takes_particular_pair():
+    # metric -inf off the diagonal; in trial 0 the factors force x_0 != y_0,
+    # so all its pairs score -inf and tie; trial 1 scores finite
+    bx = solve_coset([([[1, 0, 0, 0], [0, 1, 1, 0]], [0, 1])],
+                     q=2).elimination.cosets([[0, 1], [0, 1]])
+    by = solve_coset([([[1, 0, 0, 0], [0, 0, 1, 1]], [1, 0])],
+                     q=2).elimination.cosets([[1, 0], [0, 1]])
+    metric = fixed_point_metric(log_table([[0.3, 0.0], [0.0, 0.7]]), 4)
+    assert bx.particular[0].any() and by.particular[0].any()
+    for path in (_product_enumerate, _product_trellis):
+        x, y = path(bx, by, metric)
+        assert np.array_equal(x[0], bx.particular[0])
+        assert np.array_equal(y[0], by.particular[0])
+        for j in range(2):
+            assert joined(x[j], y[j]) == product_oracle(bx[j], by[j], metric)
 
 
 def test_ml_product_matches_brute():
@@ -477,7 +528,7 @@ def test_ml_product_budget_and_empty():
     # a trial with an empty factor gets -1 rows on either path
     A = SparseMatrix(2, [[1, 1], [1, 1]])
     mixed = solve_coset([(A, [0, 0])]).elimination.cosets([[0, 1], [1, 1]])
-    for path in (ml_code_product, _product_enumerate):
+    for path in (ml_code_product, _product_enumerate, _product_trellis):
         x, y = path(mixed, mixed, np.zeros((2, 2)))
         assert x.tolist() == y.tolist() == [[-1, -1], [0, 1]]
 

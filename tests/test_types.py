@@ -241,6 +241,25 @@ def test_typical_trans_suite():
         assert ok
 
 
+@pytest.mark.parametrize("p, n, gamma", [
+    ((0.7, 0.3), 1000, 0.1),  # most class probabilities underflow a float
+    ((0.5, 0.3, 0.2, 0.0), 12, 0.05),
+])
+def test_typical_prob_tail_is_exact(p, n, gamma):
+    # the tail of the float mu in 60-digit decimals, rounded once: only an
+    # exact tail within 1e-55 of a rounding boundary could round otherwise
+    from decimal import Decimal, localcontext
+
+    mu = tl.Distribution(p)
+    types = tl.type_array(n, len(p))
+    with localcontext(prec=60):
+        tail = sum(tl.type_class_size(c) * math.prod(
+            Decimal(float(a)) ** k for a, k in zip(p, c) if k)
+            for c in types[tl.divergence(types / n, mu.p) >= gamma].tolist())
+    bound = 2.0 ** (-n * (gamma - tl.lam(len(p), n)))
+    assert tl.check_typical_prob(mu, n, gamma) == (True, float(tail) - bound)
+
+
 PINNED_REPORT_INPUTS = [(q, n) for q in (1, 2, 3) for n in (1, 5, 12)] + [
     (4, 3), (5, 3)]
 
