@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -248,8 +249,6 @@ def test_typical_trans_suite():
 def test_typical_prob_tail_is_exact(p, n, gamma):
     # the tail of the float mu in 60-digit decimals, rounded once: only an
     # exact tail within 1e-55 of a rounding boundary could round otherwise
-    from decimal import Decimal, localcontext
-
     mu = tl.Distribution(p)
     types = tl.type_array(n, len(p))
     with localcontext(prec=60):
