@@ -8,7 +8,7 @@ from .matrices import (
     generate_uniform,
     recommended_tau,
 )
-from .types_lab import Distribution, TypeVector
+from .types_lab import Distribution
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,6 @@ __all__ = [
     "EnsembleParams",
     "FieldSpec",
     "SparseMatrix",
-    "TypeVector",
     "generate_mackay",
     "generate_uniform",
     "recommended_tau",

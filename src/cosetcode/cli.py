@@ -70,23 +70,20 @@ def cmd_diag(args) -> int:
 
 
 def types_check_report(q: int, n: int, gamma: float, gamma2: float):
-    """Run the six type-lemma suites; returns [(name, ok, margin), ...]."""
+    """Run the six type-lemma suites in `LEMMA_SUITE` order; returns
+    [(name, ok, margin), ...]."""
     mu = tl.Distribution.uniform(q) if q == 2 else tl.Distribution(
         np.array([0.5, 0.3, 0.2][:q] if q == 3 else [1 / q] * q))
     mu_biased = tl.Distribution([0.7, 0.3]) if q == 2 else mu
     joint = tl.Distribution(
         np.outer(mu_biased.p, mu.p) * 0.5
         + np.eye(q)[:mu_biased.p.size, :q] * 0.5 / q)
-    results = []
-    results.append(("exprob",) + tl.check_exprob(mu_biased, n))
-    results.append(("typical-trans",) + tl.check_typical_trans(
-        joint, min(n, 8), gamma, gamma2))
-    results.append(("type",) + tl.check_type_lemma(mu_biased, n, gamma))
-    results.append(("typical-aep",) + tl.check_typical_aep(
-        mu_biased, n, min(gamma, 0.125)))
-    results.append(("typical-prob",) + tl.check_typical_prob(mu_biased, n, gamma))
-    results.append(("typical-number",) + tl.check_typical_number(mu_biased, n, gamma))
-    return results
+    # the suites that take other arguments than (mu_biased, n, gamma)
+    special = {"exprob": (mu_biased, n),
+               "typical-trans": (joint, min(n, 8), gamma, gamma2),
+               "typical-aep": (mu_biased, n, min(gamma, 0.125))}
+    return [(name,) + check(*special.get(name, (mu_biased, n, gamma)))
+            for name, check in tl.LEMMA_SUITE]
 
 
 def cmd_types_check(args) -> int:

@@ -127,14 +127,6 @@ def walk_pointwise_recursive(q: int, l: int, steps: int, w_c: int) -> Fraction:
     return mass[w_c] / (math.comb(l, w_c) * (q - 1) ** w_c)
 
 
-def spectrum(q: int, n: int, l: int, tau: int, w: int):
-    """Expected number of kernel vectors of weight w: C(n,w)(q-1)^w p_{A,w}."""
-    if not (1 <= w <= n):
-        raise ValueError("w must be in [1, n]")
-    size = math.comb(n, w) * (q - 1) ** w
-    return size * return_prob(q, l, tau, w)
-
-
 def ensemble_im_size(q: int, l: int, tau: int | None = None,
                      ensemble: str = "mackay") -> int:
     """Size of the union of ranges over the ensemble.
@@ -214,61 +206,6 @@ def alpha_beta(params: EnsembleParams, n: int,
     )
 
 
-@dataclass(frozen=True)
-class ProductDiagnostics:
-    """alpha/beta for a combination of two independent ensembles."""
-
-    alpha: object
-    beta: object
-    im_size: int
-
-
-def stacked_diagnostics(da: HashDiagnostics, db: HashDiagnostics) -> ProductDiagnostics:
-    """u -> (Au, Bu): alpha multiplies, beta takes the smaller ensemble's."""
-    return ProductDiagnostics(
-        alpha=da.alpha * db.alpha,
-        beta=min(da.beta, db.beta),
-        im_size=da.im_size * db.im_size,
-    )
-
-
-def paired_diagnostics(da: HashDiagnostics, db: HashDiagnostics) -> ProductDiagnostics:
-    """(u,v) -> (Au, Bv): cross terms enter beta."""
-    beta = (
-        da.alpha * db.beta / Fraction(da.im_size)
-        + db.alpha * da.beta / Fraction(db.im_size)
-        + da.beta * db.beta
-    )
-    return ProductDiagnostics(
-        alpha=da.alpha * db.alpha, beta=beta,
-        im_size=da.im_size * db.im_size,
-    )
-
-
-def xi_feasible(q: int, rate: float, xi: float) -> bool:
-    """Low-weight cutoff admissibility: h(xi R)/R + xi ln(q-1) < 1/3,
-    with h the natural-log binary entropy."""
-    if xi <= 0 or rate <= 0:
-        raise ValueError("xi and rate must be positive")
-    x = xi * rate
-    if x > 1:
-        raise ValueError("xi * rate must be <= 1")
-    if x in (0.0, 1.0):
-        h = 0.0
-    else:
-        h = -x * math.log(x) - (1 - x) * math.log(1 - x)
-    return h / rate + xi * math.log(q - 1) < 1 / 3
-
-
-def default_xi(q: int, rate: float) -> float:
-    """Smallest feasible cutoff on the grid 0.005, 0.010, ..., 0.5."""
-    for i in range(1, 101):
-        xi = i * 0.005
-        if xi * rate <= 1 and xi_feasible(q, rate, xi):
-            return xi
-    raise ValueError(f"no feasible xi on the grid for q={q}, rate={rate}")
-
-
 # -- exhaustive tiny-ensemble oracles ----------------------------------------
 
 def enumerate_column_outcomes(q: int, l: int, tau: int):
@@ -316,15 +253,6 @@ def enumerate_mackay(params: EnsembleParams) -> Ensemble:
     pick = np.indices((len(cols),) * n).reshape(n, -1).T
     dense = np.array(cols, dtype=np.int64)[pick].transpose(0, 2, 1)
     return Ensemble(dense, counts[pick].prod(axis=1), per_column**n)
-
-
-def enumerate_uniform(q: int, l: int, n: int) -> Ensemble:
-    """All l x n matrices over GF(q), equiprobable."""
-    count = q ** (l * n)
-    if count > ENUM_BUDGET:
-        raise ValueError("matrix space exceeds enumeration budget")
-    dense = np.indices((q,) * (l * n)).reshape(l * n, count).T
-    return Ensemble(dense.reshape(-1, l, n), np.ones(count, np.int64), count)
 
 
 def _base_q(digits, q: int):

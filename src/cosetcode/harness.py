@@ -17,7 +17,6 @@ import numpy as np
 from . import schemes as sc
 from .gf import is_prime
 from .matrices import derive_seed, rng_from_seed
-from .types_lab import Distribution
 
 # top-level config keys: the required ones, then the optional ones
 REQUIRED_KEYS = ("problem", "n", "trials", "seed", "scheme")
@@ -37,9 +36,10 @@ SCHEME_KEYS = {
     "oho": {"mu_xy": "xy", "channel": "yz", "eps_a": "", "eps_b": "",
             "eps_bhat": ""},
 }
-# conditional tables, each with its number of trailing output axes: every
-# row over the leading (given) axes is a pmf
-CONDITIONAL_KEYS = {"channel": 1, "test_channel": 1, "mu_xw_z": 2}
+# probability tables, each with its number of trailing output axes: every
+# row over the leading (given) axes is a pmf, a joint has no given axes
+PMF_KEYS = {"joint": 2, "mu_x": 1, "mu_z": 1, "mu_xz": 2, "mu_xy": 2,
+            "channel": 1, "test_channel": 1, "mu_xw_z": 2}
 
 
 def _integer(key: str, value, low=None) -> int:
@@ -54,9 +54,9 @@ def _integer(key: str, value, low=None) -> int:
 
 
 def _check_scheme(problem: str, scheme: dict):
-    """Numbers are finite, table axes match their alphabets, conditional
-    tables have rows summing to 1, and every alphabet a matrix is drawn over
-    has prime size."""
+    """Numbers are finite, table axes match their alphabets, probability
+    tables have nonnegative rows summing to 1, and every alphabet a matrix is
+    drawn over has prime size."""
     sizes, fixed_by = {}, {}
     for key, axes in SCHEME_KEYS[problem].items():
         value = scheme[key]
@@ -78,13 +78,17 @@ def _check_scheme(problem: str, scheme: dict):
                 raise ValueError(f"{key} indexes {axis} by {size} symbols, "
                                  f"{fixed_by[axis]} by {sizes[axis]}")
             fixed_by.setdefault(axis, key)
-        if key in CONDITIONAL_KEYS:
+        if key in PMF_KEYS:
+            if (table < 0).any():
+                raise ValueError(f"{key} must have no negative entry, "
+                                 f"got {value!r}")
             # the tolerance Distribution applies to a joint
-            outs = tuple(range(table.ndim - CONDITIONAL_KEYS[key], table.ndim))
+            outs = tuple(range(table.ndim - PMF_KEYS[key], table.ndim))
             sums = table.sum(axis=outs)
             if np.abs(sums - 1.0).max() > 1e-12:
-                raise ValueError(f"{key} rows must each sum to 1, got row "
-                                 f"sums {sums.tolist()}")
+                rows = " in each row" if sums.ndim else ""
+                raise ValueError(f"{key} must sum to 1{rows}, got "
+                                 f"{sums.tolist()}")
     for axis in sc.MATRIX_ALPHABET[problem].values():
         if not is_prime(sizes[axis]):
             raise ValueError(f"{fixed_by[axis]}: alphabet size {sizes[axis]} "
@@ -159,23 +163,11 @@ class ExperimentConfig:
     def scheme_params(self) -> sc.SchemeParams:
         """The scheme's parameters; admissibility issues are recorded in
         `eps_warnings`."""
-        s = self.scheme
-        if self.problem == "sw":
-            return sc.sw_params(Distribution(s["joint"]), s["rate_x"],
-                                s["rate_y"])
-        if self.problem == "ch":
-            return sc.ch_params(s["mu_x"], s["channel"], s["eps_a"], s["eps_b"])
-        if self.problem == "gp":
-            return sc.gp_params(s["mu_z"], s["mu_xw_z"], s["channel"],
-                                s["eps_a"], s["eps_b"], s["eps_ahat"])
-        if self.problem == "lossy":
-            return sc.lossy_params(s["mu_x"], s["test_channel"], s["rho"],
-                                   s["eps_a"], s["eps_b"])
-        if self.problem == "wz":
-            return sc.wz_params(Distribution(s["mu_xz"]), s["test_channel"],
-                                s["f"], s["rho"], s["eps_a"], s["eps_b"])
-        return sc.oho_params(Distribution(s["mu_xy"]), s["channel"],
-                             s["eps_a"], s["eps_b"], s["eps_bhat"])
+        # each constructor takes the scheme values in SCHEME_KEYS order
+        make = {"sw": sc.sw_params, "ch": sc.ch_params, "gp": sc.gp_params,
+                "lossy": sc.lossy_params, "wz": sc.wz_params,
+                "oho": sc.oho_params}[self.problem]
+        return make(*(self.scheme[key] for key in SCHEME_KEYS[self.problem]))
 
 
 @dataclass

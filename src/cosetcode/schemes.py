@@ -163,9 +163,9 @@ def _perm_of(current_order, wanted_order):
 
 # -- constructors -------------------------------------------------------------
 
-def sw_params(mu_xy: Distribution, rate_x: float, rate_y: float) -> SchemeParams:
-    return SchemeParams("sw", mu_xy, ("x", "y"),
-                        eps={}, rate_x=rate_x, rate_y=rate_y)
+def sw_params(mu_xy, rate_x: float, rate_y: float) -> SchemeParams:
+    return SchemeParams("sw", Distribution(getattr(mu_xy, "p", mu_xy)),
+                        ("x", "y"), eps={}, rate_x=rate_x, rate_y=rate_y)
 
 
 def ch_params(mu_x, chan_y_x, eps_a: float, eps_b: float) -> SchemeParams:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +44,6 @@ class Distribution:
         same, diff = 0.5 * (1 - p), 0.5 * p
         return cls([[same, diff], [diff, same]])
 
-    def marginal(self, axes) -> "Distribution":
-        """Marginal over the listed axes (kept, in their original order)."""
-        if isinstance(axes, int):
-            axes = (axes,)
-        drop = tuple(a for a in range(self.p.ndim) if a not in axes)
-        return Distribution(self.p.sum(axis=drop))
-
     def conditional(self, given_axes) -> np.ndarray:
         """Conditional table with the given axes first, output axes last.
 
@@ -71,60 +63,11 @@ class Distribution:
         return cond
 
 
-@dataclass(frozen=True)
-class TypeVector:
-    """Occurrence counts n*nu_u of a sequence."""
-
-    counts: tuple
-    n: int
-
-    def __post_init__(self):
-        if sum(self.counts) != self.n:
-            raise ValueError("counts must sum to n")
-
-    @property
-    def weight(self) -> int:
-        return self.n - self.counts[0]
-
-    def freq(self) -> np.ndarray:
-        return np.array(self.counts, dtype=float) / self.n
-
-
-def empirical(u, q: int) -> TypeVector:
-    u = np.asarray(u, dtype=np.int64)
-    if u.size == 0:
-        raise ValueError("empty sequence")
-    counts = np.bincount(u, minlength=q)
-    return TypeVector(tuple(int(c) for c in counts), int(u.size))
-
-
-def cond_empirical(u, v, qu: int, qv: int) -> np.ndarray:
-    """Joint occurrence counts indexed [v, u]."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    if u.shape != v.shape:
-        raise ValueError("length mismatch")
-    counts = np.zeros((qv, qu), dtype=np.int64)
-    np.add.at(counts, (v, u), 1)
-    return counts
-
-
 def entropy(p) -> float:
     """Shannon entropy in bits, 0 log 0 = 0."""
     p = np.asarray(getattr(p, "p", p), dtype=float).ravel()
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
-
-
-def cond_entropy(cond, p) -> float:
-    """H(q|p) for cond[v, ...] row-stochastic over trailing axes."""
-    cond = np.asarray(cond, dtype=float)
-    p = np.asarray(getattr(p, "p", p), dtype=float).ravel()
-    out = 0.0
-    for v, pv in enumerate(p):
-        if pv > 0:
-            out += pv * entropy(cond[v])
-    return out
 
 
 def divergence(p, pprime):
@@ -141,26 +84,6 @@ def divergence(p, pprime):
             pa = p[..., a]
             out += np.where(pa > 0, pa * np.log2(pa / pp[..., a]), 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def mutual_information(joint: Distribution) -> float:
-    px = joint.marginal(0)
-    py = joint.marginal(1)
-    return entropy(px) + entropy(py) - entropy(joint)
-
-
-def is_typical(u, mu, gamma: float) -> bool:
-    """Membership of u in the divergence-gamma typical set (strict)."""
-    mu_p = np.asarray(getattr(mu, "p", mu), dtype=float).ravel()
-    t = empirical(u, mu_p.size)
-    return divergence(t.freq(), mu_p) < gamma
-
-
-def is_cond_typical(u, v, cond_mu, gamma: float) -> bool:
-    cond_mu = np.asarray(cond_mu, dtype=float)
-    qv, qu = cond_mu.shape
-    counts = cond_empirical(u, v, qu, qv)
-    return cond_type_divergence(counts, cond_mu) < gamma
 
 
 def cond_type_divergence(joint_counts, cond_mu):
@@ -189,33 +112,11 @@ def zeta(size_u: int, gamma: float) -> float:
     return gamma - s * math.log2(s / size_u)
 
 
-def zeta_cond(size_u: int, size_v: int, gamma_p: float, gamma: float) -> float:
-    if gamma <= 0 or gamma_p <= 0:
-        raise ValueError("gamma must be positive")
-    sp = math.sqrt(2 * gamma_p)
-    return (
-        gamma_p
-        - sp * math.log2(sp / (size_u * size_v))
-        + math.sqrt(2 * gamma) * math.log2(size_u)
-    )
-
-
 def eta(size_u: int, gamma: float, n: int) -> float:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     s = math.sqrt(2 * gamma)
     return -s * math.log2(s / size_u) + size_u * math.log2(n + 1) / n
-
-
-def eta_cond(size_u: int, size_v: int, gamma_p: float, gamma: float, n: int) -> float:
-    if gamma <= 0 or gamma_p <= 0:
-        raise ValueError("gamma must be positive")
-    sp = math.sqrt(2 * gamma_p)
-    return (
-        -sp * math.log2(sp / (size_u * size_v))
-        + math.sqrt(2 * gamma) * math.log2(size_u)
-        + size_u * size_v * math.log2(n + 1) / n
-    )
 
 
 def lam(size_u: int, n: int) -> float:
@@ -257,19 +158,6 @@ def _log2_prob(types, mu_p) -> np.ndarray:
     for a in np.flatnonzero(mu_p):
         out += types[:, a] * math.log2(mu_p[a])
     return out
-
-
-def enumerate_typical(mu, n: int, gamma: float) -> np.ndarray:
-    """All length-n sequences in the typical set (exhaustive), one per row,
-    in lexicographic order."""
-    mu_p = np.asarray(getattr(mu, "p", mu), dtype=float).ravel()
-    q = mu_p.size
-    if q**n * n > ENUM_BUDGET:
-        raise ValueError(f"enumeration budget exceeded: {q}^{n} sequences "
-                         f"of length {n} > {ENUM_BUDGET} entries")
-    seqs = np.indices((q,) * n, dtype=np.min_scalar_type(q)).reshape(n, -1).T
-    counts = np.stack([(seqs == a).sum(axis=1) for a in range(q)], axis=1)
-    return seqs[divergence(counts / n, mu_p) < gamma]
 
 
 def typical_count(mu, n: int, gamma: float) -> int:

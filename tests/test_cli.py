@@ -185,6 +185,9 @@ CH = {"mu_x": [0.5, 0.5], "channel": [[0.89, 0.11], [0.11, 0.89]],
       "eps_a": 0.05, "eps_b": 0.15}
 LOSSY = {"mu_x": [0.5, 0.5], "test_channel": [[0.75, 0.25], [0.25, 0.75]],
          "rho": [[0.0, 1.0], [1.0, 0.0]], "eps_a": 0.01, "eps_b": 0.1}
+WZ = {"mu_xz": [[0.45, 0.05], [0.05, 0.45]],
+      "test_channel": [[0.75, 0.25], [0.25, 0.75]], "f": [[0, 0], [1, 1]],
+      "rho": [[0.0, 1.0], [1.0, 0.0]], "eps_a": 0.01, "eps_b": 0.1}
 
 
 def scheme_doc(problem, base, **over):
@@ -279,6 +282,14 @@ BAD_CONFIGS = {
                      "channel"),
     "test_channel-rows": (scheme_doc("lossy", LOSSY, test_channel=[
         [0.75, 0.25], [0.25, 0.7]]), "test_channel"),
+    "joint-sum": (scheme_doc("sw", sw_doc()["scheme"],
+                             joint=[[0.6, 0.2], [0.2, 0.2]]), "joint"),
+    "mu_x-negative": (scheme_doc("ch", CH, mu_x=[1.5, -0.5]), "mu_x"),
+    "mu_xz-sum": (scheme_doc("wz", WZ, mu_xz=[[0.9, 0.1], [0.1, 0.9]]),
+                  "mu_xz"),
+    "channel-negative": (scheme_doc("ch", CH, channel=[[1.5, -0.5],
+                                                       [0.11, 0.89]]),
+                         "channel"),
 }
 
 

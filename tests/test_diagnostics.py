@@ -146,13 +146,7 @@ def test_return_prob_is_walk_return():
             q, l, w * tau, 0)
 
 
-# -- spectrum and alpha/beta ------------------------------------------------------
-
-def test_spectrum_example():
-    assert dg.spectrum(2, 2, 2, 2, 1) == Fraction(1)  # 2 * 1/2
-    with pytest.raises(ValueError):
-        dg.spectrum(2, 2, 2, 2, 3)
-
+# -- alpha/beta -------------------------------------------------------------------
 
 def test_alpha_beta_frozen_example():
     params = EnsembleParams(q=2, l=2, n=2, tau=2, xi=0.5)
@@ -203,30 +197,21 @@ def test_im_size_characterization():
     assert len(evens) == 4
 
 
-# -- cutoff feasibility -----------------------------------------------------------
-
-def test_default_xi_is_smallest_feasible():
-    for q, rate in ((2, 0.5), (3, 0.5), (2, 1.0)):
-        xi = dg.default_xi(q, rate)
-        assert dg.xi_feasible(q, rate, xi)
-        prev = xi - 0.005
-        if prev >= 0.005:
-            assert not dg.xi_feasible(q, rate, prev)
-
-
-def test_xi_feasible_validation():
-    with pytest.raises(ValueError):
-        dg.xi_feasible(2, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        dg.xi_feasible(2, 4.0, 0.5)  # xi*rate > 1
-
-
 # -- enumeration oracles ----------------------------------------------------------
+
+def _enumerate_uniform(q, l, n):
+    """All l x n matrices over GF(q), equiprobable, as one stacked Ensemble."""
+    count = q ** (l * n)
+    if count > dg.ENUM_BUDGET:
+        raise ValueError("matrix space exceeds enumeration budget")
+    dense = np.indices((q,) * (l * n)).reshape(l * n, count).T
+    return dg.Ensemble(dense.reshape(-1, l, n), np.ones(count, np.int64), count)
+
 
 def test_enumerated_ensembles_are_probability_spaces():
     ens = dg.enumerate_mackay(EnsembleParams(q=3, l=2, n=2, tau=2))
     assert ens.weight.min() > 0 and ens.weight.sum() == ens.total
-    ens = dg.enumerate_uniform(2, 2, 2)
+    ens = _enumerate_uniform(2, 2, 2)
     assert len(ens) == 2**4
     assert ens.weight.min() > 0 and ens.weight.sum() == ens.total
     assert not ens.dense.flags.writeable
@@ -235,8 +220,6 @@ def test_enumerated_ensembles_are_probability_spaces():
 def test_enumeration_budget():
     with pytest.raises(ValueError):
         dg.enumerate_mackay(EnsembleParams(q=3, l=8, n=8, tau=4))
-    with pytest.raises(ValueError):
-        dg.enumerate_uniform(2, 10, 10)
 
 
 def test_column_outcomes_match_generation_support():
@@ -279,61 +262,6 @@ def test_saturation_requires_nonempty_target():
     mats = dg.enumerate_mackay(params)
     with pytest.raises(ValueError):
         dg.saturation_bound_check(mats, [], diag, dg.ensemble_im_set(2, 2, 2))
-
-
-# -- product ensembles -------------------------------------------------------------
-
-def _collision_prob(ens, u, v, q):
-    """Exact P over the ensemble that A u = A v."""
-    hit = ((ens.dense @ (np.asarray(u) - np.asarray(v))) % q == 0).all(axis=1)
-    return Fraction(int(ens.weight @ hit), ens.total)
-
-
-def _pair_collision_prob(ens_a, ens_b, ua, ub, va, vb, q):
-    """Exact P over independent (A,B) of a collision between two points of
-    the product map: A ua = A va and B ub = B vb."""
-    return _collision_prob(ens_a, ua, va, q) * _collision_prob(ens_b, ub, vb, q)
-
-
-@pytest.mark.parametrize("combine", ["stacked", "paired"])
-def test_product_bound_exhaustive(combine):
-    q, l, n, tau = 3, 1, 2, 2
-    params = EnsembleParams(q=q, l=l, n=n, tau=tau, xi=0.5)
-    da = dg.alpha_beta(params, n)
-    db = dg.alpha_beta(params, n)
-    mats = dg.enumerate_mackay(params)
-    prod = (dg.stacked_diagnostics(da, db) if combine == "stacked"
-            else dg.paired_diagnostics(da, db))
-    space = [np.array(u) for u in itertools.product(range(q), repeat=n)]
-    rng = rng_from_seed(8)
-    for _ in range(10):
-        if combine == "stacked":
-            T = _random_subset(rng, space, 4)
-            Tp = _random_subset(rng, space, 4)
-            keys_t = [tuple(u) for u in T]
-            keys_tp = [tuple(u) for u in Tp]
-            lhs = Fraction(0)
-            for u in T:
-                for v in Tp:
-                    lhs += _pair_collision_prob(mats, mats, u, u, v, v, q)
-        else:
-            # the paired bound applies to sets whose distinct members differ
-            # in both coordinates; subsets of a bijection's graph guarantee it
-            perm = rng.permutation(len(space))
-            pairs = [(space[i], space[perm[i]]) for i in range(len(space))]
-            T = _random_subset(rng, pairs, 4)
-            Tp = _random_subset(rng, pairs, 4)
-            keys_t = [(tuple(u), tuple(v)) for u, v in T]
-            keys_tp = [(tuple(u), tuple(v)) for u, v in Tp]
-            lhs = Fraction(0)
-            for u1, v1 in T:
-                for u2, v2 in Tp:
-                    lhs += _pair_collision_prob(mats, mats, u1, v1, u2, v2, q)
-        inter = len(set(keys_t) & set(keys_tp))
-        rhs = (inter
-               + Fraction(len(T) * len(Tp)) * prod.alpha / prod.im_size
-               + min(len(T), len(Tp)) * prod.beta)
-        assert lhs <= rhs
 
 
 # -- stacked checks against the one-matrix-at-a-time references -----------------
@@ -450,7 +378,7 @@ def test_stacked_checks_equal_reference_loops(case):
     if kind == "mackay":
         ens, ref = dg.enumerate_mackay(params), _reference_mackay(params)
     else:
-        ens, ref = dg.enumerate_uniform(q, l, n), _reference_uniform(q, l, n)
+        ens, ref = _enumerate_uniform(q, l, n), _reference_uniform(q, l, n)
     _assert_stacked_equals_reference(ens, ref)
     assert (dg.hash_sum_exhaustive(ens, T, Tp, diag)
             == _reference_hash_sum(ref, T, Tp, diag))

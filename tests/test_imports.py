@@ -1,5 +1,5 @@
 """Every name a package module imports is read in that module, and every
-module-level private name a package module defines is read in the package."""
+module-level name a package module defines is read in the package."""
 
 import ast
 from pathlib import Path
@@ -28,9 +28,9 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def private_names(tree: ast.Module) -> set:
-    """Module-level names like `_x` (not dunders) that `tree` binds by def,
-    class or assignment."""
+def module_names(tree: ast.Module) -> set:
+    """Module-level names, dunders excepted, that `tree` binds by def, class
+    or assignment."""
     bound = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -41,22 +41,37 @@ def private_names(tree: ast.Module) -> set:
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
                                                             ast.Name):
             bound.add(node.target.id)
-    return {name for name in bound
-            if name.startswith("_") and not name.startswith("__")}
+    return {name for name in bound if not name.startswith("__")}
 
 
-def test_no_unread_private_names():
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))}
+def unread_names(trees: dict, private: bool) -> dict:
+    """Per module, the private (or public) module-level names that no module
+    reads: by a load, an attribute or an import.  The re-exports of
+    `__init__.py` are not reads."""
     read = set()
-    for tree in trees.values():
+    for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
+            elif (isinstance(node, ast.ImportFrom)
+                  and module != "__init__.py"):
                 read |= {a.name for a in node.names}
-    found = {name: sorted(private_names(tree) - read)
-             for name, tree in trees.items()}
-    assert {name: names for name, names in found.items() if names} == {}
+    found = {module: sorted(name for name in module_names(tree) - read
+                            if name.startswith("_") == private)
+             for module, tree in trees.items()}
+    return {module: names for module, names in found.items() if names}
+
+
+def package_trees() -> dict:
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_unread_private_names():
+    assert unread_names(package_trees(), private=True) == {}
+
+
+def test_no_unread_public_names():
+    assert unread_names(package_trees(), private=False) == {}
