@@ -220,6 +220,20 @@ def test_types_check_report_is_pinned():
         "bd5b649d5fa5b7c290284365fe0584653492ce7fcc9f506c0538ecb048397bf2")
 
 
+def test_types_check_report_calls_checks_through_the_module(monkeypatch):
+    # a wrapper set on a module attribute (as a profiler sets one) must see
+    # every suite's call, so the report may not call the functions that
+    # LEMMA_SUITE captured at import
+    called = []
+    for _, check in tl.LEMMA_SUITE:
+        def wrapped(*args, _check=check):
+            called.append(_check.__name__)
+            return _check(*args)
+        monkeypatch.setattr(tl, check.__name__, wrapped)
+    cli.types_check_report(2, 5, 0.1, 0.1)
+    assert called == [check.__name__ for _, check in tl.LEMMA_SUITE]
+
+
 def test_aep_gamma_range():
     with pytest.raises(ValueError):
         tl.check_typical_aep(tl.Distribution([0.5, 0.5]), 6, 0.2)
