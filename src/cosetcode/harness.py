@@ -22,26 +22,6 @@ from .matrices import derive_seed, rng_from_seed
 REQUIRED_KEYS = ("problem", "n", "trials", "seed", "scheme")
 OPTIONAL_KEYS = ("best_of", "ensemble", "tau", "out")
 
-# per problem, each scheme key with the alphabets that index its table's axes
-# ("" for a number); the first table to index an alphabet fixes its size
-SCHEME_KEYS = {
-    "sw": {"joint": "xy", "rate_x": "", "rate_y": ""},
-    "ch": {"mu_x": "x", "channel": "xy", "eps_a": "", "eps_b": ""},
-    "gp": {"mu_z": "z", "mu_xw_z": "zxw", "channel": "xzy", "eps_a": "",
-           "eps_b": "", "eps_ahat": ""},
-    "lossy": {"mu_x": "x", "test_channel": "xy", "rho": "xy", "eps_a": "",
-              "eps_b": ""},
-    "wz": {"mu_xz": "xz", "test_channel": "xy", "f": "yz", "rho": "xw",
-           "eps_a": "", "eps_b": ""},
-    "oho": {"mu_xy": "xy", "channel": "yz", "eps_a": "", "eps_b": "",
-            "eps_bhat": ""},
-}
-# probability tables, each with its number of trailing output axes: every
-# row over the leading (given) axes is a pmf, a joint has no given axes
-PMF_KEYS = {"joint": 2, "mu_x": 1, "mu_z": 1, "mu_xz": 2, "mu_xy": 2,
-            "channel": 1, "test_channel": 1, "mu_xw_z": 2}
-
-
 def _integer(key: str, value, low=None) -> int:
     """`value` as an int: an integral float converts, a boolean is refused."""
     if isinstance(value, float) and value.is_integer():
@@ -58,7 +38,7 @@ def _check_scheme(problem: str, scheme: dict):
     tables have nonnegative rows summing to 1, and every alphabet a matrix is
     drawn over has prime size."""
     sizes, fixed_by = {}, {}
-    for key, axes in SCHEME_KEYS[problem].items():
+    for key, axes in sc.SCHEME_KEYS[problem].items():
         value = scheme[key]
         if not axes:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -78,12 +58,12 @@ def _check_scheme(problem: str, scheme: dict):
                 raise ValueError(f"{key} indexes {axis} by {size} symbols, "
                                  f"{fixed_by[axis]} by {sizes[axis]}")
             fixed_by.setdefault(axis, key)
-        if key in PMF_KEYS:
+        if key in sc.PMF_KEYS:
             if (table < 0).any():
                 raise ValueError(f"{key} must have no negative entry, "
                                  f"got {value!r}")
             # the tolerance Distribution applies to a joint
-            outs = tuple(range(table.ndim - PMF_KEYS[key], table.ndim))
+            outs = tuple(range(table.ndim - sc.PMF_KEYS[key], table.ndim))
             sums = table.sum(axis=outs)
             if np.abs(sums - 1.0).max() > 1e-12:
                 rows = " in each row" if sums.ndim else ""
@@ -126,7 +106,7 @@ class ExperimentConfig:
         missing = [key for key in REQUIRED_KEYS if key not in doc]
         if missing:
             raise ValueError(f"missing config keys: {missing}")
-        problem, names = doc["problem"], sc.PROBLEMS + ("channel",)
+        problem, names = doc["problem"], (*sc.SCHEME_KEYS, "channel")
         if problem not in names:
             raise ValueError(f"problem must be one of {names}, got {problem!r}")
         if problem == "channel":
@@ -141,10 +121,10 @@ class ExperimentConfig:
         scheme = doc["scheme"]
         if not isinstance(scheme, dict):
             raise ValueError(f"scheme must be an object, got {scheme!r}")
-        extra = set(scheme) - set(SCHEME_KEYS[problem])
+        extra = set(scheme) - set(sc.SCHEME_KEYS[problem])
         if extra:
             raise ValueError(f"unknown scheme keys for {problem}: {sorted(extra)}")
-        missing = set(SCHEME_KEYS[problem]) - set(scheme)
+        missing = set(sc.SCHEME_KEYS[problem]) - set(scheme)
         if missing:
             raise ValueError(f"missing scheme keys for {problem}: {sorted(missing)}")
         _check_scheme(problem, scheme)
@@ -163,11 +143,7 @@ class ExperimentConfig:
     def scheme_params(self) -> sc.SchemeParams:
         """The scheme's parameters; admissibility issues are recorded in
         `eps_warnings`."""
-        # each constructor takes the scheme values in SCHEME_KEYS order
-        make = {"sw": sc.sw_params, "ch": sc.ch_params, "gp": sc.gp_params,
-                "lossy": sc.lossy_params, "wz": sc.wz_params,
-                "oho": sc.oho_params}[self.problem]
-        return make(*(self.scheme[key] for key in SCHEME_KEYS[self.problem]))
+        return sc.scheme_params(self.problem, self.scheme)
 
 
 @dataclass

@@ -35,7 +35,24 @@ from .matrices import (
 )
 from .types_lab import Distribution, entropy, zeta
 
-PROBLEMS = ("sw", "ch", "gp", "lossy", "wz", "oho")
+# per problem, each scheme key with the alphabets that index its table's axes
+# ("" for a number); the first table to index an alphabet fixes its size
+SCHEME_KEYS = {
+    "sw": {"joint": "xy", "rate_x": "", "rate_y": ""},
+    "ch": {"mu_x": "x", "channel": "xy", "eps_a": "", "eps_b": ""},
+    "gp": {"mu_z": "z", "mu_xw_z": "zxw", "channel": "xzy", "eps_a": "",
+           "eps_b": "", "eps_ahat": ""},
+    "lossy": {"mu_x": "x", "test_channel": "xy", "rho": "xy", "eps_a": "",
+              "eps_b": ""},
+    "wz": {"mu_xz": "xz", "test_channel": "xy", "f": "yz", "rho": "xw",
+           "eps_a": "", "eps_b": ""},
+    "oho": {"mu_xy": "xy", "channel": "yz", "eps_a": "", "eps_b": "",
+            "eps_bhat": ""},
+}
+# probability tables, each with its number of trailing output axes: every
+# row over the leading (given) axes is a pmf, a joint has no given axes
+PMF_KEYS = {"joint": 2, "mu_x": 1, "mu_z": 1, "mu_xz": 2, "mu_xy": 2,
+            "channel": 1, "test_channel": 1, "mu_xw_z": 2}
 
 
 class EncoderFailure(Exception):
@@ -65,7 +82,7 @@ class SchemeParams:
                           compare=False)
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
+        if self.problem not in SCHEME_KEYS:
             raise ValueError(f"unknown problem {self.problem!r}")
         self.validate()
 
@@ -116,9 +133,8 @@ class SchemeParams:
         issues = []
         ea = self.eps.get("a")
         eb = self.eps.get("b")
-        if self.problem == "sw":
-            self.eps_warnings = issues
-            return issues
+        # zeta is defined for a positive argument only: a bound that would
+        # take it from a non-positive epsilon is reported as that epsilon
         if self.problem in ("ch", "gp"):
             if self.problem == "ch":
                 sizes = self.card("x")
@@ -131,12 +147,16 @@ class SchemeParams:
                 if not (eb - ea <= mid < ea):
                     issues.append(
                         f"eps condition violated: {eb - ea:.4g} <= {mid:.4g} < {ea:.4g}")
-            if self.problem == "gp":
-                eah = self.eps.get("ahat")
+            eah = self.eps.get("ahat")
+            if self.problem == "gp" and eah <= 0:
+                issues.append("need eps_ahat > 0")
+            elif self.problem == "gp":
                 bound = 2 * zeta(self.card("y") * self.card("w"), 6 * eah)
                 if not bound < ea:
                     issues.append(
                         f"stage-2 condition violated: {bound:.4g} >= eps_a")
+        elif self.problem in ("lossy", "wz", "oho") and ea <= 0:
+            issues.append("need eps_a > 0")
         elif self.problem == "lossy":
             bound = ea + 2 * zeta(self.card("y"), 3 * ea)
             if not bound < eb:
@@ -153,7 +173,6 @@ class SchemeParams:
             if not self.eps.get("bhat") > b2:
                 issues.append(f"need eps_bhat > {b2:.4g}")
         self.eps_warnings = issues
-        return issues
 
 
 def _perm_of(current_order, wanted_order):
@@ -161,67 +180,26 @@ def _perm_of(current_order, wanted_order):
     return tuple(current_order.index(a) for a in wanted_order)
 
 
-# -- constructors -------------------------------------------------------------
+# -- constructor --------------------------------------------------------------
 
-def sw_params(mu_xy, rate_x: float, rate_y: float) -> SchemeParams:
-    return SchemeParams("sw", Distribution(getattr(mu_xy, "p", mu_xy)),
-                        ("x", "y"), eps={}, rate_x=rate_x, rate_y=rate_y)
-
-
-def ch_params(mu_x, chan_y_x, eps_a: float, eps_b: float) -> SchemeParams:
-    mu_x = np.asarray(getattr(mu_x, "p", mu_x), dtype=float)
-    chan = np.asarray(chan_y_x, dtype=float)  # [x, y]
-    joint = Distribution(mu_x[:, None] * chan)
-    return SchemeParams("ch", joint, ("x", "y"),
-                        eps={"a": eps_a, "b": eps_b})
-
-
-def gp_params(mu_z, mu_xw_z, chan_y_xz, eps_a: float, eps_b: float,
-              eps_ahat: float) -> SchemeParams:
-    """mu_xw_z indexed [z, x, w]; chan_y_xz indexed [x, z, y]."""
-    mu_z = np.asarray(getattr(mu_z, "p", mu_z), dtype=float)
-    mu_xw_z = np.asarray(mu_xw_z, dtype=float)
-    chan = np.asarray(chan_y_xz, dtype=float)
-    qz, qx, qw = mu_xw_z.shape
-    qy = chan.shape[2]
-    p = np.zeros((qx, qy, qz, qw))
-    for z in range(qz):
-        for x in range(qx):
-            for w in range(qw):
-                p[x, :, z, w] = mu_z[z] * mu_xw_z[z, x, w] * chan[x, z, :]
-    return SchemeParams("gp", Distribution(p), ("x", "y", "z", "w"),
-                        eps={"a": eps_a, "b": eps_b, "ahat": eps_ahat})
-
-
-def lossy_params(mu_x, test_chan_y_x, rho, eps_a: float,
-                 eps_b: float) -> SchemeParams:
-    mu_x = np.asarray(getattr(mu_x, "p", mu_x), dtype=float)
-    chan = np.asarray(test_chan_y_x, dtype=float)  # [x, y]
-    joint = Distribution(mu_x[:, None] * chan)
-    return SchemeParams("lossy", joint, ("x", "y"),
-                        eps={"a": eps_a, "b": eps_b},
-                        rho=np.asarray(rho, dtype=float))
-
-
-def wz_params(mu_xz: Distribution, test_chan_y_x, f, rho,
-              eps_a: float, eps_b: float) -> SchemeParams:
-    """mu_xz over (x, z); test channel [x, y]; f indexed [y, z]; rho [x, w]."""
-    pxz = np.asarray(getattr(mu_xz, "p", mu_xz), dtype=float)
-    chan = np.asarray(test_chan_y_x, dtype=float)
-    p = pxz[:, None, :] * chan[:, :, None]  # (x, y, z)
-    return SchemeParams("wz", Distribution(p), ("x", "y", "z"),
-                        eps={"a": eps_a, "b": eps_b},
-                        rho=np.asarray(rho, dtype=float),
-                        f=np.asarray(f, dtype=np.int64))
-
-
-def oho_params(mu_xy: Distribution, chan_z_y, eps_a: float, eps_b: float,
-               eps_bhat: float) -> SchemeParams:
-    pxy = np.asarray(getattr(mu_xy, "p", mu_xy), dtype=float)
-    chan = np.asarray(chan_z_y, dtype=float)  # [y, z]
-    p = pxy[:, :, None] * chan[None, :, :]  # (x, y, z)
-    return SchemeParams("oho", Distribution(p), ("x", "y", "z"),
-                        eps={"a": eps_a, "b": eps_b, "bhat": eps_bhat})
+def scheme_params(problem: str, scheme: dict) -> SchemeParams:
+    """A problem's parameters from its config `scheme` values: the joint law
+    is the product of the probability tables, matched by alphabet letter,
+    over the axes of "xyzw" that they index."""
+    keys = SCHEME_KEYS[problem]
+    tables = [key for key in keys if key in PMF_KEYS]
+    axes = "".join(a for a in "xyzw" if any(a in keys[key] for key in tables))
+    # C order: the marginals sum the joint in memory order
+    joint = np.einsum(",".join(keys[key] for key in tables) + "->" + axes,
+                      *(np.asarray(scheme[key], dtype=float) for key in tables),
+                      order="C")
+    rho, f = scheme.get("rho"), scheme.get("f")
+    return SchemeParams(
+        problem, Distribution(joint), tuple(axes),
+        eps={key[4:]: scheme[key] for key in keys if key.startswith("eps_")},
+        rho=None if rho is None else np.asarray(rho, dtype=float),
+        f=None if f is None else np.asarray(f, dtype=np.int64),
+        rate_x=scheme.get("rate_x"), rate_y=scheme.get("rate_y"))
 
 
 # -- dimensions ---------------------------------------------------------------

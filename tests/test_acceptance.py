@@ -190,14 +190,17 @@ def _gp_as_ch_params():
     mu_xw_z[0, 1, 1] = 0.5
     chan = np.zeros((2, 1, 2))  # [x, z, y]
     chan[:, 0, :] = BSC11
-    return sc.gp_params([1.0], mu_xw_z, chan, 0.05, 0.05, 0.01)
+    return sc.scheme_params("gp", {"mu_z": [1.0], "mu_xw_z": mu_xw_z,
+                                   "channel": chan, "eps_a": 0.05,
+                                   "eps_b": 0.05, "eps_ahat": 0.01})
 
 
 def test_criterion_07_specialization_equivalences(capsys):
     n, seed, trials = 12, 314, 100
     ok = True
     # degenerate side-information channel coding == plain channel coding
-    ch = sc.ch_params([0.5, 0.5], BSC11, 0.05, 0.05)
+    ch = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": BSC11,
+                                 "eps_a": 0.05, "eps_b": 0.05})
     gp = _gp_as_ch_params()
     ich = sc.build_instance(ch, n, seed)
     igp = sc.build_instance(gp, n, seed)
@@ -217,9 +220,12 @@ def test_criterion_07_specialization_equivalences(capsys):
           and np.array_equal(x1[live], x2[live]) and np.array_equal(y, y2)
           and np.array_equal(sc.ch_decode(ich, ch, y), sc.gp_decode(igp, gp, y2)))
     # trivial side information + identity reproduction == plain lossy coding
-    lossy = sc.lossy_params([0.5, 0.5], BSC25, HAMMING, 0.01, 0.1)
-    wz = sc.wz_params(np.array([[0.5], [0.5]]), BSC25, [[0], [1]], HAMMING,
-                      0.01, 0.1)
+    lossy = sc.scheme_params("lossy", {
+        "mu_x": [0.5, 0.5], "test_channel": BSC25, "rho": HAMMING,
+        "eps_a": 0.01, "eps_b": 0.1})
+    wz = sc.scheme_params("wz", {
+        "mu_xz": np.array([[0.5], [0.5]]), "test_channel": BSC25,
+        "f": [[0], [1]], "rho": HAMMING, "eps_a": 0.01, "eps_b": 0.1})
     ilo = sc.build_instance(lossy, n, seed)
     iwz = sc.build_instance(wz, n, seed)
     ok = ok and ilo.matrices["A"] == iwz.matrices["A"]

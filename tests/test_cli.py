@@ -188,6 +188,12 @@ LOSSY = {"mu_x": [0.5, 0.5], "test_channel": [[0.75, 0.25], [0.25, 0.75]],
 WZ = {"mu_xz": [[0.45, 0.05], [0.05, 0.45]],
       "test_channel": [[0.75, 0.25], [0.25, 0.75]], "f": [[0, 0], [1, 1]],
       "rho": [[0.0, 1.0], [1.0, 0.0]], "eps_a": 0.01, "eps_b": 0.1}
+GP = {"mu_z": [0.5, 0.5], "mu_xw_z": [[[0.5, 0.0], [0.0, 0.5]]] * 2,
+      "channel": [[[0.89, 0.11]] * 2, [[0.11, 0.89]] * 2],
+      "eps_a": 0.05, "eps_b": 0.15, "eps_ahat": 0.01}
+OHO = {"mu_xy": [[0.45, 0.05], [0.05, 0.45]],
+       "channel": [[0.9, 0.1], [0.1, 0.9]],
+       "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15}
 
 
 def scheme_doc(problem, base, **over):
@@ -380,6 +386,21 @@ def test_run_reports_admissibility_on_stderr(tmp_path, capsys):
         assert err == f"warning: {warned}\n"
         csv = Path(f"{prefix}.csv")
         assert out == csv.read_text() + f"# written: {csv}\n"
+
+
+@pytest.mark.parametrize("problem, base, key, value", [
+    ("lossy", LOSSY, "eps_a", -0.01), ("wz", WZ, "eps_a", 0),
+    ("oho", OHO, "eps_a", -0.05), ("gp", GP, "eps_ahat", -0.01),
+], ids=["lossy", "wz", "oho", "gp"])
+def test_non_positive_epsilon_runs_and_warns(problem, base, key, value,
+                                             tmp_path, capsys):
+    # a rate-deficient run is reported, not refused
+    doc = scheme_doc(problem, base, **{key: value})
+    doc.update(n=[8], trials=4)
+    assert main(["run", "--config", str(run_config(tmp_path, doc)),
+                 "--out", str(tmp_path / problem)]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert f"warning: need {key} > 0" in err
 
 
 def test_run_over_budget_coset_is_usage_error(tmp_path, capsys):

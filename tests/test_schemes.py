@@ -32,7 +32,8 @@ def test_unknown_problem_rejected():
 
 
 def test_cond_and_marg_tables():
-    params = sc.ch_params([0.5, 0.5], bsc(0.1), 0.05, 0.05)
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.1),
+                                     "eps_a": 0.05, "eps_b": 0.05})
     cond = params.cond("y", "x")
     assert np.allclose(cond, bsc(0.1))
     assert np.allclose(params.marg("x"), [0.5, 0.5])
@@ -40,33 +41,85 @@ def test_cond_and_marg_tables():
     assert params.card("x") == 2 and params.axis("y") == 1
 
 
+# per problem, each config table with the call that gives it back: the axes
+# follow the README's indexing, so a swapped alphabet letter fails here
+RECOVERED = {
+    "sw": {"joint": lambda p: p.marg("xy")},
+    "ch": {"mu_x": lambda p: p.marg("x"),
+           "channel": lambda p: p.cond("y", "x")},
+    "gp": {"mu_z": lambda p: p.marg("z"),
+           "mu_xw_z": lambda p: p.cond("xw", "z"),
+           "channel": lambda p: p.cond("y", "xz")},
+    "lossy": {"mu_x": lambda p: p.marg("x"),
+              "test_channel": lambda p: p.cond("y", "x"),
+              "rho": lambda p: p.rho},
+    "wz": {"mu_xz": lambda p: p.marg("xz"),
+           "test_channel": lambda p: p.cond("y", "x"),
+           "f": lambda p: p.f, "rho": lambda p: p.rho},
+    "oho": {"mu_xy": lambda p: p.marg("xy"),
+            "channel": lambda p: p.cond("z", "y")},
+}
+
+
+@pytest.mark.parametrize("problem", RECOVERED)
+def test_every_table_is_recovered_from_the_joint(problem):
+    # strictly positive, asymmetric tables over alphabets of distinct sizes
+    sizes = {"x": 2, "y": 3, "z": 5, "w": 3}
+    rng = np.random.default_rng(7)
+    scheme = {}
+    for key, axes in sc.SCHEME_KEYS[problem].items():
+        shape = [sizes[a] for a in axes]
+        if not axes:
+            scheme[key] = 0.05
+        elif key == "f":
+            scheme[key] = rng.integers(0, sizes["w"], shape)
+        else:
+            table = rng.random(shape) + 0.1
+            if key in sc.PMF_KEYS:
+                outs = tuple(range(len(axes) - sc.PMF_KEYS[key], len(axes)))
+                table /= table.sum(axis=outs, keepdims=True)
+            scheme[key] = table
+    tables = {key for key, axes in sc.SCHEME_KEYS[problem].items() if axes}
+    assert set(RECOVERED[problem]) == tables
+    params = sc.scheme_params(problem, scheme)
+    for key, recover in RECOVERED[problem].items():
+        np.testing.assert_allclose(recover(params), scheme[key], rtol=0,
+                                   atol=1e-12, err_msg=key)
+
+
 def test_eps_conditions_warn_not_fail():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        params = sc.ch_params([0.5, 0.5], bsc(0.1), 0.01, 0.5)
+        params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5],
+                                         "channel": bsc(0.1),
+                                         "eps_a": 0.01, "eps_b": 0.5})
     assert params.eps_warnings  # recorded, not raised or warned
 
 
 def test_eps_conditions_satisfied_cases():
     # generous eps_a with tiny eps_b - eps_a satisfies the sqrt condition
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.4, 0.4001)
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
+                                     "eps_a": 0.4, "eps_b": 0.4001})
     assert not params.eps_warnings
-    params = sc.lossy_params([0.5, 0.5], bsc(0.25), [[0, 1], [1, 0]],
-                             0.0001, 0.35)
+    params = sc.scheme_params("lossy", {
+        "mu_x": [0.5, 0.5], "test_channel": bsc(0.25),
+        "rho": [[0, 1], [1, 0]], "eps_a": 0.0001, "eps_b": 0.35})
     assert not params.eps_warnings
 
 
 # -- dimension formulas ------------------------------------------------------------
 
 def test_sw_dims_from_rates():
-    params = sc.sw_params(Distribution.dsbs(0.11), 0.6, 0.7)
+    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.11).p,
+                                     "rate_x": 0.6, "rate_y": 0.7})
     dims = sc.dims_for(params, 20)
     assert dims.rounded == {"A": 12, "B": 14}
     assert not any(dims.clamped.values())
 
 
 def test_ch_dims_bsc_frozen():
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
+                                     "eps_a": 0.05, "eps_b": 0.05})
     dims = sc.dims_for(params, 100)
     assert dims.real["A"] == pytest.approx(100 * (h2(0.11) + 0.05), abs=1e-9)
     assert dims.real["B"] == pytest.approx(100 * (1 - h2(0.11) - 0.05), abs=1e-9)
@@ -74,8 +127,9 @@ def test_ch_dims_bsc_frozen():
 
 
 def test_lossy_dims_frozen():
-    params = sc.lossy_params([0.5, 0.5], bsc(0.25), [[0, 1], [1, 0]],
-                             0.01, 0.1)
+    params = sc.scheme_params("lossy", {
+        "mu_x": [0.5, 0.5], "test_channel": bsc(0.25),
+        "rho": [[0, 1], [1, 0]], "eps_a": 0.01, "eps_b": 0.1})
     dims = sc.dims_for(params, 16)
     assert dims.real["A"] == pytest.approx(16 * (h2(0.25) - 0.01), abs=1e-9)
     assert dims.real["B"] == pytest.approx(16 * (1 - h2(0.25) + 0.1), abs=1e-9)
@@ -84,16 +138,20 @@ def test_lossy_dims_frozen():
 def test_wz_reduces_to_lossy_dims_when_z_trivial():
     rho = [[0, 1], [1, 0]]
     f = [[0], [1]]  # y -> y, z ignored
-    wz = sc.wz_params(Distribution([[0.5], [0.5]]), bsc(0.25), f, rho,
-                      0.01, 0.1)
-    lossy = sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.1)
+    wz = sc.scheme_params("wz", {
+        "mu_xz": Distribution([[0.5], [0.5]]).p, "test_channel": bsc(0.25),
+        "f": f, "rho": rho, "eps_a": 0.01, "eps_b": 0.1})
+    lossy = sc.scheme_params("lossy", {
+        "mu_x": [0.5, 0.5], "test_channel": bsc(0.25), "rho": rho,
+        "eps_a": 0.01, "eps_b": 0.1})
     dw, dl = sc.dims_for(wz, 16), sc.dims_for(lossy, 16)
     assert dw.rounded == dl.rounded
 
 
 def test_oho_dims_signs():
-    params = sc.oho_params(Distribution.dsbs(0.1), bsc(0.1),
-                           0.05, 0.15, 0.15)
+    params = sc.scheme_params("oho", {
+        "mu_xy": Distribution.dsbs(0.1).p, "channel": bsc(0.1),
+        "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15})
     dims = sc.dims_for(params, 12)
     p = params.joint.p
     hz_y = h2(0.1)
@@ -102,7 +160,8 @@ def test_oho_dims_signs():
 
 
 def test_dims_clamp_warns():
-    params = sc.sw_params(Distribution.dsbs(0.11), 1.4, 0.01)
+    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.11).p,
+                                     "rate_x": 1.4, "rate_y": 0.01})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dims = sc.dims_for(params, 10)  # reported in `clamped`, not warned
@@ -113,7 +172,8 @@ def test_dims_clamp_warns():
 # -- instances ---------------------------------------------------------------------
 
 def test_build_instance_shapes_and_determinism():
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
+                                     "eps_a": 0.05, "eps_b": 0.05})
     inst = sc.build_instance(params, 12, seed=5)
     assert inst.matrices["A"].l == inst.dims.rounded["A"]
     assert inst.matrices["B"].n == 12
@@ -125,7 +185,8 @@ def test_build_instance_shapes_and_determinism():
 
 
 def test_build_instance_uniform_ensemble():
-    params = sc.sw_params(Distribution.dsbs(0.11), 0.6, 0.6)
+    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.11).p,
+                                     "rate_x": 0.6, "rate_y": 0.6})
     inst = sc.build_instance(params, 8, seed=1, ensemble="uniform")
     assert inst.matrices["A"].l == 5
     with pytest.raises(ValueError):
@@ -141,7 +202,8 @@ def test_rate_of_uses_rank():
 def test_sample_message_lies_in_image():
     from cosetcode.cosets import solve_coset
     from cosetcode.matrices import sample_image_point
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
+                                     "eps_a": 0.05, "eps_b": 0.05})
     inst = sc.build_instance(params, 10, seed=3)
     seeds = [derive_seed(3, "m", t) for t in range(10)]
     m = sc.sample_message(inst, seeds)
@@ -169,11 +231,14 @@ def _bsc_gp_params(eps_a=0.05, eps_b=0.02, eps_ahat=0.01):
     chan = np.zeros((2, 2, 2))  # [x, z, y]
     for z in range(2):
         chan[:, z, :] = bsc(0.11)
-    return sc.gp_params([0.5, 0.5], mu_xw_z, chan, eps_a, eps_b, eps_ahat)
+    return sc.scheme_params("gp", {"mu_z": [0.5, 0.5], "mu_xw_z": mu_xw_z,
+                                   "channel": chan, "eps_a": eps_a,
+                                   "eps_b": eps_b, "eps_ahat": eps_ahat})
 
 
 def test_sw_round_trip_contracts():
-    params = sc.sw_params(Distribution.dsbs(0.05), 0.9, 0.9)
+    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.05).p,
+                                     "rate_x": 0.9, "rate_y": 0.9})
     inst = sc.build_instance(params, 8, seed=2)
     rng = np.random.default_rng(0)
     x = rng.integers(0, 2, (10, 8))
@@ -186,7 +251,8 @@ def test_sw_round_trip_contracts():
 
 
 def test_ch_encode_decode_contracts():
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
+                                     "eps_a": 0.05, "eps_b": 0.05})
     inst = sc.build_instance(params, 10, seed=4)
     m = sc.sample_message(inst, [derive_seed(4, "m", t) for t in range(10)])
     # (c, m) can be jointly unsolvable; such a trial is an encoder failure
@@ -200,7 +266,8 @@ def test_ch_encode_decode_contracts():
 
 
 def test_ch_encoder_failure():
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.05)
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
+                                     "eps_a": 0.05, "eps_b": 0.05})
     A = SparseMatrix(2, [[1, 1]])
     inst = sc.SchemeInstance("ch", 2, {"A": A, "B": A},
                              {"A": np.array([0])}, sc.dims_for(params, 2))
@@ -227,7 +294,9 @@ def test_gp_contracts():
 
 def test_lossy_and_wz_contracts():
     rho = [[0, 1], [1, 0]]
-    params = sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.2)
+    params = sc.scheme_params("lossy", {
+        "mu_x": [0.5, 0.5], "test_channel": bsc(0.25), "rho": rho,
+        "eps_a": 0.01, "eps_b": 0.2})
     inst = sc.build_instance(params, 10, seed=9)
     rng = np.random.default_rng(2)
     x = rng.integers(0, 2, (5, 10))
@@ -237,8 +306,9 @@ def test_lossy_and_wz_contracts():
     assert np.array_equal(inst.matrices["B"].matvec(y), b)
 
     f = [[0, 0], [1, 1]]  # reproduce y regardless of z
-    wz = sc.wz_params(Distribution.dsbs(0.2), bsc(0.25), f, rho,
-                      0.01, 0.3)
+    wz = sc.scheme_params("wz", {
+        "mu_xz": Distribution.dsbs(0.2).p, "test_channel": bsc(0.25),
+        "f": f, "rho": rho, "eps_a": 0.01, "eps_b": 0.3})
     winst = sc.build_instance(wz, 10, seed=9)
     x = rng.integers(0, 2, (5, 10))
     z = rng.integers(0, 2, (5, 10))
@@ -248,8 +318,9 @@ def test_lossy_and_wz_contracts():
 
 
 def test_oho_contracts():
-    params = sc.oho_params(Distribution.dsbs(0.1), bsc(0.1),
-                           0.05, 0.15, 0.15)
+    params = sc.scheme_params("oho", {
+        "mu_xy": Distribution.dsbs(0.1).p, "channel": bsc(0.1),
+        "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15})
     inst = sc.build_instance(params, 10, seed=11)
     rng = np.random.default_rng(3)
     x = rng.integers(0, 2, (5, 10))
@@ -276,7 +347,8 @@ def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
         return got
 
     monkeypatch.setattr(sc, "ml_code_cond_iid", spy)
-    params = sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15)
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
+                                     "eps_a": 0.05, "eps_b": 0.15})
     n = 16
     exact = fixed_point_metric(log_table(params.marg("yx")), n)
     assert np.isfinite(exact).all()
@@ -295,7 +367,8 @@ def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
 
 def test_nonprime_alphabet_rejected():
     joint = Distribution(np.full((4, 4), 1 / 16))
-    params = sc.sw_params(joint, 1.0, 1.0)
+    params = sc.scheme_params("sw", {"joint": joint.p, "rate_x": 1.0,
+                                     "rate_y": 1.0})
     with pytest.raises(ValueError):
         sc.build_instance(params, 4, seed=0)
 
@@ -314,16 +387,22 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
     mu_xw_z = np.array([[[0.4, 0.1], [0.1, 0.4]]] * 2)
     chan = np.stack([bsc(0.11)] * 2, axis=1)  # [x, z, y]
     cases = {  # problem -> (params, number of stacked systems)
-        "sw": (sc.sw_params(Distribution.dsbs(0.11), 0.85, 0.85), 2),
-        "ch": (sc.ch_params([0.5, 0.5], bsc(0.11), 0.05, 0.15), 2),
-        "gp": (sc.gp_params([0.5, 0.5], mu_xw_z, chan, 0.05, 0.15, 0.01), 3),
-        "lossy": (sc.lossy_params([0.5, 0.5], bsc(0.25), rho, 0.01, 0.1), 2),
-        "wz": (sc.wz_params(Distribution.dsbs(0.1), bsc(0.25), [[0, 0], [1, 1]],
-                            rho, 0.01, 0.1), 2),
-        "oho": (sc.oho_params(Distribution.dsbs(0.1), bsc(0.1), 0.05, 0.15,
-                              0.15), 3),
+        "sw": ({"joint": Distribution.dsbs(0.11).p, "rate_x": 0.85,
+                "rate_y": 0.85}, 2),
+        "ch": ({"mu_x": [0.5, 0.5], "channel": bsc(0.11), "eps_a": 0.05,
+                "eps_b": 0.15}, 2),
+        "gp": ({"mu_z": [0.5, 0.5], "mu_xw_z": mu_xw_z, "channel": chan,
+                "eps_a": 0.05, "eps_b": 0.15, "eps_ahat": 0.01}, 3),
+        "lossy": ({"mu_x": [0.5, 0.5], "test_channel": bsc(0.25), "rho": rho,
+                   "eps_a": 0.01, "eps_b": 0.1}, 2),
+        "wz": ({"mu_xz": Distribution.dsbs(0.1).p, "test_channel": bsc(0.25),
+                "f": [[0, 0], [1, 1]], "rho": rho, "eps_a": 0.01,
+                "eps_b": 0.1}, 2),
+        "oho": ({"mu_xy": Distribution.dsbs(0.1).p, "channel": bsc(0.1),
+                 "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15}, 3),
     }
-    for problem, (params, systems) in cases.items():
+    for problem, (scheme, systems) in cases.items():
+        params = sc.scheme_params(problem, scheme)
         solved.clear()
         inst = sc.build_instance(params, 10, seed=5)
         for batch in range(3):
@@ -335,7 +414,8 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
 def test_concurrent_first_use_of_a_coset():
     # more threads than cores race to compile the same system, each for its
     # own target; every one must get the coset of its target
-    params = sc.sw_params(Distribution.dsbs(0.11), 0.85, 0.85)
+    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.11).p,
+                                     "rate_x": 0.85, "rate_y": 0.85})
     workers = 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
