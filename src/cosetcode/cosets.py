@@ -10,6 +10,8 @@ import numpy as np
 from .matrices import gauss_jordan
 
 BUDGET = 1 << 24
+# entries of the (T, q_x, S_x, q_y, S_y) relax array of one trellis block
+_TRELLIS_ROOM = 1 << 16
 
 
 class EmptyCosetError(Exception):
@@ -217,8 +219,9 @@ def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):
     """Split trial indices into blocks whose score arrays, `scores_per_trial`
     entries a trial, fit in `room` entries (at least one trial a block).
 
-    The callers pass the entries of the element arrays that enumeration
-    used to build per trial, so a block's scores take no more memory."""
+    The enumeration callers pass the entries of the element arrays that
+    enumeration used to build per trial, so a block's scores take no more
+    memory; the trellis passes the fixed `_TRELLIS_ROOM`."""
     step = max(1, room // scores_per_trial)
     return [rows[i:i + step] for i in range(0, rows.size, step)]
 
@@ -333,58 +336,63 @@ def _product_trellis(coset_x: CosetBatch, coset_y: CosetBatch,
 
     The joint state is the pair of partial syndromes; a trial ends in the
     codes of its reduced targets, the pivot values of its particular
-    solutions.  Per trial, a backward pass gives the best suffix value of
-    every state; a forward walk then takes, at each position, the smallest x
+    solutions.  There is one walk per block of trials (value arrays with a
+    leading trial axis): a backward pass gives the best suffix value of every
+    state; a forward walk then takes, at each position, the smallest x
     symbol that some ML pair continues, tracking the best prefix value of
-    every state over the free y prefix; a last trellis over y alone, x fixed,
-    takes the smallest y.  A trial whose pairs all score -inf takes its
-    particular solutions, zero at every free column: member 0 of each
-    factor, the smallest pair.  `metric` must be integral
+    every y state beside the one x state of the fixed x prefix; a last
+    trellis over y alone, x fixed, takes the smallest y.  A trial whose pairs
+    all score -inf takes its particular solutions, zero at every free column:
+    member 0 of each factor, the smallest pair.  `metric` must be integral
     (fixed_point_metric), so the value comparisons are exact."""
     ex, ey = coset_x.elimination, coset_y.elimination
     (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
     steps_x, steps_y = _syndrome_steps(ex), _syndrome_steps(ey)
+    sx, sy = steps_x.shape[2], steps_y.shape[2]
     ends_x, ends_y = (c.particular[:, e.pivots] @ e.q ** np.arange(e.rank)
                       for c, e in ((coset_x, ex), (coset_y, ey)))
-    sym_x = np.arange(qx)[:, None]
-    branch = metric[:, None, :, None]  # (a, ., b, .)
-    back_x, back_y = (-np.arange(qx)) % qx, (-np.arange(qy)) % qy
-
-    def relax(values, shift_x, shift_y):
-        # [a][s, t] = max_b metric[a, b] + values[shift_x[a, s], shift_y[b, t]]
-        best_b = (branch + values[:, shift_y][None]).max(axis=2)
-        return best_b[sym_x, shift_x]
-
-    for j in np.flatnonzero(~(coset_x.empty | coset_y.empty)):
-        value = np.full((n + 1, steps_x.shape[2], steps_y.shape[2]), -np.inf)
-        value[n, ends_x[j], ends_y[j]] = 0.0
+    sym_x, branch = np.arange(qx)[:, None], metric[:, None, :, None]
+    into_y = steps_y[:, (-np.arange(qy)) % qy]  # [i, b, t]: state b takes to t
+    live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
+    for rows in _blocks(live, qx * qy * sx * sy, _TRELLIS_ROOM):
+        j = np.arange(rows.size)
+        value = np.full((n + 1, rows.size, sx, sy), -np.inf)
+        value[n, j, ends_x[rows], ends_y[rows]] = 0.0
         for i in range(n - 1, -1, -1):
-            value[i] = relax(value[i + 1], steps_x[i], steps_y[i]).max(axis=0)
-        best = value[0, 0, 0]
-        if best == -np.inf:
-            x[j], y[j] = coset_x.particular[j], coset_y.particular[j]
-            continue
-        prefix = np.full(value.shape[1:], -np.inf)
-        prefix[0, 0] = 0.0
-        xj, yj = x[j], y[j]  # views: the walks write the rows of x and y
+            # [j, a, s, t]: max_b metric[a, b] + value[i + 1][j] at the state
+            # that (a, b) leads (s, t) to; then the max over a
+            max_b = (branch + value[i + 1][:, None, :, steps_y[i]]).max(axis=3)
+            np.max(max_b[:, sym_x, steps_x[i]], axis=1, out=value[i])
+        best = value[0, :, 0, 0, None]
+        # a fixed x prefix ends in one x state; prefix[j, t] is the best value
+        # of the y prefixes that end in y state t beside it
+        state = np.zeros(rows.size, dtype=np.int64)
+        prefix = np.full((rows.size, sy), -np.inf)
+        prefix[:, 0] = 0.0
+        xb, yb = (np.empty((rows.size, n), dtype=np.int64) for _ in range(2))
         for i in range(n):
-            # [a][s, t]: best prefix ending in (s, t) with x_i = a
-            cand = relax(prefix, steps_x[i][back_x], steps_y[i][back_y])
-            live = (cand + value[i + 1]).max(axis=(1, 2)) == best
-            xj[i] = np.argmax(live)
-            prefix = cand[xj[i]]
-        rows = metric[xj][:, :, None]  # (i, b, .)
-        suffix = np.full((n + 1, steps_y.shape[2]), -np.inf)
-        suffix[n, ends_y[j]] = 0.0
+            nxt = steps_x[i][:, state].T  # (j, a)
+            # [j, a, t]: best prefix ending in y state t with x_i = a
+            cand = (metric[..., None] + prefix[:, None, into_y[i]]).max(axis=2)
+            xb[:, i] = ((cand + value[i + 1][j[:, None], nxt]).max(axis=2)
+                        == best).argmax(axis=1)
+            state, prefix = nxt[j, xb[:, i]], cand[j, xb[:, i]]
+        table = metric[xb]  # (j, i, b)
+        suffix = np.full((n + 1, rows.size, sy), -np.inf)
+        suffix[n, j, ends_y[rows]] = 0.0
+        cand_y = np.empty((n, rows.size, qy, sy))  # [i, j, b, t]
         for i in range(n - 1, -1, -1):
-            suffix[i] = (rows[i] + suffix[i + 1][steps_y[i]]).max(axis=0)
-        state = 0
+            cand_y[i] = table[:, i, :, None] + suffix[i + 1][:, steps_y[i]]
+            suffix[i] = cand_y[i].max(axis=1)
+        state = np.zeros(rows.size, dtype=np.int64)
         for i in range(n):
-            nxt = steps_y[i][:, state]
-            yj[i] = np.argmax(rows[i][:, 0] + suffix[i + 1][nxt]
-                              == suffix[i, state])
-            state = nxt[yj[i]]
+            yb[:, i] = np.argmax(cand_y[i][j, :, state]
+                                 == suffix[i, j, state][:, None], axis=1)
+            state = steps_y[i][yb[:, i], state]
+        dead = rows[best[:, 0] == -np.inf]
+        x[rows], y[rows] = xb, yb
+        x[dead], y[dead] = coset_x.particular[dead], coset_y.particular[dead]
     return x, y
 
 
@@ -416,9 +424,10 @@ def _product_enumerate(coset_x: CosetBatch, coset_y: CosetBatch,
     return x, y
 
 
-# dispatch cost model, in the time the enumeration path takes per pair (about
-# 10 ns on a 2-core VM): a trellis branch costs about as much (8-10 ns), and
-# each trellis position adds a fixed numpy overhead of about 60 us
+# dispatch cost model, per trial, in the time enumeration takes per pair (about
+# 10 ns on a 2-core VM): a trellis branch costs about as much (8-10 ns), and a
+# position adds a fixed numpy overhead of about 60 us; fitted to one walk per
+# trial, not refitted since the trellis walks one block of trials at a time
 TRELLIS_SECTION = 6000
 
 
@@ -441,8 +450,8 @@ def ml_code_product(coset_x: CosetBatch, coset_y: CosetBatch,
     the ML pair is exact and exact ties go to the lexicographically smallest
     (x, y); it is used as it is.  The pairs come from enumeration (at most
     BUDGET pairs a trial) or from the syndrome trellis (at most BUDGET
-    branches, one walk a trial), whichever the cost model rates cheaper;
-    both give the same pairs."""
+    branches a trial, one walk per block of trials), whichever the per-trial
+    cost model rates cheaper; both give the same pairs."""
     pairs, branches = product_costs(coset_x, coset_y)
     if pairs > BUDGET and branches > BUDGET:
         raise BudgetError(f"product has {pairs} pairs and a trellis of "

@@ -189,10 +189,8 @@ def scheme_params(problem: str, scheme: dict) -> SchemeParams:
     keys = SCHEME_KEYS[problem]
     tables = [key for key in keys if key in PMF_KEYS]
     axes = "".join(a for a in "xyzw" if any(a in keys[key] for key in tables))
-    # C order: the marginals sum the joint in memory order
     joint = np.einsum(",".join(keys[key] for key in tables) + "->" + axes,
-                      *(np.asarray(scheme[key], dtype=float) for key in tables),
-                      order="C")
+                      *(np.asarray(scheme[key], dtype=float) for key in tables))
     rho, f = scheme.get("rho"), scheme.get("f")
     return SchemeParams(
         problem, Distribution(joint), tuple(axes),

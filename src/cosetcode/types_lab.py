@@ -14,10 +14,12 @@ class Distribution:
     """Finite pmf over a (possibly multi-axis) alphabet.
 
     `probs` is a float array of finite, non-negative entries summing to 1.
+    `p` holds it in C order, so sums over `p` do not depend on the memory
+    layout of `probs`.
     """
 
     def __init__(self, probs):
-        p = np.asarray(probs, dtype=float)
+        p = np.ascontiguousarray(probs, dtype=float)
         if not np.isfinite(p).all():
             raise ValueError("non-finite pmf entry")
         if np.any(p < 0):

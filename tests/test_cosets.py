@@ -431,7 +431,7 @@ def product_oracle(cx, cy, metric):
 def test_product_paths_match_oracle(data):
     qx, qy = (data.draw(st.sampled_from([2, 3, 5])) for _ in range(2))
     n = data.draw(st.integers(1, {2: 6, 3: 4, 5: 3}[max(qx, qy)]))
-    trials = data.draw(st.integers(1, 3))
+    trials = data.draw(st.integers(1, 6))
     bx, by = random_batch(data, qx, n, trials), random_batch(data, qy, n, trials)
     metric = random_metric(data, (qx, qy), n)
     paths = [path(bx, by, metric) for path in (
@@ -460,6 +460,65 @@ def test_product_all_minus_inf_trial_takes_particular_pair():
         assert np.array_equal(y[0], by.particular[0])
         for j in range(2):
             assert joined(x[j], y[j]) == product_oracle(bx[j], by[j], metric)
+
+
+def mixed_batches(data, q, n, trials):
+    """Cosets of x and y, one pair per trial, that mix every kind of trial.
+
+    x's matrix repeats its first row, so a target that differs there is
+    empty; y's matrix is x's with one more row.  Trial j draws u and takes
+    x's target from u; by j mod 5, y's target comes from u (0 and 1: x = y = u
+    is a pair), from u + e_0 (2: the cosets are disjoint, since row 0 has a 1
+    at position 0), or from u with x's (3) or y's (4) repeated row changed
+    (an empty factor)."""
+    entries = st.integers(0, q - 1)
+    rows = data.draw(st.integers(1, min(2, n - 2)))
+    R = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=rows + 1, max_size=rows + 1)))
+    R[0, 0] = 1
+    Mx = np.vstack([R[:rows], R[:1]])
+    My = np.vstack([Mx, R[rows:]])
+    tx, ty = [], []
+    for j in range(trials):
+        u = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        tx.append(Mx @ u % q)
+        ty.append(My @ (u + (j % 5 == 2) * np.eye(n, dtype=int)[0]) % q)
+        if j % 5 > 2:
+            (tx, ty)[j % 5 - 3][-1][rows] += 1
+    return (solve_coset([(M, t[0])], q=q).elimination.cosets(np.array(t) % q)
+            for M, t in ((Mx, tx), (My, ty)))
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 2, 8])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trellis_batch_matches_single_trials(per_block, data):
+    # off the diagonal the metric is -inf, so a pair scores finite only where
+    # x = y: disjoint cosets score -inf throughout; a constant diagonal ties
+    # every member of y's coset; blocks hold per_block trials (None: the
+    # default room)
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(3, {2: 6, 3: 5, 5: 4}[q]))
+    trials = data.draw(st.integers(1, 8))
+    bx, by = mixed_batches(data, q, n, trials)
+    diagonal = data.draw(st.lists(st.integers(-2, 0), min_size=q, max_size=q))
+    metrics = [np.full((q, q), -np.inf) for _ in range(2)]
+    np.fill_diagonal(metrics[0], 0.0)
+    np.fill_diagonal(metrics[1], diagonal)
+    room = cosets._TRELLIS_ROOM if per_block is None else per_block * q * q * (
+        q ** (bx.elimination.rank + by.elimination.rank))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cosets, "_TRELLIS_ROOM", room)
+        for metric in metrics:
+            x, y = _product_trellis(bx, by, metric)
+            for j in range(trials):
+                xj, yj = _product_trellis(*(b.elimination.cosets(
+                    b.target[j:j + 1]) for b in (bx, by)), metric)
+                assert joined(x[j], y[j]) == joined(xj[0], yj[0])
+    assert (bx.empty | by.empty).tolist() == [j % 5 > 2 for j in range(trials)]
+    if trials > 2:  # the disjoint trial takes its particular pair
+        assert np.array_equal(x[2], bx.particular[2])
+        assert np.array_equal(y[2], by.particular[2])
 
 
 def test_ml_product_matches_brute():
