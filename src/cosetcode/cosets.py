@@ -84,7 +84,7 @@ class Elimination:
             self._onehot = onehot
         return self._onehot
 
-    def cosets(self, targets) -> "CosetBatch":
+    def cosets(self, targets) -> "CosetDescription":
         """The solution sets of a (T, rows) block of targets, one per row."""
         t = np.asarray(targets, dtype=np.int64) % self.q
         if t.ndim != 2 or t.shape[1] != self.matrix.shape[0]:
@@ -94,59 +94,13 @@ class Elimination:
         particular = np.zeros((t.shape[0], self.n), dtype=np.int64)
         particular[:, self.pivots] = reduced[:, :self.rank]
         particular[empty] = 0
-        return CosetBatch(particular, empty, t, self)
-
-    def coset(self, target) -> "CosetDescription":
-        """The solution set for one target vector, without a new elimination."""
-        t = np.asarray(target, dtype=np.int64).reshape(1, -1)
-        return self.cosets(t)[0]
-
-
-@dataclass
-class CosetDescription:
-    """Solution set of stacked linear constraints {u : M u = t} over GF(q)."""
-
-    particular: object  # ndarray, or None when the coset is empty
-    target: np.ndarray  # stacked target vector
-    elimination: Elimination
-
-    @property
-    def q(self) -> int:
-        return self.elimination.q
-
-    @property
-    def n(self) -> int:
-        return self.elimination.n
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.elimination.matrix
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.elimination.basis
-
-    @property
-    def is_empty(self) -> bool:
-        return self.particular is None
-
-    @property
-    def size(self) -> int:
-        return 0 if self.is_empty else self.elimination.size
-
-    def elements(self) -> np.ndarray:
-        """All coset members as a (size, n) array, row c the particular plus
-        kernel member c, which is lexicographic order."""
-        if self.is_empty:
-            raise EmptyCosetError("coset is empty")
-        elim = self.elimination
-        elim.check_budget()
-        return (self.particular + elim.members(np.arange(elim.size))) % self.q
+        return CosetDescription(particular, empty, t, self)
 
 
 @dataclass(eq=False)
-class CosetBatch:
-    """The cosets {u : M u = t_j} of one elimination, one per trial j.
+class CosetDescription:
+    """The cosets {u : M u = t_j} of one elimination, one per row j of a
+    (T, rows) block of stacked targets.
 
     Coset j is `particular[j]` plus the elimination's kernel, or empty when
     `empty[j]` (its particular row is then zero)."""
@@ -159,18 +113,32 @@ class CosetBatch:
     def __len__(self) -> int:
         return self.empty.size
 
-    def __getitem__(self, j) -> CosetDescription:
-        return CosetDescription(None if self.empty[j] else self.particular[j],
-                                self.target[j], self.elimination)
+    def __getitem__(self, j) -> "CosetDescription":
+        """Coset j as a block of one."""
+        j = range(len(self))[j]
+        return CosetDescription(self.particular[j:j + 1], self.empty[j:j + 1],
+                                self.target[j:j + 1], self.elimination)
 
     @property
-    def n(self) -> int:
-        return self.elimination.n
+    def matrix(self) -> np.ndarray:
+        return self.elimination.matrix
 
     @property
     def size(self) -> int:
-        """Members of all the non-empty cosets of the batch together."""
+        """Members of all the non-empty cosets of the block together."""
         return int(np.count_nonzero(~self.empty)) * self.elimination.size
+
+    def elements(self) -> np.ndarray:
+        """All members of a block of one as a (size, n) array, row c the
+        particular plus kernel member c, which is lexicographic order."""
+        if len(self) != 1:
+            raise ValueError(f"elements of a block of {len(self)} cosets")
+        if self.empty[0]:
+            raise EmptyCosetError("coset is empty")
+        elim = self.elimination
+        elim.check_budget()
+        members = elim.members(np.arange(elim.size))
+        return (self.particular[0] + members) % elim.q
 
 
 def _dense_of(m) -> np.ndarray:
@@ -178,7 +146,8 @@ def _dense_of(m) -> np.ndarray:
 
 
 def solve_coset(constraints, q: int | None = None) -> CosetDescription:
-    """Gaussian elimination on stacked (matrix, target) constraints.
+    """Gaussian elimination on stacked (matrix, target) constraints; returns
+    the block of one coset.
 
     The result's `elimination` serves every other target of the matrix."""
     if not constraints:
@@ -212,7 +181,7 @@ def solve_coset(constraints, q: int | None = None) -> CosetDescription:
     basis[:, pivots] = (-aug[:len(pivots), [n - 1 - c for c in free]].T) % q
     pivots = np.array(pivots, dtype=np.int64)
     elim = Elimination(q, M, aug[:, n:].copy(), pivots, basis)
-    return elim.coset(np.concatenate(targets))
+    return elim.cosets(np.concatenate(targets)[None])
 
 
 def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):
@@ -241,7 +210,7 @@ def _exact_scores(product, terms: np.ndarray) -> np.ndarray:
     return scores
 
 
-def ml_code_iid(cosets: CosetBatch, metric: np.ndarray) -> np.ndarray:
+def ml_code_iid(cosets: CosetDescription, metric: np.ndarray) -> np.ndarray:
     """Per trial j, the argmax of sum_i metric[j, i, u_i] over coset j.
 
     The single-coset decoding kernel.  `metric` has shape (q,), (n, q) or
@@ -275,7 +244,8 @@ def ml_code_iid(cosets: CosetBatch, metric: np.ndarray) -> np.ndarray:
     return out
 
 
-def ml_code_cond_iid(cosets: CosetBatch, v, metric: np.ndarray) -> np.ndarray:
+def ml_code_cond_iid(cosets: CosetDescription, v,
+                     metric: np.ndarray) -> np.ndarray:
     """Per trial j, argmax_u sum_i metric[v_ji, u_i]: ml_code_iid on the rows
     metric[v]; `v` is one (T, n) index array, or a tuple of them for several
     given axes."""
@@ -329,7 +299,7 @@ def _syndrome_steps(elim: Elimination) -> np.ndarray:
     return elim._steps
 
 
-def _product_trellis(coset_x: CosetBatch, coset_y: CosetBatch,
+def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
                      metric: np.ndarray):
     """Exact ML pair of every trial on Wolf's syndrome trellis of its product
     coset; returns (x, y), each (T, n), rows -1 where a factor is empty.
@@ -396,7 +366,7 @@ def _product_trellis(coset_x: CosetBatch, coset_y: CosetBatch,
     return x, y
 
 
-def _product_enumerate(coset_x: CosetBatch, coset_y: CosetBatch,
+def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
                        metric: np.ndarray):
     """Exact ML pair of every trial by scoring every pair of its product
     coset; returns (x, y), each (T, n), rows -1 where a factor is empty.
@@ -424,23 +394,7 @@ def _product_enumerate(coset_x: CosetBatch, coset_y: CosetBatch,
     return x, y
 
 
-# dispatch cost model, per trial, in the time enumeration takes per pair (about
-# 10 ns on a 2-core VM): a trellis branch costs about as much (8-10 ns), and a
-# position adds a fixed numpy overhead of about 60 us; fitted to one walk per
-# trial, not refitted since the trellis walks one block of trials at a time
-TRELLIS_SECTION = 6000
-
-
-def product_costs(coset_x, coset_y):
-    """(pairs, branches) of a product decode, per trial: the |X| |Y| pairs
-    the enumeration path scores, and the n q_x^rank_x q_y^rank_y q_x q_y
-    branches the trellis path relaxes."""
-    ex, ey = coset_x.elimination, coset_y.elimination
-    states = ex.q ** ex.rank * ey.q ** ey.rank
-    return ex.size * ey.size, ex.n * states * ex.q * ey.q
-
-
-def ml_code_product(coset_x: CosetBatch, coset_y: CosetBatch,
+def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
                     metric: np.ndarray):
     """Per trial j, the joint argmax of sum_i metric[x_i, y_i] over the
     product of coset_x[j] and coset_y[j]; returns (x, y), each (T, n), rows
@@ -448,18 +402,17 @@ def ml_code_product(coset_x: CosetBatch, coset_y: CosetBatch,
 
     `metric` must be integer-valued (fixed_point_metric, -inf allowed), so
     the ML pair is exact and exact ties go to the lexicographically smallest
-    (x, y); it is used as it is.  The pairs come from enumeration (at most
-    BUDGET pairs a trial) or from the syndrome trellis (at most BUDGET
-    branches a trial, one walk per block of trials), whichever the per-trial
-    cost model rates cheaper; both give the same pairs."""
-    pairs, branches = product_costs(coset_x, coset_y)
-    if pairs > BUDGET and branches > BUDGET:
+    (x, y); it is used as it is.  The pairs come from the syndrome trellis
+    when its n q_x^(rank_x + 1) q_y^(rank_y + 1) branches a trial are fewer
+    than the |X| |Y| pairs, and from enumeration of the pairs otherwise; both
+    give the same pairs, and the smaller count must be within BUDGET."""
+    ex, ey = coset_x.elimination, coset_y.elimination
+    pairs = ex.size * ey.size
+    branches = ex.n * ex.q ** (ex.rank + 1) * ey.q ** (ey.rank + 1)
+    if min(pairs, branches) > BUDGET:
         raise BudgetError(f"product has {pairs} pairs and a trellis of "
                           f"{branches} branches, budget {BUDGET}")
-    trellis = pairs > BUDGET or (
-        branches <= BUDGET
-        and branches + coset_x.n * TRELLIS_SECTION < pairs)
-    path = _product_trellis if trellis else _product_enumerate
+    path = _product_trellis if branches < pairs else _product_enumerate
     return path(coset_x, coset_y, metric)
 
 

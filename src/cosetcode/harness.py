@@ -256,7 +256,7 @@ def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
     try:
         if problem == "sw":
             x, y = sample_source(params.joint, n, streams("src"))
-            bx, by = sc.sw_encode_x(inst, x), sc.sw_encode_y(inst, y)
+            bx, by = inst.matrices["A"].matvec(x), inst.matrices["B"].matvec(y)
             xh, yh = sc.sw_decode(inst, params, bx, by)
             _check(problem, "A x = b_x", inst.matrices["A"].matvec(xh), bx, every)
             _check(problem, "B y = b_y", inst.matrices["B"].matvec(yh), by, every)
@@ -294,7 +294,8 @@ def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
             dist = distortion_of(x, w, params.rho)
         elif problem == "oho":
             x, y = sample_source(params.marg("xy"), n, streams("src"))
-            bx, by = sc.oho_encode_x(inst, x), sc.oho_encode_y(inst, params, y)
+            bx = inst.matrices["Bhat"].matvec(x)
+            by = sc.oho_encode_y(inst, params, y)
             xh, failed = sc.oho_decode(inst, params, bx, by)
             live = np.flatnonzero(~failed)
             _check(problem, "Bhat x = b_x",

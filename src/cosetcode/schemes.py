@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cosets import (
-    CosetBatch,
+    CosetDescription,
     fixed_point_metric,
     log_table,
     ml_code_cond_iid,
@@ -302,7 +302,7 @@ class SchemeInstance:
             if self.coset([(name, vec)], 1).empty[0]:
                 raise ValueError(f"shared vector for {name} is not in the image")
 
-    def coset(self, constraints, trials: int) -> CosetBatch:
+    def coset(self, constraints, trials: int) -> CosetDescription:
         """Per trial j, {u : M u = t_j} for (matrix name, targets) pairs
         stacked in order; a target is a (trials, rows) block, or one vector
         that every trial shares."""
@@ -388,14 +388,6 @@ def rate_of(matrix: SparseMatrix, n: int) -> float:
 # coder whose constrained search can come up empty returns (result, failed),
 # `failed` a (T,) mask; the result rows of failed trials hold no codeword.
 
-def sw_encode_x(inst: SchemeInstance, x) -> np.ndarray:
-    return inst.matrices["A"].matvec(x)
-
-
-def sw_encode_y(inst: SchemeInstance, y) -> np.ndarray:
-    return inst.matrices["B"].matvec(y)
-
-
 def sw_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y):
     coset_x = inst.coset([("A", b_x)], len(b_x))
     coset_y = inst.coset([("B", b_y)], len(b_y))
@@ -457,10 +449,6 @@ def wz_decode(inst: SchemeInstance, params: SchemeParams, b, z):
     cosets = inst.coset([("A", inst.vectors["A"]), ("B", b)], len(b))
     y_hat = ml_code_cond_iid(cosets, z, params.metric_cond("y", "z", inst.n))
     return params.f[y_hat, np.asarray(z, dtype=np.int64)], cosets.empty
-
-
-def oho_encode_x(inst: SchemeInstance, x) -> np.ndarray:
-    return inst.matrices["Bhat"].matvec(x)
 
 
 def oho_encode_y(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:

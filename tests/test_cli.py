@@ -404,15 +404,22 @@ def test_non_positive_epsilon_runs_and_warns(problem, base, key, value,
 
 
 def test_run_over_budget_coset_is_usage_error(tmp_path, capsys):
-    doc = json.loads((Path(__file__).parent.parent / "configs" / "channel.json")
-                     .read_text())
-    doc.update(n=[64], trials=1, best_of=1)
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    assert main(["run", "--config", str(path),
-                 "--out", str(tmp_path / "big")]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: coset has ") and "budget" in err
+    # ch at n = 64, and sw at rates 0.5/0.5 with n = 48: 2^48 pairs, and a
+    # trellis of 48 * 2^50 branches
+    configs = Path(__file__).parent.parent / "configs"
+    for name, n, update, message in [
+        ("channel", 64, {}, "error: coset has "),
+        ("sw", 48, {"rate_x": 0.5, "rate_y": 0.5}, "error: product has "),
+    ]:
+        doc = json.loads((configs / f"{name}.json").read_text())
+        doc.update(n=[n], trials=1, best_of=1)
+        doc["scheme"].update(update)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / f"{name}_big")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "budget" in err
 
 
 def test_console_script_smoke():

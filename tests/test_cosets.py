@@ -18,7 +18,6 @@ from cosetcode.cosets import (
     ml_code_cond_iid,
     ml_code_iid,
     ml_code_product,
-    product_costs,
     solve_coset,
 )
 from cosetcode.matrices import (
@@ -50,7 +49,7 @@ def test_solve_matches_brute_force(q):
         coset = solve_coset([(M, t)], q=q)
         expect = brute_solutions(M, t, q, n)
         if not expect:
-            assert coset.is_empty
+            assert coset.empty[0]
             with pytest.raises(EmptyCosetError):
                 coset.elements()
         else:
@@ -68,14 +67,14 @@ def test_stacked_constraints():
         assert (u[1] + u[2]) % 2 == 0
     assert coset.size == 2
     M = coset.matrix
-    assert np.array_equal(M @ [1, 0, 0] % 2, coset.target)
-    assert not np.array_equal(M @ [0, 0, 0] % 2, coset.target)
+    assert np.array_equal(M @ [1, 0, 0] % 2, coset.target[0])
+    assert not np.array_equal(M @ [0, 0, 0] % 2, coset.target[0])
 
 
 def test_inconsistent_system_is_empty():
     A = SparseMatrix(2, [[1, 1]])
     coset = solve_coset([(A, [0]), (A, [1])])
-    assert coset.is_empty and coset.size == 0
+    assert coset.empty[0] and coset.size == 0
 
 
 def test_budget_error():
@@ -131,15 +130,15 @@ def assert_matches_reference(coset, M, t, q):
     particular, basis, reduced, elements = reference_solve(M, t, q)
     fresh = solve_coset([(M, t)], q=q)
     assert np.array_equal(rref(M[:, ::-1], q)[:, ::-1], reduced)
-    assert coset.is_empty == fresh.is_empty == (particular is None)
-    assert np.array_equal(coset.basis, fresh.basis)
-    assert np.array_equal(coset.basis, basis)
+    assert coset.empty[0] == fresh.empty[0] == (particular is None)
+    assert np.array_equal(coset.elimination.basis, fresh.elimination.basis)
+    assert np.array_equal(coset.elimination.basis, basis)
     if particular is None:
         with pytest.raises(EmptyCosetError):
             coset.elements()
         return
-    assert np.array_equal(coset.particular, particular)
-    assert np.array_equal(fresh.particular, particular)
+    assert np.array_equal(coset.particular[0], particular)
+    assert np.array_equal(fresh.particular[0], particular)
     assert np.array_equal(coset.elements(), elements)  # row order included
     assert np.array_equal(fresh.elements(), elements)
     members = [tuple(u) for u in coset.elements().tolist()]
@@ -156,12 +155,34 @@ def test_retarget_matches_fresh_solve(data):
         st.lists(entries, min_size=n, max_size=n), min_size=l, max_size=l)))
     t0, t = (np.array(data.draw(st.lists(entries, min_size=l, max_size=l)))
              for _ in range(2))
+    metric = np.array(data.draw(st.lists(st.integers(-3, 0), min_size=n * q,
+                                         max_size=n * q))).reshape(n, q)
     elim = solve_coset([(M, t0)], q=q).elimination
-    assert_matches_reference(elim.coset(t), M, t, q)
-    # a batch of targets gives each row the coset a fresh solve gives
+    # a block of targets gives each row the coset a fresh solve gives: a
+    # fresh solve, the elimination and either index of the block give the
+    # same block of one, field by field
     batch = elim.cosets(np.array([t, t0]))
-    assert_matches_reference(batch[0], M, t, q)
-    assert_matches_reference(batch[1], M, t0, q)
+    for j, target in enumerate((t, t0)):
+        fresh = solve_coset([(M, target)], q=q)
+        for coset in (elim.cosets([target]), batch[j], batch[j - len(batch)]):
+            assert len(coset) == len(fresh) == 1
+            for f in ("particular", "empty", "target"):
+                assert np.array_equal(getattr(coset, f), getattr(fresh, f))
+            for f in ("q", "matrix", "transform", "pivots", "basis"):
+                assert np.array_equal(getattr(coset.elimination, f),
+                                      getattr(fresh.elimination, f))
+            assert_matches_reference(coset, M, target, q)
+        # ml_code_iid takes solve_coset's result as it is
+        got = ml_code_iid(fresh, metric)
+        assert np.array_equal(got, ml_code_iid(batch, metric)[j:j + 1])
+        if fresh.empty[0]:
+            assert (got == -1).all()
+        else:
+            assert joined(got[0]) == iid_oracle(fresh, metric)
+    with pytest.raises(IndexError):
+        batch[len(batch)]
+    with pytest.raises(ValueError, match="block of 2 cosets"):
+        batch.elements()
 
 
 @pytest.mark.parametrize("q, M, t0, t, kernel_dim, empty", [
@@ -171,8 +192,9 @@ def test_retarget_matches_fresh_solve(data):
     (2, np.array([[1, 1], [1, 1]]), [0, 1], [1, 1], 1, False),  # from empty
 ])
 def test_retarget_edge_cases(q, M, t0, t, kernel_dim, empty):
-    coset = solve_coset([(M, t0)], q=q).elimination.coset(t)
-    assert coset.basis.shape[0] == kernel_dim and coset.is_empty == empty
+    coset = solve_coset([(M, t0)], q=q).elimination.cosets([t])
+    assert coset.elimination.basis.shape[0] == kernel_dim
+    assert coset.empty[0] == empty
     assert_matches_reference(coset, M, t, q)
 
 
@@ -222,11 +244,6 @@ def test_solve_requires_q_for_plain_arrays():
 def _full_space(q, n, trials=1):
     Z = SparseMatrix(q, np.zeros((1, n)))  # zero matrix: coset of 0 is everything
     return solve_coset([(Z, [0])]).elimination.cosets(np.zeros((trials, 1)))
-
-
-def batch_of(*cosets):
-    """The batch of single cosets that share one elimination."""
-    return cosets[0].elimination.cosets(np.stack([c.target for c in cosets]))
 
 
 def joined(*members):
@@ -541,47 +558,44 @@ def test_ml_product_matches_brute():
                 assert joined(x[j], y[j]) == product_oracle(bx[j], by[j], metric)
 
 
-def test_ml_product_dispatch_by_cost(monkeypatch):
-    rng = rng_from_seed(8)
-    eye = np.hstack([np.eye(5, dtype=int), rng.integers(0, 2, size=(5, 11))])
-    x = rng.integers(0, 2, size=16)
-    wide = solve_coset([(eye, eye @ x % 2)], q=2)  # 2^11 members, 2^5 states
-    full = np.hstack([np.eye(14, dtype=int), rng.integers(0, 2, size=(14, 2))])
-    narrow = solve_coset([(full, full @ x % 2)], q=2)  # 4 members, 2^14 states
-    L = log_table([[0.445, 0.055], [0.055, 0.445]])
-    # (pairs, branches)
-    assert product_costs(wide, wide) == (1 << 22, 1 << 16)
-    assert product_costs(narrow, narrow) == (16, 1 << 34)
-    metric = fixed_point_metric(L, 16)
-    wide, narrow = batch_of(wide), batch_of(narrow)
-    want_wide = joined(*(u[0] for u in _product_enumerate(wide, wide, metric)))
-    want_narrow = product_oracle(narrow[0], narrow[0], metric)
-    # every (u, u) agrees everywhere: 2^11 tied ML pairs, the smallest wins
-    first = min(tuple(int(v) for v in u) for u in wide[0].elements())
-    assert want_wide == first + first
+def _full_rank_coset(n, rank, seed):
+    """One trial's coset of a random full-rank (rank, n) system over GF(2)."""
+    rng = rng_from_seed(seed)
+    M = np.hstack([np.eye(rank, dtype=int),
+                   rng.integers(0, 2, size=(rank, n - rank))])
+    return solve_coset([(M, M @ rng.integers(0, 2, size=n) % 2)], q=2)
 
+
+def test_ml_product_dispatch_by_cost():
+    # the trellis runs exactly when its branches are fewer than the pairs
     def unused(*args):
-        raise AssertionError("the cost model picks the other path")
+        raise AssertionError("the counts pick the other path")
 
-    monkeypatch.setattr(cosets, "_product_enumerate", unused)
-    assert joined(*(u[0] for u in ml_code_product(wide, wide, metric))) \
-        == want_wide
-    monkeypatch.undo()
-    monkeypatch.setattr(cosets, "_product_trellis", unused)
-    assert joined(*(u[0] for u in ml_code_product(narrow, narrow, metric))) \
-        == want_narrow
+    for n, rank, trellis in [
+        (8, 2, True),  # sw_low_rate.json at n = 8: 4096 pairs, 512 branches
+        (16, 14, False),  # rate 0.85: 16 pairs, 2^34 branches
+        (4, 1, False),  # 64 pairs, 64 branches: a tie enumerates
+    ]:
+        bx, by = _full_rank_coset(n, rank, 1), _full_rank_coset(n, rank, 2)
+        metric = fixed_point_metric(
+            log_table([[0.445, 0.055], [0.055, 0.445]]), n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cosets, "_product_enumerate" if trellis
+                       else "_product_trellis", unused)
+            x, y = ml_code_product(bx, by, metric)
+        assert joined(x[0], y[0]) == product_oracle(bx, by, metric)
 
 
 def test_ml_product_budget_and_empty():
     # 2^13 members and 2^13 states each: both paths exceed BUDGET = 2^24
     half = SparseMatrix(2, np.hstack(
         [np.eye(13, dtype=int), np.zeros((13, 13), dtype=int)]))
-    both = batch_of(solve_coset([(half, [0] * 13)]))
+    both = solve_coset([(half, [0] * 13)])
     with pytest.raises(BudgetError, match=r"67108864 pairs and a trellis of "
                                           r"6979321856 branches, budget 16777216"):
         ml_code_product(both, both, np.zeros((2, 2)))
     # rank 0: 2^40 pairs are far over budget, the one-state trellis fits
-    big = batch_of(solve_coset([(SparseMatrix(2, np.zeros((1, 20))), [0])]))
+    big = solve_coset([(SparseMatrix(2, np.zeros((1, 20))), [0])])
     x, y = ml_code_product(big, big, np.zeros((2, 2)))
     assert not x.any() and not y.any()
     # a trial with an empty factor gets -1 rows on either path

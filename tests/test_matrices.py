@@ -277,4 +277,4 @@ def test_sample_image_point_in_image():
         for s in range(20):
             m = generate_mackay(params, s)
             c = sample_image_point(m, s + 1000)
-            assert not solve_coset([(m, c)]).is_empty
+            assert not solve_coset([(m, c)]).empty[0]
