@@ -168,6 +168,11 @@ def cmd_run(args) -> int:
     directory = os.path.dirname(prefix) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"output directory {directory} does not exist")
+    summary_path = f"{prefix}.json"
+    if os.path.exists(summary_path) and os.path.samefile(summary_path,
+                                                         args.config):
+        raise ValueError(f"the JSON summary {summary_path} would overwrite "
+                         "the config; choose another --out prefix")
     summary, records = hn.run_experiment(cfg, threads=args.threads)
     csv_path = hn.write_outputs(summary, records, prefix)
     sys.stdout.write(hn.summary_csv(summary))

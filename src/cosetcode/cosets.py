@@ -173,13 +173,16 @@ def solve_coset(constraints, q: int | None = None) -> CosetDescription:
     rows = M.shape[0]
     # eliminate [M reversed | I], pivots last column first; the right block
     # accumulates the row operations E
-    aug = np.hstack([M[:, ::-1], np.eye(rows, dtype=np.int64)])
-    pivots = [n - 1 - c for c in gauss_jordan(aug, q, ncols=n)]
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    basis[range(len(free)), free] = 1
-    basis[:, pivots] = (-aug[:len(pivots), [n - 1 - c for c in free]].T) % q
-    pivots = np.array(pivots, dtype=np.int64)
+    aug = np.zeros((rows, n + rows), dtype=np.int64)
+    aug[:, :n] = M[:, ::-1]
+    np.fill_diagonal(aug[:, n:], 1)
+    pivots = n - 1 - np.array(gauss_jordan(aug, q, ncols=n), dtype=np.int64)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-aug[:pivots.size, n - 1 - free].T) % q
     elim = Elimination(q, M, aug[:, n:].copy(), pivots, basis)
     return elim.cosets(np.concatenate(targets)[None])
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec
+from .gf import FieldSpec, is_prime
 
 
 @dataclass(frozen=True)
@@ -109,35 +109,80 @@ def gauss_jordan(m: np.ndarray, q: int, ncols: int | None = None) -> list:
     """Gauss-Jordan elimination over GF(q), in place, on the leading `ncols`
     columns of `m` (all of them by default); returns the pivot columns.
 
-    Whole rows are swapped, scaled and combined, so any trailing columns
-    carry the same row operations without steering them."""
-    inv = FieldSpec(q).inv_table
-    rows = m.shape[0]
-    ncols = m.shape[1] if ncols is None else ncols
+    Entries are read mod q.  Each column takes the first row at or below the
+    next pivot position that is nonzero there.  Whole rows are swapped,
+    scaled and combined, so any trailing columns carry the same row
+    operations without steering them.
+
+    Each row is held as one Python int with a k-bit field per entry, the
+    smallest byte-wide k with q <= 2^(k-1) (k = 8 up to q = 127), so a row
+    operation is a few integer operations on the whole row."""
+    if not is_prime(q):
+        raise ValueError(f"q={q} is not prime")
+    rows, cols = m.shape
+    ncols = cols if ncols is None else ncols
+    size = next(s for s in (1, 2, 4, 8) if q <= 1 << (8 * s - 1))
+    k, dtype, width = 8 * size, np.dtype(f"<u{size}"), cols * size
+    data = (m % q).astype(dtype).tobytes()
+    packed = [int.from_bytes(data[i * width:(i + 1) * width], "little")
+              for i in range(rows)]
+    mask = (1 << k) - 1
+    ones = int.from_bytes((1).to_bytes(size, "little") * cols, "little")
+    lift, top = ones * ((1 << (k - 1)) - q), ones << (k - 1)
+
+    def add(a, b):
+        # a field of a + b + lift has its top bit set exactly when the field
+        # of a + b reached q; subtract q from those fields
+        s = a + b
+        return s - (((s + lift) & top) >> (k - 1)) * q
+
+    def scale(a, s):  # s a, by doubling
+        out = 0
+        while s:
+            if s & 1:
+                out = add(out, a)
+            a, s = add(a, a), s >> 1
+        return out
+
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == rows:
             break
-        nonzero = m[r:, c] != 0
-        if not nonzero.any():
+        shift = c * k
+        field = mask << shift
+        for piv in range(r, rows):
+            if packed[piv] & field:
+                break
+        else:
             continue
-        piv = r + int(nonzero.argmax())
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        if m[r, c] != 1:
-            m[r] = (m[r] * int(inv[m[r, c]])) % q
-        factor = m[:, c].copy()
-        factor[r] = 0
-        m -= factor[:, None] * m[r]
-        m %= q
+        row = packed[piv]
+        packed[piv] = packed[r]
+        lead = (row >> shift) & mask
+        if lead != 1:
+            row = scale(row, pow(lead, -1, q))
+        # clear column c from every other row (row r is overwritten below);
+        # over GF(2) that adds the pivot row, an exclusive or
+        if q == 2:
+            packed = [x ^ row if x & field else x for x in packed]
+        else:
+            multiples = {1: row}  # (q - factor) row, per factor met
+            for i, x in enumerate(packed):
+                if x & field:
+                    g = q - ((x >> shift) & mask)
+                    if g not in multiples:
+                        multiples[g] = scale(row, g)
+                    packed[i] = add(x, multiples[g])
+        packed[r] = row
         pivots.append(c)
+    data = b"".join([x.to_bytes(width, "little") for x in packed])
+    m[...] = np.frombuffer(data, dtype).reshape(rows, cols)
     return pivots
 
 
 def rref(mat, q: int):
     """Reduced row-echelon form over GF(q); returns the nonzero rows."""
-    m = np.array(mat, dtype=np.int64) % q
+    m = np.array(mat, dtype=np.int64)
     return m[:len(gauss_jordan(m, q))]
 
 

@@ -77,7 +77,8 @@ class SchemeParams:
     f: object = None
     rate_x: object = None
     rate_y: object = None
-    # read-only tables and their integer metrics, filled on first use
+    # read-only tables, their integer metrics and the row counts per n,
+    # filled on first use
     _tables: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -100,6 +101,13 @@ class SchemeParams:
             table.setflags(write=False)
             table = self._tables.setdefault(key, table)
         return table
+
+    def dims(self, n: int) -> "DimReport":
+        """dims_for(self, n); cached, filled as the tables are."""
+        dims = self._tables.get(("dims", n))
+        if dims is None:
+            dims = self._tables.setdefault(("dims", n), dims_for(self, n))
+        return dims
 
     def cond(self, out: str, given: str) -> np.ndarray:
         """Conditional table indexed [given..., out...]; read-only, cached."""
@@ -333,7 +341,7 @@ def build_instance(params: SchemeParams, n: int, seed,
     """Draw matrices (and shared vectors where the scheme needs them)."""
     from .gf import is_prime
 
-    dims = dims_for(params, n)
+    dims = params.dims(n)
     stage2_forced = params.problem == "gp" and _is_identity_cond(
         params.cond("x", "zw"))
     matrices = {}

@@ -337,6 +337,26 @@ def test_run_missing_output_directory_exits_2_before_any_draw(
     assert not (tmp_path / "missing").exists()
 
 
+def test_run_refuses_to_write_its_summary_over_the_config(tmp_path, capsys,
+                                                          monkeypatch):
+    # --out D/cfg names the summary D/cfg.json, the config itself: the run
+    # exits 2 before any draw, and the config keeps its bytes
+    def draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
+
+    monkeypatch.setattr(schemes, "build_instance", draw)
+    path = run_config(tmp_path)
+    before = path.read_bytes()
+    (tmp_path / "sub").mkdir()
+    for prefix in (tmp_path / "cfg", tmp_path / "sub" / ".." / "cfg"):
+        assert main(["run", "--config", str(path),
+                     "--out", str(prefix)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{prefix}.json" in err
+        assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
+
 def test_run_seed_override_on_non_object_config(tmp_path, capsys):
     path = run_config(tmp_path, [1])
     assert main(["run", "--config", str(path), "--seed", "5"]) == EXIT_USAGE
@@ -350,7 +370,7 @@ def test_integral_floats_run_as_integers(key, value, tmp_path, capsys):
     base = sw_doc(trials=3, best_of=2, tau=4)
     outputs = []
     for name, doc in (("int", base), ("float", {**base, key: value})):
-        path = tmp_path / f"{name}.json"
+        path = tmp_path / f"{name}_config.json"
         path.write_text(json.dumps(doc))
         prefix = tmp_path / name
         assert main(["run", "--config", str(path),

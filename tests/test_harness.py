@@ -311,6 +311,7 @@ DSBS11 = [[0.445, 0.055], [0.055, 0.445]]
 DSBS10 = [[0.45, 0.05], [0.05, 0.45]]
 HAMMING = [[0.0, 1.0], [1.0, 0.0]]
 TERNARY = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+QUINARY = [[0.8 if a == b else 0.05 for b in range(5)] for a in range(5)]
 
 
 @pytest.mark.parametrize("problem, n, scheme, digests", [
@@ -354,6 +355,12 @@ TERNARY = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
                "rate_x": 0.4, "rate_y": 0.4},
      ("a4bc2168e8bc471c7b6f969afacbfd9498af2d78e653e079d870c5471f0cf422",
       "72cb6f0779ae98f243352d12dd5e4c7447b6bf4628348e6715ddc746096627b6")),
+    # q = 5: eliminations that scale pivot rows and combine rows by
+    # multiples other than 1 and q - 1
+    ("ch", 8, {"mu_x": [0.2] * 5, "channel": QUINARY, "eps_a": 0.05,
+               "eps_b": 0.15},
+     ("27a87132be07de19c67c6188ad318ea038af90e63f1d5d799ad5171211846074",
+      "22cc99cb09cb13e4a6fd3a6f40be4863ee58708dc5fb7f3bfb51013a7a911a58")),
 ])
 def test_outputs_are_pinned(problem, n, scheme, digests):
     # the CSVs of fixed-seed runs, byte for byte: a decoder, sampler or

@@ -6,14 +6,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosetcode.diagnostics import enumerate_mackay
+from cosetcode.gf import FieldSpec
 from cosetcode.matrices import (
     EnsembleParams,
     SparseMatrix,
     derive_seed,
+    gauss_jordan,
     generate_mackay,
     generate_uniform,
     recommended_tau,
@@ -185,6 +187,76 @@ def test_rref_properties():
                 c = np.flatnonzero(r[i])[0]
                 assert r[i, c] == 1
                 assert np.count_nonzero(r[:, c]) == 1
+
+
+def reference_gauss_jordan(m, q, ncols=None):
+    """Column-at-a-time Gauss-Jordan on a reduced int64 array, one numpy
+    row operation over the whole array per pivot."""
+    inv = FieldSpec(q).inv_table
+    rows = m.shape[0]
+    ncols = m.shape[1] if ncols is None else ncols
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nonzero = m[r:, c] != 0
+        if not nonzero.any():
+            continue
+        piv = r + int(nonzero.argmax())
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        if m[r, c] != 1:
+            m[r] = (m[r] * int(inv[m[r, c]])) % q
+        factor = m[:, c].copy()
+        factor[r] = 0
+        m -= factor[:, None] * m[r]
+        m %= q
+        pivots.append(c)
+    return pivots
+
+
+@st.composite
+def elimination_cases(draw):
+    """(q, matrix, ncols): random, sparse, zero or rank-deficient matrices of
+    1-40 rows and columns, some entries off the range [0, q)."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 131, 257]))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    ncols = draw(st.one_of(st.none(), st.integers(1, cols)))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "deficient"]))
+    rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, q, size=(rows, cols))
+    if kind == "sparse":
+        m *= rng.random((rows, cols)) < 0.15
+    elif kind == "zero":
+        m[:] = 0
+    elif kind == "deficient":
+        rank = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        m = (rng.integers(0, q, size=(rows, rank))
+             @ rng.integers(0, q, size=(rank, cols))) % q
+    if draw(st.booleans()):
+        m = m + q * rng.integers(-3, 4, size=(rows, cols))
+    return q, m, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_cases())
+@example((2, np.zeros((3, 2), dtype=np.int64), None))
+@example((257, np.array([[256, 514], [1, -1], [-257, 3]]), 1))
+@example((5, np.arange(-20, 20).reshape(8, 5), None))  # more rows than columns
+def test_gauss_jordan_matches_reference(case):
+    # the packed-row elimination returns the pivots of the column-at-a-time
+    # reference and leaves the same array, reduced
+    q, m, ncols = case
+    got, want = m.copy(), m % q
+    pivots = gauss_jordan(got, q, ncols)
+    assert pivots == reference_gauss_jordan(want, q, ncols)
+    assert np.array_equal(got, want)
+
+
+def test_gauss_jordan_rejects_composite_q():
+    with pytest.raises(ValueError, match="not prime"):
+        gauss_jordan(np.eye(2, dtype=np.int64), 4)
 
 
 # -- generation law ------------------------------------------------------------

@@ -202,9 +202,13 @@ def test_dims_clamp_warns():
 
 # -- instances ---------------------------------------------------------------------
 
-def test_build_instance_shapes_and_determinism():
+def test_build_instance_shapes_and_determinism(monkeypatch):
     params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
                                      "eps_a": 0.05, "eps_b": 0.05})
+    sizes = []  # the n of every dims_for call
+    dims_for = sc.dims_for
+    monkeypatch.setattr(sc, "dims_for", lambda p, n: sizes.append(n) or
+                        dims_for(p, n))
     inst = sc.build_instance(params, 12, seed=5)
     assert inst.matrices["A"].l == inst.dims.rounded["A"]
     assert inst.matrices["B"].n == 12
@@ -213,6 +217,9 @@ def test_build_instance_shapes_and_determinism():
     assert np.array_equal(inst.vectors["A"], inst2.vectors["A"])
     inst3 = sc.build_instance(params, 12, seed=6)
     assert inst.matrices["A"] != inst3.matrices["A"]
+    # the row counts are worked out once per (params, n), not per draw
+    assert sc.build_instance(params, 8, seed=5).dims.rounded["A"] < 12
+    assert sizes == [12, 8] and inst3.dims is inst.dims
 
 
 def test_build_instance_uniform_ensemble():
