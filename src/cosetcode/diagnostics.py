@@ -9,9 +9,10 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+import threading
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -229,17 +230,26 @@ def enumerate_column_outcomes(q: int, l: int, tau: int):
 class Ensemble:
     """Every matrix of a tiny ensemble, stacked: P(dense[m]) = weight[m] /
     total.  total <= ENUM_BUDGET, so the checks' int64 sums of weight times a
-    count (at most |T||T'|, 25 in hash-check, or |Im|) are exact."""
+    count (at most |T||T'|, 25 in hash-check, or |Im|) are exact.  The checks
+    read syndrome codes through `syndromes(q)`, filled as they ask."""
 
     dense: np.ndarray  # (N, l, n) int64, read-only
     weight: np.ndarray  # (N,) int64 numerators
     total: int
+    _memos: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.dense.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.weight)
+
+    def syndromes(self, q: int) -> SyndromeMemo:
+        """The memo of this ensemble's syndrome codes over GF(q)."""
+        memo = self._memos.get(q)
+        if memo is None:  # a racing thread's memo may win; both are empty
+            memo = self._memos.setdefault(q, SyndromeMemo(self.dense, q))
+        return memo
 
 
 def enumerate_mackay(params: EnsembleParams) -> Ensemble:
@@ -255,25 +265,91 @@ def enumerate_mackay(params: EnsembleParams) -> Ensemble:
     return Ensemble(dense, counts[pick].prod(axis=1), per_column**n)
 
 
+def _place_values(q: int, length: int):
+    """q**(length-1), ..., q, 1: int64, or Python integers once q**length is
+    past int64."""
+    return np.array([q**k for k in range(length - 1, -1, -1)],
+                    dtype=object if q**length >= 2**63 else np.int64)
+
+
 def _base_q(digits, q: int):
     """Code each vector along the last axis as an integer in base q, first
     digit most significant; Python integers once q**l is past int64."""
-    big = q ** digits.shape[-1] >= 2**63
-    code = np.zeros(digits.shape[:-1], dtype=object if big else np.int64)
-    for digit in np.moveaxis(digits, -1, 0):
-        code = code * q + digit
-    return code
+    digits = np.asarray(digits)
+    return digits @ _place_values(q, digits.shape[-1])
 
 
-def _syndrome_codes(matrices: Ensemble, vectors, q: int):
-    """(N, V) base-q codes of A v mod q: every matrix A, every vector v."""
-    v = np.asarray(vectors, np.int64).reshape(-1, matrices.dense.shape[2])
-    return _base_q((v @ matrices.dense.transpose(0, 2, 1)) % q, q)
+def _syndrome_codes(dense, vectors, q: int):
+    """(N, V) base-q codes of A v mod q: every matrix A of the (N, l, n)
+    stack, every vector v."""
+    v = np.asarray(vectors, np.int64).reshape(-1, dense.shape[2])
+    return _base_q((v @ dense.transpose(0, 2, 1)) % q, q)
+
+
+class SyndromeMemo:
+    """The syndrome codes of one stack of matrices over GF(q), filled as the
+    checks ask: one row of N codes per reduced vector of GF(q)^n, found
+    through its base-q index.
+
+    It stores at most ENUM_BUDGET codes, and none once q**n is past the
+    budget (the index holds one slot per vector); codes past that are
+    computed and not kept.  A row is written before its slot is published
+    and is never rewritten, so readers take no lock; the lock only hands out
+    rows, and threads that miss the same vector at once compute it twice.
+    The image array of the saturation check is coded once and read as
+    immutable."""
+
+    def __init__(self, dense, q: int):
+        count, l, n = dense.shape
+        space = q**n
+        rows = 0 if space > ENUM_BUDGET else min(space, ENUM_BUDGET // count)
+        self.dense, self.q, self.place = dense, q, _place_values(q, n)
+        self.slot = np.full(space if rows else 0, -1, np.intp)
+        self.codes = np.empty((rows, count), _place_values(q, l).dtype)
+        self.used = 0
+        self.lock = threading.Lock()
+        self.image = None  # (image array, its sorted codes)
+
+    def lookup(self, vectors):
+        """(keys, codes): each vector's base-q index after reduction mod q,
+        and the (N, V) codes of A v mod q, every matrix A, every vector v."""
+        q = self.q
+        v = np.asarray(vectors, np.int64).reshape(-1, len(self.place)) % q
+        keys = v @ self.place
+        at = self.slot[keys] if len(self.slot) else np.full(len(keys), -1)
+        miss = at < 0
+        if not miss.any():
+            return keys, self.codes[at].T
+        new, first, back = np.unique(keys[miss], return_index=True,
+                                     return_inverse=True)
+        fresh = _syndrome_codes(self.dense, v[miss][first], q)
+        if self.used < len(self.codes):
+            self._store(new, fresh)
+        out = np.empty((len(self.dense), len(keys)), fresh.dtype)
+        out[:, ~miss] = self.codes[at[~miss]].T
+        out[:, miss] = fresh[:, back]
+        return keys, out
+
+    def _store(self, keys, fresh):
+        with self.lock:
+            free = len(self.codes) - self.used
+            todo = np.flatnonzero(self.slot[keys] < 0)[:free]
+            rows = np.arange(self.used, self.used + len(todo))
+            self.codes[rows] = fresh[:, todo].T
+            self.slot[keys[todo]] = rows  # published after the rows
+            self.used += len(todo)
+
+    def image_codes(self, im_set):
+        """The sorted codes of the image vectors, im_set's rows."""
+        image = self.image
+        if image is None or image[0] is not im_set:
+            image = self.image = (im_set, np.sort(_base_q(im_set, self.q)))
+        return image[1]
 
 
 def return_prob_exhaustive(matrices, u, q: int) -> Fraction:
     """Exact ensemble probability of A u = 0 by full enumeration."""
-    zero = _syndrome_codes(matrices, [u], q)[:, 0] == 0
+    zero = matrices.syndromes(q).lookup([u])[1][:, 0] == 0
     return Fraction(int(matrices.weight @ zero), matrices.total)
 
 
@@ -283,13 +359,11 @@ def hash_sum_exhaustive(matrices, T, Tp, diag):
     Returns (lhs, rhs); lhs = sum over pairs of the probability of a
     syndrome collision, rhs = |T cap T'| + |T||T'| alpha/|Im| + min beta.
     """
-    q = diag.q
-    T = [tuple(int(x) % q for x in u) for u in T]
-    Tp = [tuple(int(x) % q for x in u) for u in Tp]
-    hits = (_syndrome_codes(matrices, T, q)[:, :, None]
-            == _syndrome_codes(matrices, Tp, q)[:, None, :]).sum(axis=(1, 2))
+    keys, codes = matrices.syndromes(diag.q).lookup([*T, *Tp])
+    k = len(T)
+    hits = (codes[:, :k, None] == codes[:, None, k:]).sum(axis=(1, 2))
     lhs = Fraction(int(matrices.weight @ hits), matrices.total)
-    inter = len(set(T) & set(Tp))
+    inter = len(set(keys[:k].tolist()) & set(keys[k:].tolist()))
     rhs = (
         inter
         + Fraction(len(T) * len(Tp)) * diag.alpha / diag.im_size
@@ -301,12 +375,9 @@ def hash_sum_exhaustive(matrices, T, Tp, diag):
 def collision_bound_check(matrices, G, u, diag):
     """Probability that some other member of G shares u's bin, versus the
     bound |G| alpha/|Im| + beta.  Returns (lhs, rhs)."""
-    q = diag.q
-    u = np.asarray(u, dtype=np.int64) % q
-    members = np.asarray(G, dtype=np.int64).reshape(-1, len(u)) % q
-    others = members[(members != u).any(axis=1)]
-    codes = _syndrome_codes(matrices, np.vstack([u, others]), q)
-    hit = (codes[:, 1:] == codes[:, :1]).any(axis=1)
+    keys, codes = matrices.syndromes(diag.q).lookup([u, *G])
+    others = codes[:, 1:][:, keys[1:] != keys[0]]
+    hit = (others == codes[:, :1]).any(axis=1)
     lhs = Fraction(int(matrices.weight @ hit), matrices.total)
     rhs = Fraction(len(G)) * diag.alpha / diag.im_size + diag.beta
     return lhs, rhs
@@ -317,12 +388,14 @@ def saturation_bound_check(matrices, T, diag, im_set):
     misses T, versus alpha - 1 + |Im|(beta+1)/|T|.  Returns (lhs, rhs)."""
     if not len(T):
         raise ValueError("T must be nonempty")
-    q = diag.q
-    codes = np.sort(_syndrome_codes(matrices, T, q), axis=1)
-    first = np.diff(codes, axis=1, prepend=-1) != 0  # each distinct code once
-    im_codes = _base_q(np.asarray(im_set), q)
-    reached = (first & np.isin(codes, im_codes)).sum(axis=1)
-    lhs = Fraction(int(matrices.weight @ (len(im_codes) - reached)),
-                   matrices.total * len(im_codes))
+    memo = matrices.syndromes(diag.q)
+    codes = np.sort(memo.lookup(T)[1], axis=1)
+    first = np.ones(codes.shape, bool)  # each distinct code once
+    first[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    image = memo.image_codes(im_set)
+    at = np.minimum(np.searchsorted(image, codes), len(image) - 1)
+    reached = (first & (image[at] == codes)).sum(axis=1)
+    lhs = Fraction(int(matrices.weight @ (len(image) - reached)),
+                   matrices.total * len(image))
     rhs = diag.alpha - 1 + Fraction(diag.im_size) * (diag.beta + 1) / len(T)
     return lhs, rhs

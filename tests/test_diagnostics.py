@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -424,3 +426,166 @@ def test_walk_integer_sum_equals_term_by_term_sum():
             for w_c in range(l + 1):
                 got = dg.walk_dist_closed(q, l, steps, w_c)
                 assert got == _reference_walk(q, l, steps, w_c)
+
+
+# -- the per-ensemble syndrome memo -----------------------------------------------
+
+def _memo_setting(q, kind, l, n, tau):
+    params = EnsembleParams(q=q, l=l, n=n, tau=tau, xi=0.5)
+    diag = dg.alpha_beta(params, n, ensemble=kind)
+    if kind == "mackay":
+        ens, ref = dg.enumerate_mackay(params), _reference_mackay(params)
+    else:
+        ens, ref = _enumerate_uniform(q, l, n), _reference_uniform(q, l, n)
+    # the image is enumerable only for small q**l
+    im_set = (dg.ensemble_im_set(q, l, tau, ensemble=kind)
+              if q**l <= dg.ENUM_BUDGET else None)
+    return ens, ref, diag, im_set
+
+
+def _run_checks_against_references(ens, ref, diag, im_set, calls):
+    """Run the calls in order on one ensemble; each Fraction must equal the
+    per-matrix loop's."""
+    for name, *args in calls:
+        if name == "hash":
+            T, Tp = args
+            assert (dg.hash_sum_exhaustive(ens, T, Tp, diag)
+                    == _reference_hash_sum(ref, T, Tp, diag))
+        elif name == "collision":
+            G, u = args
+            assert (dg.collision_bound_check(ens, G, u, diag)
+                    == _reference_collision(ref, G, u, diag))
+        elif name == "saturation" and im_set is not None:
+            (S,) = args
+            assert (dg.saturation_bound_check(ens, S, diag, im_set)
+                    == _reference_saturation(ref, S, diag, im_set))
+        elif name == "return":
+            (u,) = args
+            assert (dg.return_prob_exhaustive(ens, u, diag.q)
+                    == _reference_return_prob(ref, u, diag.q))
+
+
+@st.composite
+def _memo_case(draw):
+    q, kind, l, n, tau, _, _ = draw(_ensemble_case())
+    # vectors over 0..2q-1 from a small space: repeats and reductions that
+    # land on an earlier vector are common, so calls mix hits and misses
+    vec = st.tuples(*[st.integers(0, 2 * q - 1)] * n)
+    sets = st.lists(vec, min_size=1, max_size=5)
+    calls = draw(st.lists(st.one_of(
+        st.tuples(st.just("hash"), sets, sets),
+        st.tuples(st.just("collision"), sets, vec),
+        st.tuples(st.just("saturation"), sets),
+        st.tuples(st.just("return"), vec)), min_size=1, max_size=10))
+    return (q, kind, l, n, tau), calls
+
+
+_MIXED_CALLS = [("saturation", [(4, 0, 1)]),
+                ("hash", [(1, 0, 1), (4, 3, 1)], [(2, 0, 1), (1, 3, 4)]),
+                ("collision", [(1, 3, 1), (0, 0, 0), (1, 0, 1)], (4, 0, 1)),
+                ("return", (5, 5, 5)),
+                ("saturation", [(2, 2, 2), (2, 2, 2), (0, 1, 2)])]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_memo_case())
+@example(((3, "mackay", 1, 3, 2), _MIXED_CALLS))
+@example(((5, "uniform", 1, 3, 2), _MIXED_CALLS))
+@example(((2, "mackay", 70, 1, 2),
+          [("hash", [(1,), (0,), (3,)], [(1,), (1,)]),
+           ("collision", [(2,), (5,)], (1,)), ("return", (3,)),
+           ("hash", [(0,), (2,)], [(7,)]), ("collision", [(1,)], (0,))]))
+def test_memo_checks_equal_reference_loops(case):
+    """Interleaved calls on one ensemble, its memo cold, then warm, then
+    after a fresh start, equal the per-matrix loops: both ensembles, q in
+    {2, 3, 5}, unreduced and repeated vectors, Python-integer codes at l = 70."""
+    params, calls = case
+    ens, ref, diag, im_set = _memo_setting(*params)
+    _run_checks_against_references(ens, ref, diag, im_set, calls)
+    _run_checks_against_references(ens, ref, diag, im_set, calls[::-1])
+    fresh, _, _, _ = _memo_setting(*params)
+    _run_checks_against_references(fresh, ref, diag, im_set, calls[1:] + calls)
+
+
+@pytest.mark.parametrize("budget", [1, 64, 150, 1000])
+def test_memo_stays_within_the_budget(monkeypatch, budget):
+    # 64 matrices and 8 vectors: budget 1 stores no code (q**n > budget),
+    # 64 and 150 store one and two vectors' codes, 1000 stores all 512
+    ens, ref, diag, im_set = _memo_setting(2, "mackay", 3, 3, 2)
+    monkeypatch.setattr(dg, "ENUM_BUDGET", budget)
+    space = list(itertools.product(range(2), repeat=3))
+    calls = [("return", u) for u in space] + [
+        ("hash", space[:5], space[3:]), ("collision", space, space[0]),
+        ("saturation", space[2:])]
+    _run_checks_against_references(ens, ref, diag, im_set, calls * 2)
+    memo = ens.syndromes(2)
+    assert memo.codes.size <= budget
+    assert memo.used == min(8, budget // len(ens)) * (budget >= 8)
+    assert (memo.slot >= 0).sum() == memo.used
+
+
+def test_saturation_codes_the_image_once(monkeypatch):
+    ens, _, diag, im_set = _memo_setting(3, "mackay", 1, 3, 2)
+    coded = []
+    base_q = dg._base_q
+
+    def counting(digits, q):
+        coded.append(digits is im_set)
+        return base_q(digits, q)
+
+    monkeypatch.setattr(dg, "_base_q", counting)
+    space = list(itertools.product(range(3), repeat=3))
+    rng = rng_from_seed(70)
+    for _ in range(70):
+        T = _random_subset(rng, space, 5)
+        lhs, rhs = dg.saturation_bound_check(ens, T, diag, im_set)
+        assert lhs <= rhs
+    assert sum(coded) == 1
+
+
+def test_memo_fills_race_without_corruption():
+    """Threads that fill one memo at once, missing the same vectors together,
+    store each vector at most once, every stored row holds that vector's
+    codes, and every check returns the per-matrix loop's Fractions."""
+    params = EnsembleParams(q=3, l=1, n=3, tau=2, xi=0.5)
+    _, ref, diag, im_set = _memo_setting(3, "mackay", 1, 3, 2)
+    space = list(itertools.product(range(3), repeat=3))
+    rng = rng_from_seed(27)
+    cases = [(_random_subset(rng, space, 3), _random_subset(rng, space, 3))
+             for _ in range(12)]
+    want = [(_reference_hash_sum(ref, T, Tp, diag),
+             _reference_saturation(ref, T, diag, im_set),
+             _reference_collision(ref, Tp, T[0], diag)) for T, Tp in cases]
+    # 20 cold memos, 8 threads each
+    ensembles = [dg.enumerate_mackay(params) for _ in range(20)]
+    start = threading.Barrier(8, timeout=60)
+    got = [[] for _ in range(8)]
+
+    def work(i):
+        for ens in ensembles:
+            start.wait()
+            got[i].append([(dg.hash_sum_exhaustive(ens, T, Tp, diag),
+                            dg.saturation_bound_check(ens, T, diag, im_set),
+                            dg.collision_bound_check(ens, Tp, T[0], diag))
+                           for T, Tp in cases])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want] * len(ensembles)] * 8
+    for ens in ensembles:
+        memo = ens.syndromes(3)
+        stored = np.flatnonzero(memo.slot >= 0)
+        assert len(stored) == memo.used
+        assert sorted(memo.slot[stored]) == list(range(memo.used))
+        vectors = np.array(space)[stored]  # index i: the i-th vector of space
+        assert np.array_equal(memo.codes[memo.slot[stored]].T,
+                              dg._syndrome_codes(ens.dense, vectors, 3))
