@@ -147,7 +147,8 @@ def _dense_of(m) -> np.ndarray:
 
 def solve_coset(constraints, q: int | None = None) -> CosetDescription:
     """Gaussian elimination on stacked (matrix, target) constraints; returns
-    the block of one coset.
+    the block of cosets of the targets, each one vector that every trial
+    shares or a (T, rows) block of one row per trial (T = 1 if none is).
 
     The result's `elimination` serves every other target of the matrix."""
     if not constraints:
@@ -160,8 +161,8 @@ def solve_coset(constraints, q: int | None = None) -> CosetDescription:
     n = None
     for m, t in constraints:
         d = _dense_of(m) % q
-        t = np.asarray(t, dtype=np.int64).reshape(-1) % q
-        if d.shape[0] != t.shape[0]:
+        t = np.asarray(t, dtype=np.int64)
+        if t.ndim not in (1, 2) or t.shape[-1] != d.shape[0]:
             raise ValueError("target length does not match row count")
         if n is None:
             n = d.shape[1]
@@ -184,7 +185,9 @@ def solve_coset(constraints, q: int | None = None) -> CosetDescription:
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = (-aug[:pivots.size, n - 1 - free].T) % q
     elim = Elimination(q, M, aug[:, n:].copy(), pivots, basis)
-    return elim.cosets(np.concatenate(targets)[None])
+    trials = max((len(t) for t in targets if t.ndim == 2), default=1)
+    return elim.cosets(np.hstack([np.broadcast_to(t, (trials, t.shape[-1]))
+                                  for t in targets]))
 
 
 def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):

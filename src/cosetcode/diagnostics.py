@@ -230,8 +230,8 @@ def enumerate_column_outcomes(q: int, l: int, tau: int):
 class Ensemble:
     """Every matrix of a tiny ensemble, stacked: P(dense[m]) = weight[m] /
     total.  total <= ENUM_BUDGET, so the checks' int64 sums of weight times a
-    count (at most |T||T'|, 25 in hash-check, or |Im|) are exact.  The checks
-    read syndrome codes through `syndromes(q)`, filled as they ask."""
+    count (at most |T||T'|, 25 in hash-check, or |Im|) are exact.  The set
+    checks read syndrome codes through `syndromes(q)`, filled as they ask."""
 
     dense: np.ndarray  # (N, l, n) int64, read-only
     weight: np.ndarray  # (N,) int64 numerators
@@ -348,8 +348,9 @@ class SyndromeMemo:
 
 
 def return_prob_exhaustive(matrices, u, q: int) -> Fraction:
-    """Exact ensemble probability of A u = 0 by full enumeration."""
-    zero = matrices.syndromes(q).lookup([u])[1][:, 0] == 0
+    """Exact ensemble probability of A u = 0 by full enumeration; one vector
+    is coded directly, as no other check of the memo would read it again."""
+    zero = _syndrome_codes(matrices.dense, [u], q)[:, 0] == 0
     return Fraction(int(matrices.weight @ zero), matrices.total)
 
 

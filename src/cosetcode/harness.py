@@ -69,7 +69,7 @@ def _check_scheme(problem: str, scheme: dict):
                 rows = " in each row" if sums.ndim else ""
                 raise ValueError(f"{key} must sum to 1{rows}, got "
                                  f"{sums.tolist()}")
-    for axis in sc.MATRIX_ALPHABET[problem].values():
+    for axis, _, _ in sc.MATRICES[problem].values():
         if not is_prime(sizes[axis]):
             raise ValueError(f"{fixed_by[axis]}: alphabet size {sizes[axis]} "
                              f"of {axis} is not prime")
@@ -305,7 +305,7 @@ def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
             raise ValueError(f"unknown problem {problem!r}")
     except sc.EncoderFailure:
         failed = np.ones(len(seeds), dtype=bool)
-    if problem in ("lossy", "wz"):
+    if "rho" in sc.SCHEME_KEYS[problem]:
         rho_max = float(np.max(params.rho))
         return [(None, rho_max, True) if f else (None, float(d), False)
                 for f, d in zip(failed, dist)]
@@ -314,13 +314,8 @@ def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
 
 
 def _rate_fields(problem: str, inst: sc.SchemeInstance) -> dict:
-    if problem == "sw":
-        return {"rate_x": sc.rate_of(inst.matrices["A"], inst.n),
-                "rate_y": sc.rate_of(inst.matrices["B"], inst.n)}
-    if problem == "oho":
-        return {"rate_x": sc.rate_of(inst.matrices["Bhat"], inst.n),
-                "rate_y": sc.rate_of(inst.matrices["B"], inst.n)}
-    return {"rate": sc.rate_of(inst.matrices["B"], inst.n)}
+    return {column: sc.rate_of(inst.matrices[name], inst.n)
+            for name, (_, _, column) in sc.MATRICES[problem].items() if column}
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1):
@@ -333,17 +328,17 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     is accepted and has no effect on output or speed.
     """
     params = cfg.scheme_params()
+    distortion = "rho" in sc.SCHEME_KEYS[cfg.problem]
     records = []
     rows = []
     dims_clamped = {}
     started = time.monotonic()
     for n in cfg.n_list:
         draws = []
-        rate_fields = None
         for k in range(cfg.best_of):
             inst = sc.build_instance(params, n, derive_seed(cfg.seed, "inst", n, k),
                                      ensemble=cfg.ensemble, tau=cfg.tau)
-            if rate_fields is None:
+            if k == 0:
                 rate_fields = _rate_fields(cfg.problem, inst)
                 dims_clamped[str(n)] = dict(inst.dims.clamped)
             seeds = [derive_seed(cfg.seed, "trial", n, k, t)
@@ -357,7 +352,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
                                 seconds=seconds)
                     for t, (s, (ok, dist, fail)) in enumerate(zip(seeds, outcomes))]
             records.extend(recs)
-            if cfg.problem in ("lossy", "wz"):
+            if distortion:
                 vals = [r.distortion for r in recs]
                 metric = float(np.mean(vals))
                 sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
@@ -382,7 +377,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
         "trials": cfg.trials,
         "best_of": cfg.best_of,
         "seed": cfg.seed,
-        "metric": "distortion" if cfg.problem in ("lossy", "wz") else "block_error",
+        "metric": "distortion" if distortion else "block_error",
         "rows": rows,
         "eps_warnings": list(params.eps_warnings),
         "dims_clamped": dims_clamped,

@@ -55,6 +55,28 @@ PMF_KEYS = {"joint": 2, "mu_x": 1, "mu_z": 1, "mu_xz": 2, "mu_xy": 2,
             "channel": 1, "test_channel": 1, "mu_xw_z": 2}
 
 
+# per problem, its matrices in row-count order, each (alphabet, rate,
+# column): a matrix over alphabet X has n * rate / log2 |X| rows, the rate in
+# bits a symbol being signed terms summed left to right, each the entropy of
+# a marginal (axis letters in axis order) or a scheme number; the summary
+# column, if any, reports the rate of the matrix's image
+MATRICES = {
+    "sw": {"A": ("x", "+rate_x", "rate_x"), "B": ("y", "+rate_y", "rate_y")},
+    "ch": {"A": ("x", "+xy -y +eps_a", None),
+           "B": ("x", "+x +y -xy -eps_b", "rate")},
+    "gp": {"A": ("w", "+yw -y +eps_a", None),
+           "B": ("w", "+w +y -yw -w -z +zw -eps_b", "rate"),
+           "Ahat": ("x", "+xzw -zw -eps_ahat", None)},
+    "lossy": {"A": ("y", "+xy -x -eps_a", None),
+              "B": ("y", "+x +y -xy +eps_b", "rate")},
+    "wz": {"A": ("y", "+xy -x -eps_a", None),
+           "B": ("y", "+yz -z -xy +x +eps_b", "rate")},
+    "oho": {"Bhat": ("x", "+xz -z +eps_bhat", "rate_x"),
+            "A": ("z", "+yz -y -eps_a", None),
+            "B": ("z", "+y +z -yz +eps_b", "rate_y")},
+}
+
+
 class EncoderFailure(Exception):
     """A coding failure of every trial of a batch, each counted as a block
     error.  The coders here return the trials whose constrained search came
@@ -65,18 +87,17 @@ class EncoderFailure(Exception):
 class SchemeParams:
     """One problem setup: joint law over the named variables plus tuning.
 
-    `joint` axes follow `axes` ordering; epsilons drive the dimension
-    formulas; `rho` and `f` are tables for the distortion problems.
+    `joint` axes follow `axes` ordering; `numbers` holds the scheme's
+    numbers (epsilons, rates) under their config keys; `rho` and `f` are
+    tables for the distortion problems.
     """
 
     problem: str
     joint: Distribution
     axes: tuple
-    eps: dict = field(default_factory=dict)
+    numbers: dict = field(default_factory=dict)
     rho: object = None
     f: object = None
-    rate_x: object = None
-    rate_y: object = None
     # read-only tables, their integer metrics and the row counts per n,
     # filled on first use
     _tables: dict = field(default_factory=dict, init=False, repr=False,
@@ -139,8 +160,7 @@ class SchemeParams:
     def validate(self):
         """Record the problem's epsilon admissibility issues in `eps_warnings`."""
         issues = []
-        ea = self.eps.get("a")
-        eb = self.eps.get("b")
+        ea, eb = self.numbers.get("eps_a"), self.numbers.get("eps_b")
         # zeta is defined for a positive argument only: a bound that would
         # take it from a non-positive epsilon is reported as that epsilon
         if self.problem in ("ch", "gp"):
@@ -155,7 +175,7 @@ class SchemeParams:
                 if not (eb - ea <= mid < ea):
                     issues.append(
                         f"eps condition violated: {eb - ea:.4g} <= {mid:.4g} < {ea:.4g}")
-            eah = self.eps.get("ahat")
+            eah = self.numbers.get("eps_ahat")
             if self.problem == "gp" and eah <= 0:
                 issues.append("need eps_ahat > 0")
             elif self.problem == "gp":
@@ -178,7 +198,7 @@ class SchemeParams:
             if not eb > b1:
                 issues.append(f"need eps_b > {b1:.4g}")
             b2 = 2 * zeta(self.card("x") * self.card("z"), 3 * ea)
-            if not self.eps.get("bhat") > b2:
+            if not self.numbers["eps_bhat"] > b2:
                 issues.append(f"need eps_bhat > {b2:.4g}")
         self.eps_warnings = issues
 
@@ -202,10 +222,9 @@ def scheme_params(problem: str, scheme: dict) -> SchemeParams:
     rho, f = scheme.get("rho"), scheme.get("f")
     return SchemeParams(
         problem, Distribution(joint), tuple(axes),
-        eps={key[4:]: scheme[key] for key in keys if key.startswith("eps_")},
+        numbers={key: scheme[key] for key, axes in keys.items() if not axes},
         rho=None if rho is None else np.asarray(rho, dtype=float),
-        f=None if f is None else np.asarray(f, dtype=np.int64),
-        rate_x=scheme.get("rate_x"), rate_y=scheme.get("rate_y"))
+        f=None if f is None else np.asarray(f, dtype=np.int64))
 
 
 # -- dimensions ---------------------------------------------------------------
@@ -220,51 +239,18 @@ class DimReport:
 
 
 def dims_for(params: SchemeParams, n: int) -> DimReport:
-    """Row counts from the per-problem rate formulas, rounded to the nearest
-    integer and clamped into [1, n] (clamping is reported, not fatal)."""
-    def H(names):  # names in axis order: entropy sums in that order
-        return entropy(params.marg(names))
-
-    ea = params.eps.get("a", 0.0)
-    eb = params.eps.get("b", 0.0)
+    """Row counts from the problem's rate formulas in MATRICES, rounded to
+    the nearest integer and clamped into [1, n] (clamping is reported, not
+    fatal)."""
     real = {}
-    if params.problem == "sw":
-        real["A"] = n * params.rate_x / math.log2(params.card("x"))
-        real["B"] = n * params.rate_y / math.log2(params.card("y"))
-    elif params.problem == "ch":
-        lx = math.log2(params.card("x"))
-        real["A"] = n * (H("xy") - H("y") + ea) / lx
-        real["B"] = n * (H("x") + H("y") - H("xy") - eb) / lx
-    elif params.problem == "gp":
-        lw = math.log2(params.card("w"))
-        real["A"] = n * (H("yw") - H("y") + ea) / lw
-        real["B"] = n * (
-            (H("w") + H("y") - H("yw"))
-            - (H("w") + H("z") - H("zw"))
-            - eb
-        ) / lw
-        real["Ahat"] = n * (
-            H("xzw") - H("zw") - params.eps["ahat"]
-        ) / math.log2(params.card("x"))
-    elif params.problem == "lossy":
-        ly = math.log2(params.card("y"))
-        real["A"] = n * (H("xy") - H("x") - ea) / ly
-        real["B"] = n * (H("x") + H("y") - H("xy") + eb) / ly
-    elif params.problem == "wz":
-        ly = math.log2(params.card("y"))
-        real["A"] = n * (H("xy") - H("x") - ea) / ly
-        real["B"] = n * (
-            (H("yz") - H("z"))
-            - (H("xy") - H("x"))
-            + eb
-        ) / ly
-    elif params.problem == "oho":
-        real["Bhat"] = n * (
-            H("xz") - H("z") + params.eps["bhat"]
-        ) / math.log2(params.card("x"))
-        lz = math.log2(params.card("z"))
-        real["A"] = n * (H("yz") - H("y") - ea) / lz
-        real["B"] = n * (H("y") + H("z") - H("yz") + eb) / lz
+    for name, (alphabet, terms, _) in MATRICES[params.problem].items():
+        rate = 0.0
+        for term in terms.split():
+            key = term[1:]
+            value = (params.numbers[key] if key in params.numbers
+                     else entropy(params.marg(key)))
+            rate += value if term[0] == "+" else -value
+        real[name] = n * rate / math.log2(params.card(alphabet))
     rounded, clamped = {}, {}
     for k, v in real.items():
         r = int(round(v))
@@ -275,16 +261,6 @@ def dims_for(params: SchemeParams, n: int) -> DimReport:
 
 
 # -- instances ----------------------------------------------------------------
-
-MATRIX_ALPHABET = {
-    "sw": {"A": "x", "B": "y"},
-    "ch": {"A": "x", "B": "x"},
-    "gp": {"A": "w", "B": "w", "Ahat": "x"},
-    "lossy": {"A": "y", "B": "y"},
-    "wz": {"A": "y", "B": "y"},
-    "oho": {"A": "z", "B": "z", "Bhat": "x"},
-}
-
 
 @dataclass
 class SchemeInstance:
@@ -315,16 +291,16 @@ class SchemeInstance:
         stacked in order; a target is a (trials, rows) block, or one vector
         that every trial shares."""
         names = tuple(name for name, _ in constraints)
+        targets = [np.broadcast_to(t, (trials, self.matrices[name].l))
+                   for name, t in constraints]
         elim = self._cosets.get(names)
-        if elim is None:
-            # idempotent fill: the elimination does not depend on the target
-            elim = self._cosets.setdefault(names, solve_coset(
-                [(self.matrices[name], np.zeros(self.matrices[name].l))
-                 for name in names]).elimination)
-        return elim.cosets(np.hstack([
-            np.broadcast_to(np.asarray(t, dtype=np.int64),
-                            (trials, self.matrices[name].l))
-            for name, t in constraints]))
+        if elim is not None:
+            return elim.cosets(np.hstack(targets))
+        cosets = solve_coset([(self.matrices[name], t)
+                              for name, t in zip(names, targets)])
+        # idempotent fill: the elimination does not depend on the target
+        self._cosets.setdefault(names, cosets.elimination)
+        return cosets
 
 
 def _is_identity_cond(cond_x_zw: np.ndarray) -> bool:
@@ -345,7 +321,7 @@ def build_instance(params: SchemeParams, n: int, seed,
     stage2_forced = params.problem == "gp" and _is_identity_cond(
         params.cond("x", "zw"))
     matrices = {}
-    for name, var in MATRIX_ALPHABET[params.problem].items():
+    for name, (var, _, _) in MATRICES[params.problem].items():
         q = params.card(var)
         if not is_prime(q):
             raise ValueError(f"alphabet size {q} for {var!r} is not prime")

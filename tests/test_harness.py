@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cosetcode import harness as hn
+from cosetcode import schemes as sc
 
 
 def sw_config(**over):
@@ -314,7 +315,8 @@ TERNARY = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
 QUINARY = [[0.8 if a == b else 0.05 for b in range(5)] for a in range(5)]
 
 
-@pytest.mark.parametrize("problem, n, scheme, digests", [
+# the criterion-6 schemes first
+PINNED_RUNS = [
     ("sw", 16, {"joint": DSBS11, "rate_x": 0.85, "rate_y": 0.85},
      ("72baefe2828faa8011e4a3da43f4ce8692b761a97400595d23506b8af7badf5c",
       "0eefaa87484729bae664ddf249c930f1cf55232ad8f8572edcff556dd285e434")),
@@ -361,7 +363,10 @@ QUINARY = [[0.8 if a == b else 0.05 for b in range(5)] for a in range(5)]
                "eps_b": 0.15},
      ("27a87132be07de19c67c6188ad318ea038af90e63f1d5d799ad5171211846074",
       "22cc99cb09cb13e4a6fd3a6f40be4863ee58708dc5fb7f3bfb51013a7a911a58")),
-])
+]
+
+
+@pytest.mark.parametrize("problem, n, scheme, digests", PINNED_RUNS)
 def test_outputs_are_pinned(problem, n, scheme, digests):
     # the CSVs of fixed-seed runs, byte for byte: a decoder, sampler or
     # batching change that moves any record or summary figure fails here
@@ -372,3 +377,19 @@ def test_outputs_are_pinned(problem, n, scheme, digests):
     got = tuple(hashlib.sha256(text.encode()).hexdigest()
                 for text in (hn.summary_csv(summary), hn.records_csv(records)))
     assert got == digests
+
+
+def test_row_counts_are_pinned():
+    # dims_for's rounded and clamped row counts at n = 1..128, as one digest,
+    # for the criterion-6 schemes and the q = 3 and q = 5 channels: a change
+    # to a rate formula, its sum order or its rounding that moves any row
+    # count fails here
+    counts = []
+    for problem, _, scheme, _ in PINNED_RUNS[:6] + [
+            run for run in PINNED_RUNS[6:] if run[0] == "ch"]:
+        params = sc.scheme_params(problem, scheme)
+        for n in range(1, 129):
+            dims = sc.dims_for(params, n)
+            counts.append([dims.rounded, dims.clamped])
+    assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == (
+        "2d8ea2491333131b334b1b53481bd87d0826f6a27e2bbacf214f1a50d2b2f241")

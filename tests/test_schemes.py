@@ -13,6 +13,7 @@ import pytest
 
 from cosetcode import harness as hn
 from cosetcode import schemes as sc
+from cosetcode.cosets import Elimination
 from cosetcode.matrices import SparseMatrix, derive_seed
 from cosetcode.types_lab import Distribution
 
@@ -102,16 +103,16 @@ def split_tables(params):
 
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("problem,axes,eps", [
-    ("ch", "xy", {"a": 0.05, "b": 0.1}),
-    ("oho", "xyz", {"a": 0.05, "b": 0.1, "bhat": 0.1}),
-    ("gp", "xyzw", {"a": 0.05, "b": 0.1, "ahat": 0.01})])
+    ("ch", "xy", {"eps_a": 0.05, "eps_b": 0.1}),
+    ("oho", "xyz", {"eps_a": 0.05, "eps_b": 0.1, "eps_bhat": 0.1}),
+    ("gp", "xyzw", {"eps_a": 0.05, "eps_b": 0.1, "eps_ahat": 0.01})])
 def test_tables_do_not_depend_on_the_joint_layout(problem, axes, eps, q):
     # a hand-built joint in C and in Fortran order: equal entries, so equal
     # bits in every table, whatever order its sums run in
     rng = np.random.default_rng(q)
     joint = rng.random((q,) * len(axes)) + 0.01
     joint /= joint.sum()
-    c, f = (sc.SchemeParams(problem, Distribution(p), tuple(axes), eps=eps)
+    c, f = (sc.SchemeParams(problem, Distribution(p), tuple(axes), numbers=eps)
             for p in (joint, np.asfortranarray(joint)))
     for (name, a), (_, b) in zip(split_tables(c), split_tables(f)):
         assert a.tobytes() == b.tobytes(), name
@@ -447,6 +448,28 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
             hn.run_trial(problem, params, inst,
                          [derive_seed(5, problem, batch, t) for t in range(9)])
         assert sorted(solved.values()) == [1] * systems, problem
+
+
+def test_first_use_of_a_coset_solves_its_own_targets(monkeypatch):
+    # the elimination of a system's first use codes only the targets asked
+    # for: one block of cosets, none for a placeholder target
+    params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
+                                     "eps_a": 0.05, "eps_b": 0.15})
+    inst = sc.build_instance(params, 12, seed=3)
+    blocks = []
+    cosets = Elimination.cosets
+    monkeypatch.setattr(Elimination, "cosets",
+                        lambda elim, t: blocks.append(len(t)) or cosets(elim, t))
+    m = sc.sample_message(inst, range(4))
+    for _ in range(2):  # first use, then reuse
+        blocks.clear()
+        batch = inst.coset([("A", inst.vectors["A"]), ("B", m)], 4)
+        assert blocks == [4]
+        assert np.array_equal(batch.target, np.hstack(
+            [np.broadcast_to(inst.vectors["A"], (4, inst.matrices["A"].l)), m]))
+        for j in range(4):
+            u = batch[j].elements()
+            assert (batch.matrix @ u.T % 2 == batch.target[j][:, None]).all()
 
 
 def test_concurrent_first_use_of_a_coset():
