@@ -32,6 +32,13 @@ def _check_count(value: int, flag: str, low: int):
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
+def _check_space(q: int, power: int, flag: str):
+    """Refuse a space of q**power vectors past the enumeration budget."""
+    if q**power > dg.ENUM_BUDGET:
+        raise ValueError(f"{flag} must keep q**{flag[2:]} <= "
+                         f"{dg.ENUM_BUDGET}, got {q}**{power}")
+
+
 def cmd_gen_matrix(args) -> int:
     params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau)
     if args.ensemble == "mackay":
@@ -118,10 +125,8 @@ def cmd_hash_check(args) -> int:
                             xi=args.xi)
     # the suites hold the q**n vectors the sets are drawn from and the q**l
     # image vectors
-    for flag, power in (("--n", args.n), ("--l", args.l)):
-        if args.q**power > dg.ENUM_BUDGET:
-            raise ValueError(f"{flag} must keep q**{flag[2:]} <= "
-                             f"{dg.ENUM_BUDGET}, got {args.q}**{power}")
+    _check_space(args.q, args.n, "--n")
+    _check_space(args.q, args.l, "--l")
     diag = dg.alpha_beta(params, args.n)
     mats = dg.enumerate_mackay(params)
     im_set = dg.ensemble_im_set(args.q, args.l, args.tau)
@@ -189,6 +194,8 @@ def cmd_run(args) -> int:
 def cmd_oracle(args) -> int:
     """Brute-force cross-checks of the closed forms."""
     _check_count(args.steps, "--steps", 0)
+    # the walk recursion's state space is the q**l vectors of GF(q)^l
+    _check_space(args.q, args.l, "--l")
     ok_all = True
     # kernel-weight probability against full ensemble enumeration
     params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau)
@@ -220,22 +227,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse-matrix coset coding: diagnostics, checks, simulators.")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, with_xi=False):
+    def common(sp, seed=False, out=False, xi=False):
         sp.add_argument("--q", type=int, default=2)
         sp.add_argument("--l", type=int, default=2)
         sp.add_argument("--n", type=int, default=4)
         sp.add_argument("--tau", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", type=str, default=None)
-        if with_xi:
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if out:
+            sp.add_argument("--out", type=str, default=None)
+        if xi:
             sp.add_argument("--xi", type=float, default=0.25)
 
     sp = sub.add_parser("gen-matrix", help="draw a matrix and emit its text form")
-    common(sp)
+    common(sp, seed=True, out=True)
     sp.add_argument("--ensemble", choices=["mackay", "uniform"], default="mackay")
 
     sp = sub.add_parser("diag", help="ensemble diagnostics CSV")
-    common(sp, with_xi=True)
+    common(sp, out=True, xi=True)
     sp.add_argument("--ensemble", choices=["mackay", "uniform"], default="mackay")
 
     sp = sub.add_parser("types-check", help="run the type-lemma suites")
@@ -245,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma2", type=float, default=0.1)
 
     sp = sub.add_parser("hash-check", help="collision-bound suites on a tiny ensemble")
-    common(sp, with_xi=True)
+    common(sp, seed=True, xi=True)
     sp.add_argument("--cases", type=int, default=70)
 
     sp = sub.add_parser("run", help="run a Monte Carlo experiment from a config")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -231,12 +230,14 @@ class Ensemble:
     """Every matrix of a tiny ensemble, stacked: P(dense[m]) = weight[m] /
     total.  total <= ENUM_BUDGET, so the checks' int64 sums of weight times a
     count (at most |T||T'|, 25 in hash-check, or |Im|) are exact.  The set
-    checks read syndrome codes through `syndromes(q)`, filled as they ask."""
+    checks read syndrome codes through `syndromes(q, vectors)`."""
 
     dense: np.ndarray  # (N, l, n) int64, read-only
     weight: np.ndarray  # (N,) int64 numerators
     total: int
-    _memos: dict = field(default_factory=dict, init=False, repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
+    _image: list = field(default_factory=lambda: [None], init=False,
+                         repr=False)
 
     def __post_init__(self):
         self.dense.setflags(write=False)
@@ -244,12 +245,32 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.weight)
 
-    def syndromes(self, q: int) -> SyndromeMemo:
-        """The memo of this ensemble's syndrome codes over GF(q)."""
-        memo = self._memos.get(q)
-        if memo is None:  # a racing thread's memo may win; both are empty
-            memo = self._memos.setdefault(q, SyndromeMemo(self.dense, q))
-        return memo
+    def syndromes(self, q: int, vectors):
+        """(keys, codes): each vector's base-q index after reduction mod q,
+        and the (N, V) codes of A v mod q, every matrix A, every vector v.
+
+        While N q**n <= ENUM_BUDGET the first call codes all of GF(q)^n in
+        index order and keeps that table; a racing thread builds an equal
+        one.  Past the budget each call codes only its own vectors."""
+        n = self.dense.shape[2]
+        v = np.asarray(vectors, np.int64).reshape(-1, n) % q
+        keys = _base_q(v, q)
+        if len(self) * q**n > ENUM_BUDGET:
+            return keys, _syndrome_codes(self.dense, v, q)
+        table = self._tables.get(q)
+        if table is None:
+            space = np.indices((q,) * n).reshape(n, -1).T
+            table = self._tables.setdefault(
+                q, _syndrome_codes(self.dense, space, q))
+        return keys, table[:, keys]
+
+    def image_codes(self, im_set, q: int):
+        """The sorted codes of the image vectors, im_set's rows, kept for
+        the last im_set asked for."""
+        image = self._image[0]
+        if image is None or image[0] is not im_set or image[1] != q:
+            image = self._image[0] = (im_set, q, np.sort(_base_q(im_set, q)))
+        return image[2]
 
 
 def enumerate_mackay(params: EnsembleParams) -> Ensemble:
@@ -286,70 +307,9 @@ def _syndrome_codes(dense, vectors, q: int):
     return _base_q((v @ dense.transpose(0, 2, 1)) % q, q)
 
 
-class SyndromeMemo:
-    """The syndrome codes of one stack of matrices over GF(q), filled as the
-    checks ask: one row of N codes per reduced vector of GF(q)^n, found
-    through its base-q index.
-
-    It stores at most ENUM_BUDGET codes, and none once q**n is past the
-    budget (the index holds one slot per vector); codes past that are
-    computed and not kept.  A row is written before its slot is published
-    and is never rewritten, so readers take no lock; the lock only hands out
-    rows, and threads that miss the same vector at once compute it twice.
-    The image array of the saturation check is coded once and read as
-    immutable."""
-
-    def __init__(self, dense, q: int):
-        count, l, n = dense.shape
-        space = q**n
-        rows = 0 if space > ENUM_BUDGET else min(space, ENUM_BUDGET // count)
-        self.dense, self.q, self.place = dense, q, _place_values(q, n)
-        self.slot = np.full(space if rows else 0, -1, np.intp)
-        self.codes = np.empty((rows, count), _place_values(q, l).dtype)
-        self.used = 0
-        self.lock = threading.Lock()
-        self.image = None  # (image array, its sorted codes)
-
-    def lookup(self, vectors):
-        """(keys, codes): each vector's base-q index after reduction mod q,
-        and the (N, V) codes of A v mod q, every matrix A, every vector v."""
-        q = self.q
-        v = np.asarray(vectors, np.int64).reshape(-1, len(self.place)) % q
-        keys = v @ self.place
-        at = self.slot[keys] if len(self.slot) else np.full(len(keys), -1)
-        miss = at < 0
-        if not miss.any():
-            return keys, self.codes[at].T
-        new, first, back = np.unique(keys[miss], return_index=True,
-                                     return_inverse=True)
-        fresh = _syndrome_codes(self.dense, v[miss][first], q)
-        if self.used < len(self.codes):
-            self._store(new, fresh)
-        out = np.empty((len(self.dense), len(keys)), fresh.dtype)
-        out[:, ~miss] = self.codes[at[~miss]].T
-        out[:, miss] = fresh[:, back]
-        return keys, out
-
-    def _store(self, keys, fresh):
-        with self.lock:
-            free = len(self.codes) - self.used
-            todo = np.flatnonzero(self.slot[keys] < 0)[:free]
-            rows = np.arange(self.used, self.used + len(todo))
-            self.codes[rows] = fresh[:, todo].T
-            self.slot[keys[todo]] = rows  # published after the rows
-            self.used += len(todo)
-
-    def image_codes(self, im_set):
-        """The sorted codes of the image vectors, im_set's rows."""
-        image = self.image
-        if image is None or image[0] is not im_set:
-            image = self.image = (im_set, np.sort(_base_q(im_set, self.q)))
-        return image[1]
-
-
 def return_prob_exhaustive(matrices, u, q: int) -> Fraction:
     """Exact ensemble probability of A u = 0 by full enumeration; one vector
-    is coded directly, as no other check of the memo would read it again."""
+    is coded directly, as no other check would read it again."""
     zero = _syndrome_codes(matrices.dense, [u], q)[:, 0] == 0
     return Fraction(int(matrices.weight @ zero), matrices.total)
 
@@ -360,7 +320,7 @@ def hash_sum_exhaustive(matrices, T, Tp, diag):
     Returns (lhs, rhs); lhs = sum over pairs of the probability of a
     syndrome collision, rhs = |T cap T'| + |T||T'| alpha/|Im| + min beta.
     """
-    keys, codes = matrices.syndromes(diag.q).lookup([*T, *Tp])
+    keys, codes = matrices.syndromes(diag.q, [*T, *Tp])
     k = len(T)
     hits = (codes[:, :k, None] == codes[:, None, k:]).sum(axis=(1, 2))
     lhs = Fraction(int(matrices.weight @ hits), matrices.total)
@@ -376,7 +336,7 @@ def hash_sum_exhaustive(matrices, T, Tp, diag):
 def collision_bound_check(matrices, G, u, diag):
     """Probability that some other member of G shares u's bin, versus the
     bound |G| alpha/|Im| + beta.  Returns (lhs, rhs)."""
-    keys, codes = matrices.syndromes(diag.q).lookup([u, *G])
+    keys, codes = matrices.syndromes(diag.q, [u, *G])
     others = codes[:, 1:][:, keys[1:] != keys[0]]
     hit = (others == codes[:, :1]).any(axis=1)
     lhs = Fraction(int(matrices.weight @ hit), matrices.total)
@@ -389,11 +349,10 @@ def saturation_bound_check(matrices, T, diag, im_set):
     misses T, versus alpha - 1 + |Im|(beta+1)/|T|.  Returns (lhs, rhs)."""
     if not len(T):
         raise ValueError("T must be nonempty")
-    memo = matrices.syndromes(diag.q)
-    codes = np.sort(memo.lookup(T)[1], axis=1)
+    codes = np.sort(matrices.syndromes(diag.q, T)[1], axis=1)
     first = np.ones(codes.shape, bool)  # each distinct code once
     first[:, 1:] = codes[:, 1:] != codes[:, :-1]
-    image = memo.image_codes(im_set)
+    image = matrices.image_codes(im_set, diag.q)
     at = np.minimum(np.searchsorted(image, codes), len(image) - 1)
     reached = (first & (image[at] == codes)).sum(axis=1)
     lhs = Fraction(int(matrices.weight @ (len(image) - reached)),

@@ -1,8 +1,6 @@
-"""Prime fields GF(q): the primality test and the inverse table."""
+"""Prime fields GF(q): the primality test."""
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def is_prime(q: int) -> bool:
@@ -21,13 +19,9 @@ def is_prime(q: int) -> bool:
 
 
 class FieldSpec:
-    """Prime field GF(q).  Holds the modulus and an inverse table."""
+    """Prime field GF(q).  Holds the modulus; refuses a q that is not prime."""
 
     def __init__(self, q: int):
         if not is_prime(q):
             raise ValueError(f"q={q} is not prime")
         self.q = q
-        # inverse table: inv_table[a] * a == 1 mod q (index 0 unused)
-        self.inv_table = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            self.inv_table[a] = pow(a, q - 2, q)

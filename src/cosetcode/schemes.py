@@ -275,7 +275,7 @@ class SchemeInstance:
     matrices: dict
     vectors: dict
     dims: DimReport
-    # gp: stage 2 is the forced reproduction x = w (Ahat is the zero matrix)
+    # gp: stage 2 is the forced reproduction x = w, and no Ahat is drawn
     stage2_forced: bool = False
     _cosets: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -325,12 +325,9 @@ def build_instance(params: SchemeParams, n: int, seed,
         q = params.card(var)
         if not is_prime(q):
             raise ValueError(f"alphabet size {q} for {var!r} is not prime")
-        l = dims.rounded[name]
         if name == "Ahat" and stage2_forced:
-            # deterministic stage 2: a zero matrix leaves the full space,
-            # whose indicator-argmax is the forced reproduction
-            matrices[name] = SparseMatrix(q, np.zeros((1, n)))
-            continue
+            continue  # gp_encode returns w before it reads a stage 2
+        l = dims.rounded[name]
         t = tau if tau is not None else recommended_tau(l, l * math.log2(q) / n)
         if ensemble == "mackay":
             if q == 2 and t % 2:
@@ -344,7 +341,7 @@ def build_instance(params: SchemeParams, n: int, seed,
     vectors = {}
     if params.problem in ("ch", "gp", "lossy", "wz", "oho"):
         vectors["A"] = sample_image_point(matrices["A"], derive_seed(seed, "vec", "A"))
-    if params.problem == "gp":
+    if "Ahat" in matrices:
         vectors["Ahat"] = sample_image_point(
             matrices["Ahat"], derive_seed(seed, "vec", "Ahat"))
     return SchemeInstance(params.problem, n, matrices, vectors, dims,

@@ -28,6 +28,15 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["diag", "--seed", "1"], ["hash-check", "--out", "x"],
+    ["oracle", "--seed", "1"], ["oracle", "--out", "x"]])
+def test_flags_a_command_does_not_read_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -152,12 +161,14 @@ def test_oracle_passes(capsys):
      "--q 10 --n 4 needs 4421275 types of length 4 over 100 letters"),
     (["types-check", "--q", "4", "--n", "8"],
      "--q 4 --n 8 needs 490314 types of length 8 over 16 letters"),
+    (["oracle", "--q", "2", "--l", "21", "--n", "1", "--tau", "2"],
+     "--l must keep q**l <= 1048576, got 2**21"),
 ], ids=["oracle-steps", "hash-check-cases-zero", "hash-check-cases-negative",
         "types-check-n", "types-check-gamma-negative", "types-check-gamma-nan",
         "types-check-gamma2-zero", "hash-check-n-over-budget",
         "hash-check-l-over-budget", "types-check-q-zero",
         "types-check-types-over-budget", "types-check-trans-types-over-budget",
-        "types-check-trans-entries-over-budget"])
+        "types-check-trans-entries-over-budget", "oracle-l-over-budget"])
 def test_bad_count_exits_2_before_any_enumeration(argv, message, capsys,
                                                   monkeypatch):
     def enumerate_(*args, **kwargs):

@@ -428,7 +428,7 @@ def test_walk_integer_sum_equals_term_by_term_sum():
                 assert got == _reference_walk(q, l, steps, w_c)
 
 
-# -- the per-ensemble syndrome memo -----------------------------------------------
+# -- the per-ensemble syndrome table ----------------------------------------------
 
 def _memo_setting(q, kind, l, n, tau):
     params = EnsembleParams(q=q, l=l, n=n, tau=tau, xi=0.5)
@@ -507,21 +507,55 @@ def test_memo_checks_equal_reference_loops(case):
     _run_checks_against_references(fresh, ref, diag, im_set, calls[1:] + calls)
 
 
+def _count_syndrome_codes(monkeypatch):
+    """Record the number of vectors of each `_syndrome_codes` call."""
+    calls = []
+    codes = dg._syndrome_codes
+
+    def counting(dense, vectors, q):
+        calls.append(np.asarray(vectors).size // dense.shape[2])
+        return codes(dense, vectors, q)
+
+    monkeypatch.setattr(dg, "_syndrome_codes", counting)
+    return calls
+
+
 @pytest.mark.parametrize("budget", [1, 64, 150, 1000])
 def test_memo_stays_within_the_budget(monkeypatch, budget):
-    # 64 matrices and 8 vectors: budget 1 stores no code (q**n > budget),
-    # 64 and 150 store one and two vectors' codes, 1000 stores all 512
+    # 64 matrices and 8 vectors: within budget 1000 one product codes all
+    # 512 codes and is kept; past budgets 1, 64 and 150 each check codes
+    # only its own vectors and nothing is kept
     ens, ref, diag, im_set = _memo_setting(2, "mackay", 3, 3, 2)
     monkeypatch.setattr(dg, "ENUM_BUDGET", budget)
+    calls = _count_syndrome_codes(monkeypatch)
     space = list(itertools.product(range(2), repeat=3))
-    calls = [("return", u) for u in space] + [
-        ("hash", space[:5], space[3:]), ("collision", space, space[0]),
-        ("saturation", space[2:])]
-    _run_checks_against_references(ens, ref, diag, im_set, calls * 2)
-    memo = ens.syndromes(2)
-    assert memo.codes.size <= budget
-    assert memo.used == min(8, budget // len(ens)) * (budget >= 8)
-    assert (memo.slot >= 0).sum() == memo.used
+    checks = [("hash", space[:5], space[3:]), ("collision", space, space[0]),
+              ("saturation", space[2:])]
+    _run_checks_against_references(ens, ref, diag, im_set, checks * 2)
+    if budget >= 512:
+        assert calls == [8]
+        assert ens._tables[2].shape == (64, 8)
+    else:
+        assert calls == [10, 9, 6] * 2
+        assert not ens._tables
+
+
+def test_one_table_per_ensemble_and_field(monkeypatch):
+    """Within the budget many checks on an ensemble code its vectors in one
+    product, once per ensemble and q, and keep the per-matrix Fractions."""
+    calls = _count_syndrome_codes(monkeypatch)
+    rng = rng_from_seed(23)
+    for q, kind, l, n in ((2, "mackay", 3, 3), (3, "mackay", 1, 3),
+                          (5, "uniform", 1, 2)):
+        ens, ref, diag, im_set = _memo_setting(q, kind, l, n, 2)
+        space = list(itertools.product(range(2 * q), repeat=n))
+        for _ in range(10):
+            T, Tp = _random_subset(rng, space, 4), _random_subset(rng, space, 3)
+            _run_checks_against_references(
+                ens, ref, diag, im_set,
+                [("hash", T, Tp), ("collision", Tp, T[0]), ("saturation", T)])
+        assert calls[-1] == q**n
+    assert len(calls) == 3
 
 
 def test_saturation_codes_the_image_once(monkeypatch):
@@ -544,9 +578,9 @@ def test_saturation_codes_the_image_once(monkeypatch):
 
 
 def test_memo_fills_race_without_corruption():
-    """Threads that fill one memo at once, missing the same vectors together,
-    store each vector at most once, every stored row holds that vector's
-    codes, and every check returns the per-matrix loop's Fractions."""
+    """Threads that ask one cold ensemble at once, building its table
+    together, keep one table of every vector's codes, and every check
+    returns the per-matrix loop's Fractions."""
     params = EnsembleParams(q=3, l=1, n=3, tau=2, xi=0.5)
     _, ref, diag, im_set = _memo_setting(3, "mackay", 1, 3, 2)
     space = list(itertools.product(range(3), repeat=3))
@@ -556,7 +590,7 @@ def test_memo_fills_race_without_corruption():
     want = [(_reference_hash_sum(ref, T, Tp, diag),
              _reference_saturation(ref, T, diag, im_set),
              _reference_collision(ref, Tp, T[0], diag)) for T, Tp in cases]
-    # 20 cold memos, 8 threads each
+    # 20 cold ensembles, 8 threads each
     ensembles = [dg.enumerate_mackay(params) for _ in range(20)]
     start = threading.Barrier(8, timeout=60)
     got = [[] for _ in range(8)]
@@ -582,10 +616,6 @@ def test_memo_fills_race_without_corruption():
     assert not any(t.is_alive() for t in threads)
     assert got == [[want] * len(ensembles)] * 8
     for ens in ensembles:
-        memo = ens.syndromes(3)
-        stored = np.flatnonzero(memo.slot >= 0)
-        assert len(stored) == memo.used
-        assert sorted(memo.slot[stored]) == list(range(memo.used))
-        vectors = np.array(space)[stored]  # index i: the i-th vector of space
-        assert np.array_equal(memo.codes[memo.slot[stored]].T,
-                              dg._syndrome_codes(ens.dense, vectors, 3))
+        assert list(ens._tables) == [3]
+        assert np.array_equal(ens._tables[3],
+                              dg._syndrome_codes(ens.dense, space, 3))

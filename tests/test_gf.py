@@ -1,10 +1,8 @@
-"""Prime fields: the primality test and the inverse table."""
+"""Prime fields: the primality test."""
 
 import pytest
 
 from cosetcode.gf import FieldSpec, is_prime
-
-PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def test_is_prime_small_values():
@@ -18,10 +16,3 @@ def test_fieldspec_rejects_nonprime(q):
     with pytest.raises(ValueError):
         FieldSpec(q)
 
-
-@pytest.mark.parametrize("q", PRIMES)
-def test_inverse_table(q):
-    f = FieldSpec(q)
-    assert f.inv_table[0] == 0  # unused slot
-    for a in range(1, q):
-        assert (a * f.inv_table[a]) % q == 1

@@ -331,6 +331,34 @@ def test_gp_contracts():
     assert mh.shape == m.shape
 
 
+def test_forced_gp_stage_2_draws_no_matrix(monkeypatch):
+    # x = w forces stage 2: no Ahat, no Ahat vector and no elimination of it;
+    # with x != w at times the Ahat matrix and its vector are drawn
+    solved = []
+    original = sc.solve_coset
+
+    def recording(constraints):
+        solved.append(tuple(m.l for m, _ in constraints))
+        return original(constraints)
+
+    monkeypatch.setattr(sc, "solve_coset", recording)
+    forced = sc.build_instance(_bsc_gp_params(), 8, seed=7)
+    assert forced.stage2_forced
+    assert sorted(forced.matrices) == ["A", "B"]
+    assert sorted(forced.vectors) == ["A"]
+    assert solved == [(forced.matrices["A"].l,)]
+    assert "Ahat" in forced.dims.rounded
+    mu_xw_z = np.array([[[0.4, 0.1], [0.1, 0.4]]] * 2)
+    params = sc.scheme_params("gp", {
+        "mu_z": [0.5, 0.5], "mu_xw_z": mu_xw_z,
+        "channel": np.stack([bsc(0.11)] * 2, axis=1), "eps_a": 0.05,
+        "eps_b": 0.15, "eps_ahat": 0.01})
+    free = sc.build_instance(params, 8, seed=7)
+    assert not free.stage2_forced
+    assert sorted(free.matrices) == ["A", "Ahat", "B"]
+    assert sorted(free.vectors) == ["A", "Ahat"]
+
+
 def test_lossy_and_wz_contracts():
     rho = [[0, 1], [1, 0]]
     params = sc.scheme_params("lossy", {
