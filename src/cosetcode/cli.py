@@ -33,10 +33,22 @@ def _check_count(value: int, flag: str, low: int):
 
 
 def _check_space(q: int, power: int, flag: str):
-    """Refuse a space of q**power vectors past the enumeration budget."""
-    if q**power > dg.ENUM_BUDGET:
+    """Refuse a space of q**power vectors past the enumeration budget, for
+    a prime q: a power past the budget's bit length is past the budget, and
+    is not formed."""
+    if power > dg.ENUM_BUDGET.bit_length() or q**power > dg.ENUM_BUDGET:
         raise ValueError(f"{flag} must keep q**{flag[2:]} <= "
                          f"{dg.ENUM_BUDGET}, got {q}**{power}")
+
+
+def _emit(text: str, out) -> int:
+    """Write `text` to the file `out`, or to stdout when there is none."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
 def cmd_gen_matrix(args) -> int:
@@ -45,13 +57,7 @@ def cmd_gen_matrix(args) -> int:
         m = generate_mackay(params, args.seed)
     else:
         m = generate_uniform(args.q, args.l, args.n, args.seed)
-    text = m.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(m.to_text(), args.out)
 
 
 def cmd_diag(args) -> int:
@@ -67,13 +73,7 @@ def cmd_diag(args) -> int:
     for w in range(1, args.n + 1):
         p, cw = d.per_weight[w]
         lines.append(f"{w},{float(p)!r},{cw},{float(p) * cw!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def types_check_report(q: int, n: int, gamma: float, gamma2: float):
@@ -138,27 +138,18 @@ def cmd_hash_check(args) -> int:
         return tuple(int(c) for c in np.unravel_index(i, (args.q,) * args.n))
 
     failures = 0
-    cases = 0
     for _ in range(args.cases):
         size_t = int(rng.integers(1, min(5, size) + 1))
         size_tp = int(rng.integers(1, min(5, size) + 1))
         T = [vector(i) for i in rng.choice(size, size_t, replace=False)]
         Tp = [vector(i) for i in rng.choice(size, size_tp, replace=False)]
-        lhs, rhs = dg.hash_sum_exhaustive(mats, T, Tp, diag)
-        cases += 1
-        if lhs > rhs:
-            failures += 1
         u = vector(int(rng.integers(size)))
-        lhs, rhs = dg.collision_bound_check(mats, T, u, diag)
-        cases += 1
-        if lhs > rhs:
-            failures += 1
-        lhs, rhs = dg.saturation_bound_check(mats, T, diag, im_set)
-        cases += 1
-        if lhs > rhs:
-            failures += 1
+        for lhs, rhs in (dg.hash_sum_exhaustive(mats, T, Tp, diag),
+                         dg.collision_bound_check(mats, T, u, diag),
+                         dg.saturation_bound_check(mats, T, diag, im_set)):
+            failures += lhs > rhs
     print(f"{'PASS' if failures == 0 else 'FAIL'} hash-check "
-          f"cases={cases} violations={failures}")
+          f"cases={3 * args.cases} violations={failures}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
@@ -194,11 +185,11 @@ def cmd_run(args) -> int:
 def cmd_oracle(args) -> int:
     """Brute-force cross-checks of the closed forms."""
     _check_count(args.steps, "--steps", 0)
+    params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau)
     # the walk recursion's state space is the q**l vectors of GF(q)^l
     _check_space(args.q, args.l, "--l")
     ok_all = True
     # kernel-weight probability against full ensemble enumeration
-    params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau)
     mats = dg.enumerate_mackay(params)
     for w in range(1, args.n + 1):
         u = [1] * w + [0] * (args.n - w)

@@ -141,36 +141,28 @@ class CosetDescription:
         return (self.particular[0] + members) % elim.q
 
 
-def _dense_of(m) -> np.ndarray:
-    return m.dense() if hasattr(m, "dense") else np.asarray(m, dtype=np.int64)
-
-
-def solve_coset(constraints, q: int | None = None) -> CosetDescription:
-    """Gaussian elimination on stacked (matrix, target) constraints; returns
-    the block of cosets of the targets, each one vector that every trial
-    shares or a (T, rows) block of one row per trial (T = 1 if none is).
+def solve_coset(constraints) -> CosetDescription:
+    """Gaussian elimination on stacked (SparseMatrix, target) constraints of
+    one q; returns the block of cosets of the targets, each one vector that
+    every trial shares or a (T, rows) block of one row per trial (T = 1 if
+    none is).
 
     The result's `elimination` serves every other target of the matrix."""
     if not constraints:
         raise ValueError("need at least one constraint")
-    if q is None:
-        q = getattr(constraints[0][0], "q", None)
-        if q is None:
-            raise ValueError("q must be given for plain-array constraints")
+    q, n = constraints[0][0].q, constraints[0][0].n
     mats, targets = [], []
-    n = None
     for m, t in constraints:
-        d = _dense_of(m) % q
         t = np.asarray(t, dtype=np.int64)
-        if t.ndim not in (1, 2) or t.shape[-1] != d.shape[0]:
+        if t.ndim not in (1, 2) or t.shape[-1] != m.l:
             raise ValueError("target length does not match row count")
-        if n is None:
-            n = d.shape[1]
-        elif d.shape[1] != n:
+        if m.n != n:
             raise ValueError("constraint matrices disagree on n")
-        mats.append(d)
+        if m.q != q:
+            raise ValueError("constraint matrices disagree on q")
+        mats.append(m.dense())
         targets.append(t)
-    M = np.vstack(mats).astype(np.int64)
+    M = np.vstack(mats)
     rows = M.shape[0]
     # eliminate [M reversed | I], pivots last column first; the right block
     # accumulates the row operations E

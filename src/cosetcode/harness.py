@@ -171,21 +171,20 @@ def _uniforms(seeds, n: int) -> np.ndarray:
 
 
 def sample_source(mu, n: int, seeds) -> np.ndarray:
-    """i.i.d. sampling by inverse CDF, one (T, n) row per seed, each from
-    its own stream; joint pmfs yield a tuple of index arrays."""
+    """i.i.d. sampling, one (T, n) row per seed, each from its own stream:
+    sample_channel with one input; joint pmfs yield a tuple of index
+    arrays."""
     p = np.asarray(getattr(mu, "p", mu), dtype=float)
-    flat = p.ravel()
-    cdf = np.cumsum(flat)
-    idx = np.searchsorted(cdf, _uniforms(seeds, n), side="right")
-    idx = np.minimum(idx, flat.size - 1)
-    if p.ndim == 1:
-        return idx.astype(np.int64)
-    return tuple(a.astype(np.int64) for a in np.unravel_index(idx, p.shape))
+    idx = sample_channel(p.reshape(1, -1),
+                         np.zeros((len(seeds), n), dtype=np.int64), seeds)
+    return idx if p.ndim == 1 else np.unravel_index(idx, p.shape)
 
 
 def sample_channel(cond, inputs, seeds) -> np.ndarray:
-    """Memoryless channel: cond indexed [input..., output]; `inputs` are
-    (T, n) blocks, and row j uses the stream of seeds[j]."""
+    """Memoryless channel by inverse CDF: cond indexed [input..., output];
+    `inputs` are (T, n) blocks, and row j uses the stream of seeds[j].  The
+    output is the number of CDF entries <= u, so a u equal to a CDF entry
+    takes no output of probability 0."""
     cond = np.asarray(cond, dtype=float)
     if not isinstance(inputs, tuple):
         inputs = (inputs,)
@@ -193,7 +192,7 @@ def sample_channel(cond, inputs, seeds) -> np.ndarray:
     rows = cond[inputs]  # (T, n, q_out)
     cdf = np.cumsum(rows, axis=-1)
     u = _uniforms(seeds, inputs[0].shape[1])
-    out = (u[..., None] > cdf).sum(axis=-1)
+    out = (u[..., None] >= cdf).sum(axis=-1)
     return np.minimum(out, cond.shape[-1] - 1).astype(np.int64)
 
 

@@ -82,28 +82,6 @@ class SparseMatrix:
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "SparseMatrix":
-        """Parse `to_text`; repeated entries of one position add up mod q."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix text")
-        q, l, n = (int(x) for x in lines[0].split())
-        dense = np.zeros((l, n), dtype=np.int64)
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) < 2 or parts[0] != "col":
-                raise ValueError(f"bad column line: {ln!r}")
-            i = int(parts[1])
-            if not (0 <= i < n):
-                raise ValueError("column index out of range")
-            for tok in parts[2:]:
-                r, v = (int(x) for x in tok.strip("()").split(","))
-                if not (0 <= r < l):
-                    raise ValueError("row index out of range")
-                dense[r, i] += v
-        return cls(q, dense)
-
 
 def gauss_jordan(m: np.ndarray, q: int, ncols: int | None = None) -> list:
     """Gauss-Jordan elimination over GF(q), in place, on the leading `ncols`

@@ -59,7 +59,8 @@ PMF_KEYS = {"joint": 2, "mu_x": 1, "mu_z": 1, "mu_xz": 2, "mu_xy": 2,
 # column): a matrix over alphabet X has n * rate / log2 |X| rows, the rate in
 # bits a symbol being signed terms summed left to right, each the entropy of
 # a marginal (axis letters in axis order) or a scheme number; the summary
-# column, if any, reports the rate of the matrix's image
+# column, if any, reports the rate of the matrix's image; a matrix without
+# one is drawn with a shared vector A u
 MATRICES = {
     "sw": {"A": ("x", "+rate_x", "rate_x"), "B": ("y", "+rate_y", "rate_y")},
     "ch": {"A": ("x", "+xy -y +eps_a", None),
@@ -280,12 +281,6 @@ class SchemeInstance:
     _cosets: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
-    def __post_init__(self):
-        for name, vec in self.vectors.items():
-            # shared vectors must be solvable targets
-            if self.coset([(name, vec)], 1).empty[0]:
-                raise ValueError(f"shared vector for {name} is not in the image")
-
     def coset(self, constraints, trials: int) -> CosetDescription:
         """Per trial j, {u : M u = t_j} for (matrix name, targets) pairs
         stacked in order; a target is a (trials, rows) block, or one vector
@@ -314,19 +309,16 @@ def _is_identity_cond(cond_x_zw: np.ndarray) -> bool:
 
 def build_instance(params: SchemeParams, n: int, seed,
                    ensemble: str = "mackay", tau: int | None = None) -> SchemeInstance:
-    """Draw matrices (and shared vectors where the scheme needs them)."""
-    from .gf import is_prime
-
+    """Draw the matrices, and a shared vector A u (u uniform) for every
+    matrix without a summary column."""
     dims = params.dims(n)
     stage2_forced = params.problem == "gp" and _is_identity_cond(
         params.cond("x", "zw"))
-    matrices = {}
-    for name, (var, _, _) in MATRICES[params.problem].items():
-        q = params.card(var)
-        if not is_prime(q):
-            raise ValueError(f"alphabet size {q} for {var!r} is not prime")
+    matrices, vectors = {}, {}
+    for name, (var, _, column) in MATRICES[params.problem].items():
         if name == "Ahat" and stage2_forced:
             continue  # gp_encode returns w before it reads a stage 2
+        q = params.card(var)
         l = dims.rounded[name]
         t = tau if tau is not None else recommended_tau(l, l * math.log2(q) / n)
         if ensemble == "mackay":
@@ -338,12 +330,9 @@ def build_instance(params: SchemeParams, n: int, seed,
             matrices[name] = generate_uniform(q, l, n, derive_seed(seed, "mat", name))
         else:
             raise ValueError(f"unknown ensemble {ensemble!r}")
-    vectors = {}
-    if params.problem in ("ch", "gp", "lossy", "wz", "oho"):
-        vectors["A"] = sample_image_point(matrices["A"], derive_seed(seed, "vec", "A"))
-    if "Ahat" in matrices:
-        vectors["Ahat"] = sample_image_point(
-            matrices["Ahat"], derive_seed(seed, "vec", "Ahat"))
+        if column is None:
+            vectors[name] = sample_image_point(
+                matrices[name], derive_seed(seed, "vec", name))
     return SchemeInstance(params.problem, n, matrices, vectors, dims,
                           stage2_forced=stage2_forced)
 

@@ -33,18 +33,8 @@ class Distribution:
         return self.p.shape
 
     @classmethod
-    def bernoulli(cls, p) -> "Distribution":
-        return cls([1.0 - p, p])
-
-    @classmethod
     def uniform(cls, k: int) -> "Distribution":
         return cls([1 / k] * k)
-
-    @classmethod
-    def dsbs(cls, p) -> "Distribution":
-        """Doubly symmetric binary source: X uniform, Y = X xor Bern(p)."""
-        same, diff = 0.5 * (1 - p), 0.5 * p
-        return cls([[same, diff], [diff, same]])
 
     def conditional(self, given_axes) -> np.ndarray:
         """Conditional table with the given axes first, output axes last.

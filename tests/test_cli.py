@@ -15,7 +15,6 @@ from cosetcode import cli, schemes
 from cosetcode import diagnostics as dg
 from cosetcode import harness as hn
 from cosetcode.cli import EXIT_OK, EXIT_USAGE, main
-from cosetcode.matrices import SparseMatrix
 
 
 def test_no_args_is_usage_error(capsys):
@@ -85,8 +84,10 @@ def test_gen_matrix_roundtrip(capsys):
             "--seed", "5"]
     assert main(args) == EXIT_OK
     first = capsys.readouterr().out
-    m = SparseMatrix.from_text(first)
-    assert (m.q, m.l, m.n) == (3, 2, 4)
+    header, *columns = first.splitlines()
+    assert header == "3 2 4"
+    assert [c.split()[:2] for c in columns] == [["col", str(i)]
+                                                for i in range(4)]
     assert main(args) == EXIT_OK
     assert capsys.readouterr().out == first  # seeded determinism
 
@@ -215,6 +216,21 @@ def run_config(tmp_path, doc=None):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(sw_doc() if doc is None else doc))
     return path
+
+
+def test_space_past_the_budget_is_refused_without_forming_it():
+    # 3**(10**8) has 48 million digits: forming it before the refusal would
+    # take minutes
+    src = str(Path(cosetcode.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosetcode.cli", "oracle", "--q", "3",
+         "--l", "100000000", "--n", "1", "--tau", "2"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: --l must keep q**l <= 1048576, "
+                           "got 3**100000000\n")
 
 
 def test_run_subcommand(tmp_path, capsys):

@@ -36,6 +36,11 @@ def brute_solutions(M, t, q, n):
     return out
 
 
+def solve(M, t, q):
+    """solve_coset of one system, an array over GF(q)."""
+    return solve_coset([(SparseMatrix(q, M), t)])
+
+
 # -- solving -------------------------------------------------------------------
 
 @pytest.mark.parametrize("q", (2, 3, 5))
@@ -46,7 +51,7 @@ def test_solve_matches_brute_force(q):
         l = int(rng.integers(1, 5))
         M = rng.integers(0, q, size=(l, n))
         t = rng.integers(0, q, size=l)
-        coset = solve_coset([(M, t)], q=q)
+        coset = solve(M, t, q)
         expect = brute_solutions(M, t, q, n)
         if not expect:
             assert coset.empty[0]
@@ -128,7 +133,7 @@ def reference_solve(M, t, q):
 def assert_matches_reference(coset, M, t, q):
     """`coset` equals a fresh solve and the loop reference for (M, t)."""
     particular, basis, reduced, elements = reference_solve(M, t, q)
-    fresh = solve_coset([(M, t)], q=q)
+    fresh = solve(M, t, q)
     assert np.array_equal(rref(M[:, ::-1], q)[:, ::-1], reduced)
     assert coset.empty[0] == fresh.empty[0] == (particular is None)
     assert np.array_equal(coset.elimination.basis, fresh.elimination.basis)
@@ -157,13 +162,13 @@ def test_retarget_matches_fresh_solve(data):
              for _ in range(2))
     metric = np.array(data.draw(st.lists(st.integers(-3, 0), min_size=n * q,
                                          max_size=n * q))).reshape(n, q)
-    elim = solve_coset([(M, t0)], q=q).elimination
+    elim = solve(M, t0, q).elimination
     # a block of targets gives each row the coset a fresh solve gives: a
     # fresh solve, the elimination and either index of the block give the
     # same block of one, field by field
     batch = elim.cosets(np.array([t, t0]))
     for j, target in enumerate((t, t0)):
-        fresh = solve_coset([(M, target)], q=q)
+        fresh = solve(M, target, q)
         for coset in (elim.cosets([target]), batch[j], batch[j - len(batch)]):
             assert len(coset) == len(fresh) == 1
             for f in ("particular", "empty", "target"):
@@ -192,7 +197,7 @@ def test_retarget_matches_fresh_solve(data):
     (2, np.array([[1, 1], [1, 1]]), [0, 1], [1, 1], 1, False),  # from empty
 ])
 def test_retarget_edge_cases(q, M, t0, t, kernel_dim, empty):
-    coset = solve_coset([(M, t0)], q=q).elimination.cosets([t])
+    coset = solve(M, t0, q).elimination.cosets([t])
     assert coset.elimination.basis.shape[0] == kernel_dim
     assert coset.empty[0] == empty
     assert_matches_reference(coset, M, t, q)
@@ -217,7 +222,7 @@ def test_members_by_index_are_lexicographic(data):
     c = np.array(data.draw(st.lists(entries, min_size=n - k,
                                     max_size=n - k)), dtype=np.int64)
     M = np.vstack([M, c @ M % q])
-    elim = solve_coset([(M, np.zeros(n - k + 1, dtype=int))], q=q).elimination
+    elim = solve(M, np.zeros(n - k + 1, dtype=int), q).elimination
     assert elim.basis.shape[0] == k and elim.size == q ** k
     coeffs = np.array(list(itertools.product(range(q), repeat=k)),
                       dtype=np.int64).reshape(q ** k, k)
@@ -232,11 +237,16 @@ def test_members_by_index_are_lexicographic(data):
     assert np.array_equal(elim.onehot(), np.eye(q)[want].reshape(q ** k, -1))
 
 
-def test_solve_requires_q_for_plain_arrays():
-    with pytest.raises(ValueError):
-        solve_coset([(np.eye(2, dtype=int), [0, 0])])
-    with pytest.raises(ValueError):
+def test_solve_refuses_bad_constraints():
+    with pytest.raises(ValueError, match="at least one constraint"):
         solve_coset([])
+    with pytest.raises(ValueError, match="disagree on n"):
+        solve_coset([(SparseMatrix(2, [[1, 1]]), [1]),
+                     (SparseMatrix(2, [[1, 1, 0]]), [0])])
+    # one system over GF(2) and GF(3) has no field to eliminate in
+    with pytest.raises(ValueError, match="disagree on q"):
+        solve_coset([(SparseMatrix(2, [[1, 1]]), [1]),
+                     (SparseMatrix(3, [[1, 2]]), [2])])
 
 
 # -- ML coding ------------------------------------------------------------------
@@ -284,7 +294,7 @@ def random_batch(data, q, n, trials):
         else:
             targets.append(M @ np.array(data.draw(st.lists(
                 entries, min_size=n, max_size=n))) % q)
-    return solve_coset([(M, targets[0])], q=q).elimination.cosets(
+    return solve(M, targets[0], q).elimination.cosets(
         np.array(targets))
 
 
@@ -345,7 +355,7 @@ def _narrow_batch(q, n, trials, seed):
     rng = rng_from_seed(seed)
     M = np.hstack([np.eye(n - 3, dtype=int), rng.integers(0, q, (n - 3, 3))])
     targets = (M @ rng.integers(0, q, (trials, n)).T % q).T
-    return solve_coset([(M, targets[0])], q=q).elimination.cosets(targets)
+    return solve(M, targets[0], q).elimination.cosets(targets)
 
 
 @pytest.mark.parametrize("q, n", [(2, 64), (3, 40)])
@@ -374,7 +384,7 @@ def test_ml_iid_matches_brute():
             n = 5
             M = rng.integers(0, q, size=(2, n))
             targets = rng.integers(0, q, size=(4, 2))
-            batch = solve_coset([(M, targets[0])], q=q).elimination.cosets(targets)
+            batch = solve(M, targets[0], q).elimination.cosets(targets)
             p = rng.random(q)
             metric = fixed_point_metric(np.log2(p / p.sum()), n)
             got = ml_code_iid(batch, metric)
@@ -401,7 +411,7 @@ def test_ml_cond_iid_matches_brute():
         n = 6
         M = rng.integers(0, q, size=(3, n))
         targets = rng.integers(0, q, size=(4, 3))
-        batch = solve_coset([(M, targets[0])], q=q).elimination.cosets(targets)
+        batch = solve(M, targets[0], q).elimination.cosets(targets)
         v = rng.integers(0, q, size=(4, n))
         cond = rng.random((q, q))
         cond /= cond.sum(axis=1, keepdims=True)
@@ -465,10 +475,10 @@ def test_product_paths_match_oracle(data):
 def test_product_all_minus_inf_trial_takes_particular_pair():
     # metric -inf off the diagonal; in trial 0 the factors force x_0 != y_0,
     # so all its pairs score -inf and tie; trial 1 scores finite
-    bx = solve_coset([([[1, 0, 0, 0], [0, 1, 1, 0]], [0, 1])],
-                     q=2).elimination.cosets([[0, 1], [0, 1]])
-    by = solve_coset([([[1, 0, 0, 0], [0, 0, 1, 1]], [1, 0])],
-                     q=2).elimination.cosets([[1, 0], [0, 1]])
+    bx = solve([[1, 0, 0, 0], [0, 1, 1, 0]], [0, 1],
+               2).elimination.cosets([[0, 1], [0, 1]])
+    by = solve([[1, 0, 0, 0], [0, 0, 1, 1]], [1, 0],
+               2).elimination.cosets([[1, 0], [0, 1]])
     metric = fixed_point_metric(log_table([[0.3, 0.0], [0.0, 0.7]]), 4)
     assert bx.particular[0].any() and by.particular[0].any()
     for path in (_product_enumerate, _product_trellis):
@@ -502,7 +512,7 @@ def mixed_batches(data, q, n, trials):
         ty.append(My @ (u + (j % 5 == 2) * np.eye(n, dtype=int)[0]) % q)
         if j % 5 > 2:
             (tx, ty)[j % 5 - 3][-1][rows] += 1
-    return (solve_coset([(M, t[0])], q=q).elimination.cosets(np.array(t) % q)
+    return (solve(M, t[0], q).elimination.cosets(np.array(t) % q)
             for M, t in ((Mx, tx), (My, ty)))
 
 
@@ -543,7 +553,7 @@ def test_ml_product_matches_brute():
     for q in (2, 3):
         for trial in range(20):
             n = 5
-            bx, by = (solve_coset([(M, t[0])], q=q).elimination.cosets(t)
+            bx, by = (solve(M, t[0], q).elimination.cosets(t)
                       for M, t in ((rng.integers(0, q, size=(2, n)),
                                     rng.integers(0, q, size=(3, 2)))
                                    for _ in range(2)))
@@ -563,7 +573,7 @@ def _full_rank_coset(n, rank, seed):
     rng = rng_from_seed(seed)
     M = np.hstack([np.eye(rank, dtype=int),
                    rng.integers(0, 2, size=(rank, n - rank))])
-    return solve_coset([(M, M @ rng.integers(0, 2, size=n) % 2)], q=2)
+    return solve(M, M @ rng.integers(0, 2, size=n) % 2, 2)
 
 
 def test_ml_product_dispatch_by_cost():

@@ -98,6 +98,22 @@ def test_sample_source_degenerate():
     assert hn.sample_source([0.0, 1.0], 100, []).shape == (0, 100)
 
 
+def test_samplers_take_no_zero_probability_output(monkeypatch):
+    # at u equal to a CDF entry both samplers take the next output, the
+    # number of entries <= u: never one of probability 0
+    tables = (np.array([[0.0, 1.0], [1.0, 0.0]]),
+              np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5]]))
+    for u in (0.0, 0.25, 0.5):
+        monkeypatch.setattr(hn, "_uniforms", lambda seeds, n, u=u: np.full(
+            (len(seeds), n), u))
+        for cond in tables:
+            x = np.arange(len(cond))[None, :]
+            y = hn.sample_channel(cond, x, [0])
+            assert (cond[x, y] > 0).all()
+            assert y[0].tolist() == [int(hn.sample_source(row, 1, [0])[0, 0])
+                                     for row in cond]
+
+
 def test_sample_channel_identity_and_bsc():
     x = hn.sample_source([0.5, 0.5], 5000, [4, 14])
     y = hn.sample_channel(np.eye(2), x, [5, 15])

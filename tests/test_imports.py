@@ -1,10 +1,12 @@
-"""Every name a package module imports is read in that module, and every
-module-level name a package module defines is read in the package."""
+"""Every name a package module imports is read in that module, every
+module-level name a package module defines is read in the package, and
+every class member is read by the package or the benchmark's programs."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "cosetcode"
+BENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def unused_imports(path: Path) -> list:
@@ -75,3 +77,43 @@ def test_no_unread_private_names():
 
 def test_no_unread_public_names():
     assert unread_names(package_trees(), private=False) == {}
+
+
+def class_members(tree: ast.Module) -> set:
+    """(class, name) of each method, property, classmethod or staticmethod,
+    dunders excepted, of a module-level class in `tree`."""
+    return {(node.name, item.name)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("__")}
+
+
+def read_attributes(trees) -> set:
+    """Attribute names loaded, and string constants, in any of `trees`: the
+    perfbench tracer names the members it wraps by string."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+    return read
+
+
+def test_no_test_only_class_members():
+    """Every class member of the package is read by the package or by the
+    benchmark's programs, not by tests alone."""
+    trees = package_trees()
+    bench = [ast.parse(path.read_text())
+             for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")]
+    read = read_attributes(list(trees.values()) + bench)
+    found = {module: sorted(f"{cls}.{name}"
+                            for cls, name in class_members(tree)
+                            if name not in read)
+             for module, tree in trees.items()}
+    assert {module: names for module, names in found.items() if names} == {}

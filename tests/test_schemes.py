@@ -26,6 +26,11 @@ def bsc(p):
     return [[1 - p, p], [p, 1 - p]]
 
 
+def dsbs(p):
+    """Doubly symmetric binary source: X uniform, Y = X xor Bern(p)."""
+    return [[0.5 * (1 - p), 0.5 * p], [0.5 * p, 0.5 * (1 - p)]]
+
+
 # -- parameter objects ----------------------------------------------------------
 
 def test_unknown_problem_rejected():
@@ -142,7 +147,7 @@ def test_eps_conditions_satisfied_cases():
 # -- dimension formulas ------------------------------------------------------------
 
 def test_sw_dims_from_rates():
-    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.11).p,
+    params = sc.scheme_params("sw", {"joint": dsbs(0.11),
                                      "rate_x": 0.6, "rate_y": 0.7})
     dims = sc.dims_for(params, 20)
     assert dims.rounded == {"A": 12, "B": 14}
@@ -182,7 +187,7 @@ def test_wz_reduces_to_lossy_dims_when_z_trivial():
 
 def test_oho_dims_signs():
     params = sc.scheme_params("oho", {
-        "mu_xy": Distribution.dsbs(0.1).p, "channel": bsc(0.1),
+        "mu_xy": dsbs(0.1), "channel": bsc(0.1),
         "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15})
     dims = sc.dims_for(params, 12)
     p = params.joint.p
@@ -192,7 +197,7 @@ def test_oho_dims_signs():
 
 
 def test_dims_clamp_warns():
-    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.11).p,
+    params = sc.scheme_params("sw", {"joint": dsbs(0.11),
                                      "rate_x": 1.4, "rate_y": 0.01})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -224,7 +229,7 @@ def test_build_instance_shapes_and_determinism(monkeypatch):
 
 
 def test_build_instance_uniform_ensemble():
-    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.11).p,
+    params = sc.scheme_params("sw", {"joint": dsbs(0.11),
                                      "rate_x": 0.6, "rate_y": 0.6})
     inst = sc.build_instance(params, 8, seed=1, ensemble="uniform")
     assert inst.matrices["A"].l == 5
@@ -276,7 +281,7 @@ def _bsc_gp_params(eps_a=0.05, eps_b=0.02, eps_ahat=0.01):
 
 
 def test_sw_round_trip_contracts():
-    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.05).p,
+    params = sc.scheme_params("sw", {"joint": dsbs(0.05),
                                      "rate_x": 0.9, "rate_y": 0.9})
     inst = sc.build_instance(params, 8, seed=2)
     rng = np.random.default_rng(0)
@@ -333,7 +338,8 @@ def test_gp_contracts():
 
 def test_forced_gp_stage_2_draws_no_matrix(monkeypatch):
     # x = w forces stage 2: no Ahat, no Ahat vector and no elimination of it;
-    # with x != w at times the Ahat matrix and its vector are drawn
+    # with x != w at times the Ahat matrix and its vector are drawn.  A draw
+    # eliminates nothing: the first coder call does
     solved = []
     original = sc.solve_coset
 
@@ -346,7 +352,10 @@ def test_forced_gp_stage_2_draws_no_matrix(monkeypatch):
     assert forced.stage2_forced
     assert sorted(forced.matrices) == ["A", "B"]
     assert sorted(forced.vectors) == ["A"]
-    assert solved == [(forced.matrices["A"].l,)]
+    assert solved == []
+    m = sc.sample_message(forced, range(3))
+    sc.gp_encode(forced, _bsc_gp_params(), m, np.zeros((3, 8), dtype=np.int64))
+    assert solved == [(forced.matrices["A"].l, forced.matrices["B"].l)]
     assert "Ahat" in forced.dims.rounded
     mu_xw_z = np.array([[[0.4, 0.1], [0.1, 0.4]]] * 2)
     params = sc.scheme_params("gp", {
@@ -374,7 +383,7 @@ def test_lossy_and_wz_contracts():
 
     f = [[0, 0], [1, 1]]  # reproduce y regardless of z
     wz = sc.scheme_params("wz", {
-        "mu_xz": Distribution.dsbs(0.2).p, "test_channel": bsc(0.25),
+        "mu_xz": dsbs(0.2), "test_channel": bsc(0.25),
         "f": f, "rho": rho, "eps_a": 0.01, "eps_b": 0.3})
     winst = sc.build_instance(wz, 10, seed=9)
     x = rng.integers(0, 2, (5, 10))
@@ -386,7 +395,7 @@ def test_lossy_and_wz_contracts():
 
 def test_oho_contracts():
     params = sc.scheme_params("oho", {
-        "mu_xy": Distribution.dsbs(0.1).p, "channel": bsc(0.1),
+        "mu_xy": dsbs(0.1), "channel": bsc(0.1),
         "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15})
     inst = sc.build_instance(params, 10, seed=11)
     rng = np.random.default_rng(3)
@@ -444,9 +453,9 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
     solved = Counter()
     original = sc.solve_coset
 
-    def counting(constraints, q=None):
+    def counting(constraints):
         solved[tuple(id(m) for m, _ in constraints)] += 1
-        return original(constraints, q)
+        return original(constraints)
 
     monkeypatch.setattr(sc, "solve_coset", counting)
     rho = [[0, 1], [1, 0]]
@@ -454,7 +463,7 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
     mu_xw_z = np.array([[[0.4, 0.1], [0.1, 0.4]]] * 2)
     chan = np.stack([bsc(0.11)] * 2, axis=1)  # [x, z, y]
     cases = {  # problem -> (params, number of stacked systems)
-        "sw": ({"joint": Distribution.dsbs(0.11).p, "rate_x": 0.85,
+        "sw": ({"joint": dsbs(0.11), "rate_x": 0.85,
                 "rate_y": 0.85}, 2),
         "ch": ({"mu_x": [0.5, 0.5], "channel": bsc(0.11), "eps_a": 0.05,
                 "eps_b": 0.15}, 2),
@@ -462,10 +471,10 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
                 "eps_a": 0.05, "eps_b": 0.15, "eps_ahat": 0.01}, 3),
         "lossy": ({"mu_x": [0.5, 0.5], "test_channel": bsc(0.25), "rho": rho,
                    "eps_a": 0.01, "eps_b": 0.1}, 2),
-        "wz": ({"mu_xz": Distribution.dsbs(0.1).p, "test_channel": bsc(0.25),
+        "wz": ({"mu_xz": dsbs(0.1), "test_channel": bsc(0.25),
                 "f": [[0, 0], [1, 1]], "rho": rho, "eps_a": 0.01,
                 "eps_b": 0.1}, 2),
-        "oho": ({"mu_xy": Distribution.dsbs(0.1).p, "channel": bsc(0.1),
+        "oho": ({"mu_xy": dsbs(0.1), "channel": bsc(0.1),
                  "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15}, 3),
     }
     for problem, (scheme, systems) in cases.items():
@@ -503,7 +512,7 @@ def test_first_use_of_a_coset_solves_its_own_targets(monkeypatch):
 def test_concurrent_first_use_of_a_coset():
     # more threads than cores race to compile the same system, each for its
     # own target; every one must get the coset of its target
-    params = sc.scheme_params("sw", {"joint": Distribution.dsbs(0.11).p,
+    params = sc.scheme_params("sw", {"joint": dsbs(0.11),
                                      "rate_x": 0.85, "rate_y": 0.85})
     workers = 8
     interval = sys.getswitchinterval()

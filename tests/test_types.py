@@ -33,13 +33,9 @@ def test_distribution_rejects_non_finite_entries(bad):
 
 
 def test_distribution_constructors():
-    b = tl.Distribution.bernoulli(0.25)
-    assert list(b.p) == [0.75, 0.25]
     u = tl.Distribution.uniform(3)
     assert list(u.p) == [1 / 3] * 3
-    d = tl.Distribution.dsbs(0.1)
-    assert d.p[0][0] == d.p[1][1] == 0.45
-    assert d.p[0][1] == d.p[1][0] == 0.05
+    assert tl.Distribution([[0.45, 0.05], [0.05, 0.45]]).shape == (2, 2)
 
 
 def test_marginal_and_conditional():
@@ -161,8 +157,8 @@ def test_eta_is_zeta_shifted_by_lambda():
 # -- lemma suites --------------------------------------------------------------------
 
 @pytest.mark.parametrize("mu", [
-    tl.Distribution.bernoulli(0.5),
-    tl.Distribution.bernoulli(0.3),
+    tl.Distribution([0.5, 0.5]),
+    tl.Distribution([0.7, 0.3]),
     tl.Distribution([0.5, 0.3, 0.2]),
 ])
 @pytest.mark.parametrize("n", [6, 10])
