@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,6 @@ class Elimination:
     transform: np.ndarray  # (rows, rows) row operations E
     pivots: np.ndarray  # pivot columns, one per reduced row
     basis: np.ndarray  # (k, n) kernel basis rows
-    _onehot: object = field(default=None, repr=False)
-    _steps: object = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -73,16 +72,32 @@ class Elimination:
         digits = (np.asarray(index)[:, None] // place) % self.q
         return (digits @ self.basis) % self.q
 
+    @cached_property
     def onehot(self) -> np.ndarray:
         """Symbol indicators of the kernel members, (size, n q) float64:
-        column i q + a of row c is [member c has a at position i]; cached."""
-        if self._onehot is None:
-            self.check_budget()
-            onehot = np.eye(self.q).take(self.members(np.arange(self.size)),
-                                         axis=0).reshape(self.size, -1)
-            onehot.setflags(write=False)
-            self._onehot = onehot
-        return self._onehot
+        column i q + a of row c is [member c has a at position i]."""
+        self.check_budget()
+        onehot = np.eye(self.q).take(self.members(np.arange(self.size)),
+                                     axis=0).reshape(self.size, -1)
+        onehot.setflags(write=False)
+        return onehot
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """Trellis sections: steps[i, a, s] is the state reached from partial
+        syndrome s by symbol a at position i.  A state is the partial syndrome
+        of the `rank` reduced rows E M, coded as sum_k s_k q**k; for q = 2 a
+        step is the XOR with the column code."""
+        q, rank = self.q, self.rank
+        reduced = (self.transform[:rank] @ self.matrix) % q  # (rank, n)
+        states = np.arange(q ** rank, dtype=np.int64)
+        symbols = np.arange(q, dtype=np.int64)[None, :, None]
+        steps = np.zeros((self.n, q, states.size), dtype=np.int64)
+        for k in range(rank):
+            digit = (states // q ** k) % q
+            steps += ((digit + symbols * reduced[k][:, None, None]) % q) * q ** k
+        steps.setflags(write=False)
+        return steps
 
     def cosets(self, targets) -> "CosetDescription":
         """The solution sets of a (T, rows) block of targets, one per row."""
@@ -229,7 +244,7 @@ def ml_code_iid(cosets: CosetDescription, metric: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(~cosets.empty)
     if not live.size:
         return out
-    onehot = elim.onehot()
+    onehot = elim.onehot
     p = cosets.particular[live]
     # column i q + a of trial j takes table[i, (a + p_ji) mod q]
     columns = ((p[:, :, None] + np.arange(q)) % q
@@ -277,26 +292,6 @@ def fixed_point_metric(log_joint, n: int) -> np.ndarray:
         s -= 1
 
 
-def _syndrome_steps(elim: Elimination) -> np.ndarray:
-    """Trellis sections of one factor, cached: steps[i, a, s] is the state
-    reached from partial syndrome s by symbol a at position i.
-
-    A state is the partial syndrome of the `rank` reduced rows E M, coded
-    as sum_k s_k q**k; for q = 2 a step is the XOR with the column code."""
-    if elim._steps is None:
-        q, n, rank = elim.q, elim.n, elim.rank
-        reduced = (elim.transform[:rank] @ elim.matrix) % q  # (rank, n)
-        states = np.arange(q ** rank, dtype=np.int64)
-        symbols = np.arange(q, dtype=np.int64)[None, :, None]
-        steps = np.zeros((n, q, states.size), dtype=np.int64)
-        for k in range(rank):
-            digit = (states // q ** k) % q
-            steps += ((digit + symbols * reduced[k][:, None, None]) % q) * q ** k
-        steps.setflags(write=False)
-        elim._steps = steps
-    return elim._steps
-
-
 def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
                      metric: np.ndarray):
     """Exact ML pair of every trial on Wolf's syndrome trellis of its product
@@ -316,7 +311,7 @@ def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
     ex, ey = coset_x.elimination, coset_y.elimination
     (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
-    steps_x, steps_y = _syndrome_steps(ex), _syndrome_steps(ey)
+    steps_x, steps_y = ex.steps, ey.steps
     sx, sy = steps_x.shape[2], steps_y.shape[2]
     ends_x, ends_y = (c.particular[:, e.pivots] @ e.q ** np.arange(e.rank)
                       for c, e in ((coset_x, ex), (coset_y, ey)))
@@ -378,7 +373,7 @@ def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
     (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
     live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
-    onehot, ky = ex.onehot(), ey.members(np.arange(ey.size))
+    onehot, ky = ex.onehot, ey.members(np.arange(ey.size))
     for rows in _blocks(live, ex.size * ey.size, (ex.size + ey.size) * n):
         px, py = coset_x.particular[rows], coset_y.particular[rows]
         xs = (px[:, :, None] + np.arange(qx)) % qx  # [j, i, a]: x symbol
@@ -416,7 +411,7 @@ def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
 
 def log_table(p) -> np.ndarray:
     """Elementwise log2 with log(0) mapped to -inf."""
-    p = np.asarray(getattr(p, "p", p), dtype=float)
+    p = np.asarray(p, dtype=float)
     out = np.full(p.shape, -np.inf)
     np.log2(p, out=out, where=p > 0)
     return out

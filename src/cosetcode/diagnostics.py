@@ -127,8 +127,7 @@ def walk_pointwise_recursive(q: int, l: int, steps: int, w_c: int) -> Fraction:
     return mass[w_c] / (math.comb(l, w_c) * (q - 1) ** w_c)
 
 
-def ensemble_im_size(q: int, l: int, tau: int | None = None,
-                     ensemble: str = "mackay") -> int:
+def ensemble_im_size(q: int, l: int, tau: int, ensemble: str = "mackay") -> int:
     """Size of the union of ranges over the ensemble.
 
     For the sparse ensemble with q=2 and even tau every output has even
@@ -137,13 +136,12 @@ def ensemble_im_size(q: int, l: int, tau: int | None = None,
         return q**l
     if ensemble != "mackay":
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    if q == 2 and tau is not None and tau % 2 == 0:
+    if q == 2 and tau % 2 == 0:
         return q**l // 2
     return q**l
 
 
-def ensemble_im_set(q: int, l: int, tau: int | None = None,
-                    ensemble: str = "mackay"):
+def ensemble_im_set(q: int, l: int, tau: int, ensemble: str = "mackay"):
     """Explicit union-of-ranges vectors (desk scale only), one per row of a
     narrow integer array in itertools.product order: the even-weight vectors
     when the image is half the space, else the full space."""
@@ -158,8 +156,6 @@ class HashDiagnostics:
 
     q: int
     l: int
-    n: int
-    xi: float
     alpha: object
     beta: object
     im_size: int
@@ -201,27 +197,25 @@ def alpha_beta(params: EnsembleParams, n: int,
     used_exact = isinstance(alpha, Fraction) or isinstance(beta, Fraction)
     im_ratio = Fraction(im, q**l) if used_exact else im / q**l
     return HashDiagnostics(
-        q=q, l=l, n=n, xi=xi, alpha=alpha, beta=beta, im_size=im,
-        im_ratio=im_ratio, per_weight=per_weight,
+        q=q, l=l, alpha=alpha, beta=beta, im_size=im, im_ratio=im_ratio,
+        per_weight=per_weight,
     )
 
 
 # -- exhaustive tiny-ensemble oracles ----------------------------------------
 
 def enumerate_column_outcomes(q: int, l: int, tau: int):
-    """Distribution over single columns induced by tau uniform draws of
-    (row, nonzero value); returns {column tuple: Fraction probability}."""
+    """Columns from tau uniform draws of (row, nonzero value): {column tuple:
+    number of the (l (q-1))**tau draw sequences that give it}."""
     options = [(j, a) for j in range(l) for a in range(1, q)]
-    n_out = len(options) ** tau
-    if n_out > ENUM_BUDGET:
+    if len(options) ** tau > ENUM_BUDGET:
         raise ValueError("column outcome space exceeds enumeration budget")
     dist = Counter()
-    p = Fraction(1, n_out)
     for seq in itertools.product(options, repeat=tau):
         col = [0] * l
         for j, a in seq:
             col[j] = (col[j] + a) % q
-        dist[tuple(col)] += p
+        dist[tuple(col)] += 1
     return dict(dist)
 
 
@@ -236,8 +230,6 @@ class Ensemble:
     weight: np.ndarray  # (N,) int64 numerators
     total: int
     _tables: dict = field(default_factory=dict, init=False, repr=False)
-    _image: list = field(default_factory=lambda: [None], init=False,
-                         repr=False)
 
     def __post_init__(self):
         self.dense.setflags(write=False)
@@ -264,26 +256,17 @@ class Ensemble:
                 q, _syndrome_codes(self.dense, space, q))
         return keys, table[:, keys]
 
-    def image_codes(self, im_set, q: int):
-        """The sorted codes of the image vectors, im_set's rows, kept for
-        the last im_set asked for."""
-        image = self._image[0]
-        if image is None or image[0] is not im_set or image[1] != q:
-            image = self._image[0] = (im_set, q, np.sort(_base_q(im_set, q)))
-        return image[2]
-
 
 def enumerate_mackay(params: EnsembleParams) -> Ensemble:
     """All matrices of the tiny sparse ensemble with exact probabilities."""
     q, l, n, tau = params.q, params.l, params.n, params.tau
-    if (l * (q - 1)) ** (tau * n) > ENUM_BUDGET:
+    total = (l * (q - 1)) ** (tau * n)
+    if total > ENUM_BUDGET:
         raise ValueError("generation outcome space exceeds enumeration budget")
-    per_column = (l * (q - 1)) ** tau
-    cols, probs = zip(*sorted(enumerate_column_outcomes(q, l, tau).items()))
-    counts = np.array([int(p * per_column) for p in probs], dtype=np.int64)
+    cols, counts = zip(*sorted(enumerate_column_outcomes(q, l, tau).items()))
     pick = np.indices((len(cols),) * n).reshape(n, -1).T
     dense = np.array(cols, dtype=np.int64)[pick].transpose(0, 2, 1)
-    return Ensemble(dense, counts[pick].prod(axis=1), per_column**n)
+    return Ensemble(dense, np.array(counts, np.int64)[pick].prod(axis=1), total)
 
 
 def _place_values(q: int, length: int):
@@ -346,16 +329,14 @@ def collision_bound_check(matrices, G, u, diag):
 
 def saturation_bound_check(matrices, T, diag, im_set):
     """Probability over (A, c uniform on the ensemble image) that bin c
-    misses T, versus alpha - 1 + |Im|(beta+1)/|T|.  Returns (lhs, rhs)."""
+    misses T, versus alpha - 1 + |Im|(beta+1)/|T|.  Returns (lhs, rhs).
+    Every code A t lies in Im A, inside the ensemble image (im_set's rows),
+    so the bins that A T reaches are its distinct codes: none is looked up."""
     if not len(T):
         raise ValueError("T must be nonempty")
     codes = np.sort(matrices.syndromes(diag.q, T)[1], axis=1)
-    first = np.ones(codes.shape, bool)  # each distinct code once
-    first[:, 1:] = codes[:, 1:] != codes[:, :-1]
-    image = matrices.image_codes(im_set, diag.q)
-    at = np.minimum(np.searchsorted(image, codes), len(image) - 1)
-    reached = (first & (image[at] == codes)).sum(axis=1)
-    lhs = Fraction(int(matrices.weight @ (len(image) - reached)),
-                   matrices.total * len(image))
+    reached = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
+    lhs = Fraction(int(matrices.weight @ (len(im_set) - reached)),
+                   matrices.total * len(im_set))
     rhs = diag.alpha - 1 + Fraction(diag.im_size) * (diag.beta + 1) / len(T)
     return lhs, rhs

@@ -35,8 +35,8 @@ def _integer(key: str, value, low=None) -> int:
 
 def _check_scheme(problem: str, scheme: dict):
     """Numbers are finite, table axes match their alphabets, probability
-    tables have nonnegative rows summing to 1, and every alphabet a matrix is
-    drawn over has prime size."""
+    tables have nonnegative rows summing to 1, and so does their product,
+    and every alphabet a matrix is drawn over has prime size."""
     sizes, fixed_by = {}, {}
     for key, axes in sc.SCHEME_KEYS[problem].items():
         value = scheme[key]
@@ -75,6 +75,7 @@ def _check_scheme(problem: str, scheme: dict):
                              f"of {axis} is not prime")
     if problem == "wz" and not np.isin(scheme["f"], range(sizes["w"])).all():
         raise ValueError(f"f entries must index the {sizes['w']} columns of rho")
+    sc.scheme_params(problem, scheme)
 
 
 @dataclass
@@ -116,6 +117,8 @@ class ExperimentConfig:
         if doc.get("ensemble", "mackay") not in ("mackay", "uniform"):
             raise ValueError(f"ensemble must be 'mackay' or 'uniform', "
                              f"got {doc['ensemble']!r}")
+        if "tau" in doc and doc.get("ensemble") == "uniform":
+            raise ValueError("tau: the uniform ensemble has no column weight")
         if not isinstance(doc.get("out", ""), str):
             raise ValueError(f"out must be a string, got {doc['out']!r}")
         scheme = doc["scheme"]
@@ -174,7 +177,7 @@ def sample_source(mu, n: int, seeds) -> np.ndarray:
     """i.i.d. sampling, one (T, n) row per seed, each from its own stream:
     sample_channel with one input; joint pmfs yield a tuple of index
     arrays."""
-    p = np.asarray(getattr(mu, "p", mu), dtype=float)
+    p = np.asarray(mu, dtype=float)
     idx = sample_channel(p.reshape(1, -1),
                          np.zeros((len(seeds), n), dtype=np.int64), seeds)
     return idx if p.ndim == 1 else np.unravel_index(idx, p.shape)
@@ -206,8 +209,9 @@ def distortion_of(x, w, rho):
     return rho[x, w].mean(axis=-1)
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int):
+    """95% Wilson score interval for a binomial proportion."""
+    z = 1.959963984540054
     if total == 0:
         return (0.0, 1.0)
     phat = successes / total
@@ -254,7 +258,7 @@ def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
     dist = np.zeros(len(seeds))
     try:
         if problem == "sw":
-            x, y = sample_source(params.joint, n, streams("src"))
+            x, y = sample_source(params.joint.p, n, streams("src"))
             bx, by = inst.matrices["A"].matvec(x), inst.matrices["B"].matvec(y)
             xh, yh = sc.sw_decode(inst, params, bx, by)
             _check(problem, "A x = b_x", inst.matrices["A"].matvec(xh), bx, every)

@@ -214,15 +214,20 @@ def _perm_of(current_order, wanted_order):
 def scheme_params(problem: str, scheme: dict) -> SchemeParams:
     """A problem's parameters from its config `scheme` values: the joint law
     is the product of the probability tables, matched by alphabet letter,
-    over the axes of "xyzw" that they index."""
+    over the axes of "xyzw" that they index.  Tables that each sum to 1
+    within 1e-12 can have a product that does not: it is refused by name."""
     keys = SCHEME_KEYS[problem]
     tables = [key for key in keys if key in PMF_KEYS]
     axes = "".join(a for a in "xyzw" if any(a in keys[key] for key in tables))
     joint = np.einsum(",".join(keys[key] for key in tables) + "->" + axes,
                       *(np.asarray(scheme[key], dtype=float) for key in tables))
+    try:
+        joint = Distribution(joint)
+    except ValueError as err:
+        raise ValueError(f"the product of {', '.join(tables)}: {err}") from None
     rho, f = scheme.get("rho"), scheme.get("f")
     return SchemeParams(
-        problem, Distribution(joint), tuple(axes),
+        problem, joint, tuple(axes),
         numbers={key: scheme[key] for key, axes in keys.items() if not axes},
         rho=None if rho is None else np.asarray(rho, dtype=float),
         f=None if f is None else np.asarray(f, dtype=np.int64))
@@ -337,11 +342,11 @@ def build_instance(params: SchemeParams, n: int, seed,
                           stage2_forced=stage2_forced)
 
 
-def sample_message(inst: SchemeInstance, seeds, name: str = "B") -> np.ndarray:
+def sample_message(inst: SchemeInstance, seeds) -> np.ndarray:
     """Uniform points of Im B, the message law for the channel problems:
     B u for u uniform on GF(q)^n, one row per seed, each from its own
     stream."""
-    matrix = inst.matrices[name]
+    matrix = inst.matrices["B"]
     u = [rng_from_seed(s).integers(0, matrix.q, size=matrix.n) for s in seeds]
     return matrix.matvec(np.reshape(u, (len(seeds), matrix.n)))
 
@@ -407,10 +412,7 @@ def lossy_decode(inst: SchemeInstance, params: SchemeParams, b):
     return ml_code_iid(cosets, params.metric_marg("y", inst.n)), cosets.empty
 
 
-def wz_encode(inst: SchemeInstance, params: SchemeParams, x) -> np.ndarray:
-    cosets = inst.coset([("A", inst.vectors["A"])], len(x))
-    y = ml_code_cond_iid(cosets, x, params.metric_cond("y", "x", inst.n))
-    return inst.matrices["B"].matvec(y)
+wz_encode = lossy_encode  # side information enters only the decoder
 
 
 def wz_decode(inst: SchemeInstance, params: SchemeParams, b, z):

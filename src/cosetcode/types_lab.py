@@ -25,7 +25,7 @@ class Distribution:
         if np.any(p < 0):
             raise ValueError("negative pmf entry")
         if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError(f"pmf sums to {p.sum()!r}, not 1")
+            raise ValueError(f"pmf sums to {float(p.sum())!r}, not 1")
         self.p = p
 
     @property
@@ -57,7 +57,7 @@ class Distribution:
 
 def entropy(p) -> float:
     """Shannon entropy in bits, 0 log 0 = 0."""
-    p = np.asarray(getattr(p, "p", p), dtype=float).ravel()
+    p = np.asarray(p, dtype=float).ravel()
     nz = p[p > 0]
     return float(-(nz * np.log2(nz)).sum())
 
@@ -66,8 +66,8 @@ def divergence(p, pprime):
     """D(p || p') in bits along the last axis, summed letter by letter; +inf
     where support(p) is not within support(p'). One distribution gives a
     float, a stack of them an array over the leading axes."""
-    p = np.asarray(getattr(p, "p", p), dtype=float)
-    pp = np.asarray(getattr(pprime, "p", pprime), dtype=float)
+    p = np.asarray(p, dtype=float)
+    pp = np.asarray(pprime, dtype=float)
     if p.shape[-1:] != pp.shape[-1:]:
         raise ValueError("shape mismatch")
     out = np.zeros(np.broadcast_shapes(p.shape, pp.shape)[:-1])
@@ -154,7 +154,7 @@ def _log2_prob(types, mu_p) -> np.ndarray:
 
 def typical_count(mu, n: int, gamma: float) -> int:
     """Exact size of the typical set, via type-class combinatorics."""
-    mu_p = np.asarray(getattr(mu, "p", mu), dtype=float).ravel()
+    mu_p = np.asarray(mu, dtype=float).ravel()
     types = type_array(n, mu_p.size)
     typical = types[divergence(types / n, mu_p) < gamma]
     return sum(type_class_size(counts) for counts in typical.tolist())

@@ -203,9 +203,23 @@ WZ = {"mu_xz": [[0.45, 0.05], [0.05, 0.45]],
 GP = {"mu_z": [0.5, 0.5], "mu_xw_z": [[[0.5, 0.0], [0.0, 0.5]]] * 2,
       "channel": [[[0.89, 0.11]] * 2, [[0.11, 0.89]] * 2],
       "eps_a": 0.05, "eps_b": 0.15, "eps_ahat": 0.01}
+
 OHO = {"mu_xy": [[0.45, 0.05], [0.05, 0.45]],
        "channel": [[0.9, 0.1], [0.1, 0.9]],
        "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15}
+
+
+def raised(table):
+    """`table` with 4e-13 added to every nonzero entry."""
+    if isinstance(table, list):
+        return [raised(row) for row in table]
+    return table + 4e-13 if table else table
+
+
+# each of these tables sums to 1 within 1e-12, their product only within
+# 2.4e-12
+GP_HIGH = {**GP, **{key: raised(GP[key])
+                    for key in ("mu_z", "mu_xw_z", "channel")}}
 
 
 def scheme_doc(problem, base, **over):
@@ -295,6 +309,7 @@ BAD_CONFIGS = {
     "best_of-null": (sw_doc(best_of=None), "best_of"),
     "tau-zero": (sw_doc(tau=0), "tau"),
     "tau-null": (sw_doc(tau=None), "tau"),
+    "tau-uniform": (sw_doc(ensemble="uniform", tau=3), "tau"),
     "seed-string": (sw_doc(seed="3"), "seed"),
     "seed-boolean": (sw_doc(seed=False), "seed"),
     "ensemble": (sw_doc(ensemble="gaussian"), "ensemble"),
@@ -317,6 +332,7 @@ BAD_CONFIGS = {
         [0.75, 0.25], [0.25, 0.7]]), "test_channel"),
     "joint-sum": (scheme_doc("sw", sw_doc()["scheme"],
                              joint=[[0.6, 0.2], [0.2, 0.2]]), "joint"),
+    "joint-product-sum": (scheme_doc("gp", GP_HIGH), "mu_xw_z"),
     "mu_x-negative": (scheme_doc("ch", CH, mu_x=[1.5, -0.5]), "mu_x"),
     "mu_xz-sum": (scheme_doc("wz", WZ, mu_xz=[[0.9, 0.1], [0.1, 0.9]]),
                   "mu_xz"),

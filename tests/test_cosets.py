@@ -234,7 +234,7 @@ def test_members_by_index_are_lexicographic(data):
     index = np.array(data.draw(st.lists(st.integers(0, q ** k - 1),
                                         max_size=6)), dtype=np.int64)
     assert np.array_equal(elim.members(index), want[index])
-    assert np.array_equal(elim.onehot(), np.eye(q)[want].reshape(q ** k, -1))
+    assert np.array_equal(elim.onehot, np.eye(q)[want].reshape(q ** k, -1))
 
 
 def test_solve_refuses_bad_constraints():
@@ -441,7 +441,7 @@ def test_kernel_budget_is_checked_before_scoring():
     batch = solve_coset([(A, [0])]).elimination.cosets(np.zeros((3, 1)))
     with pytest.raises(BudgetError, match="coset has 33554432 elements"):
         ml_code_iid(batch, np.zeros(2))
-    assert batch.elimination._onehot is None
+    assert "onehot" not in vars(batch.elimination)
 
 
 # -- product ML -------------------------------------------------------------------

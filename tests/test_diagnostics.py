@@ -227,7 +227,8 @@ def test_enumeration_budget():
 def test_column_outcomes_match_generation_support():
     dist = dg.enumerate_column_outcomes(2, 2, 2)
     # two equal-row picks cancel; two distinct rows give weight 2
-    assert dist == {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
+    # of the 4 draw sequences
+    assert dist == {(0, 0): 2, (1, 1): 2}
 
 
 # -- ensemble bound suites ---------------------------------------------------------
@@ -276,7 +277,9 @@ def _reference_mackay(params):
     out = []
     for cols in itertools.product(items, repeat=n):
         dense = np.array([c for c, _ in cols], dtype=np.int64).T.reshape(l, n)
-        out.append((dense, math.prod((p for _, p in cols), start=Fraction(1))))
+        out.append((dense, math.prod(
+            (Fraction(count, (l * (q - 1)) ** tau) for _, count in cols),
+            start=Fraction(1))))
     return out
 
 
@@ -558,8 +561,10 @@ def test_one_table_per_ensemble_and_field(monkeypatch):
     assert len(calls) == 3
 
 
-def test_saturation_codes_the_image_once(monkeypatch):
-    ens, _, diag, im_set = _memo_setting(3, "mackay", 1, 3, 2)
+def test_saturation_never_codes_the_image(monkeypatch):
+    """The bins that A T reaches are its distinct codes: no image vector is
+    coded, and each Fraction equals the reference's membership count."""
+    ens, ref, diag, im_set = _memo_setting(3, "mackay", 1, 3, 2)
     coded = []
     base_q = dg._base_q
 
@@ -572,9 +577,10 @@ def test_saturation_codes_the_image_once(monkeypatch):
     rng = rng_from_seed(70)
     for _ in range(70):
         T = _random_subset(rng, space, 5)
-        lhs, rhs = dg.saturation_bound_check(ens, T, diag, im_set)
-        assert lhs <= rhs
-    assert sum(coded) == 1
+        got = dg.saturation_bound_check(ens, T, diag, im_set)
+        assert got == _reference_saturation(ref, T, diag, im_set)
+        assert got[0] <= got[1]
+    assert coded and not any(coded)
 
 
 def test_memo_fills_race_without_corruption():

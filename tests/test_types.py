@@ -17,7 +17,7 @@ from cosetcode import types_lab as tl
 # -- distributions ---------------------------------------------------------------
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^pmf sums to 1\.1, not 1$"):
         tl.Distribution([0.5, 0.6])
     with pytest.raises(ValueError):
         tl.Distribution([-0.1, 1.1])
