@@ -51,8 +51,17 @@ def _emit(text: str, out) -> int:
     return EXIT_OK
 
 
+def _ensemble_params(args, **kw) -> EnsembleParams:
+    """--tau is the MacKay column weight, 2 when omitted.  The uniform
+    ensemble has none, so an explicit --tau with it is refused."""
+    if args.ensemble == "uniform" and args.tau is not None:
+        raise ValueError("tau: the uniform ensemble has no column weight")
+    tau = 2 if args.tau is None else args.tau
+    return EnsembleParams(q=args.q, l=args.l, n=args.n, tau=tau, **kw)
+
+
 def cmd_gen_matrix(args) -> int:
-    params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau)
+    params = _ensemble_params(args)
     if args.ensemble == "mackay":
         m = generate_mackay(params, args.seed)
     else:
@@ -61,8 +70,7 @@ def cmd_gen_matrix(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    params = EnsembleParams(q=args.q, l=args.l, n=args.n, tau=args.tau,
-                            xi=args.xi)
+    params = _ensemble_params(args, xi=args.xi)
     d = dg.alpha_beta(params, args.n, ensemble=args.ensemble)
     lines = [
         f"# alpha,{float(d.alpha)!r}",
@@ -218,11 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse-matrix coset coding: diagnostics, checks, simulators.")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, seed=False, out=False, xi=False):
+    def common(sp, seed=False, out=False, xi=False, ensemble=False):
         sp.add_argument("--q", type=int, default=2)
         sp.add_argument("--l", type=int, default=2)
         sp.add_argument("--n", type=int, default=4)
-        sp.add_argument("--tau", type=int, default=2)
+        # with --ensemble, the default 2 is applied for mackay only
+        sp.add_argument("--tau", type=int, default=None if ensemble else 2)
+        if ensemble:
+            sp.add_argument("--ensemble", choices=["mackay", "uniform"],
+                            default="mackay")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
         if out:
@@ -231,12 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--xi", type=float, default=0.25)
 
     sp = sub.add_parser("gen-matrix", help="draw a matrix and emit its text form")
-    common(sp, seed=True, out=True)
-    sp.add_argument("--ensemble", choices=["mackay", "uniform"], default="mackay")
+    common(sp, seed=True, out=True, ensemble=True)
 
     sp = sub.add_parser("diag", help="ensemble diagnostics CSV")
-    common(sp, out=True, xi=True)
-    sp.add_argument("--ensemble", choices=["mackay", "uniform"], default="mackay")
+    common(sp, out=True, xi=True, ensemble=True)
 
     sp = sub.add_parser("types-check", help="run the type-lemma suites")
     sp.add_argument("--q", type=int, default=2)

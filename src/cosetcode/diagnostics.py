@@ -75,18 +75,32 @@ def walk_dist_closed(q: int, l: int, steps: int, w_c: int):
         num = sum(((q - 1) * l - q * k) ** steps * _krawtchouk(q, l, w_c, k)
                   for k in range(l + 1))
         return Fraction(num, ((q - 1) * l) ** steps * q**l)
-    terms = []
+    return _walk_float(q, l, steps, _log_krawtchouk(q, l, w_c))
+
+
+def _log_krawtchouk(q: int, l: int, w_c: int) -> list:
+    """(k, sign, log|K_k(w_c)|) for every k with K_k(w_c) != 0: the part of
+    the float path's terms that does not depend on the number of steps."""
+    out = []
     for k in range(l + 1):
         kraw = _krawtchouk(q, l, w_c, k)
+        if kraw:
+            out.append((k, 1 if kraw > 0 else -1, math.log(abs(kraw))))
+    return out
+
+
+def _walk_float(q: int, l: int, steps: int, log_krawtchouk: list):
+    """walk_dist_closed's signed log-domain sum over `_log_krawtchouk` terms."""
+    terms = []
+    for k, sign, log_kraw in log_krawtchouk:
         # the base from integers: at q = 2 the terms k and l - k then have
         # equal magnitudes and cancel exactly when they differ in sign
         num = (q - 1) * l - q * k
-        if kraw == 0 or (num == 0 and steps > 0):
+        if num == 0 and steps > 0:
             continue
         log_base = math.log(abs(num) / ((q - 1) * l)) if num else 0.0
-        sign = (1 if kraw > 0 else -1) * (-1 if num < 0 and steps % 2 else 1)
-        terms.append((sign, steps * log_base + math.log(abs(kraw))
-                      - l * math.log(q)))
+        sign *= -1 if num < 0 and steps % 2 else 1
+        terms.append((sign, steps * log_base + log_kraw - l * math.log(q)))
     total, cancel = _signed_log_sum(terms)
     if cancel:
         warnings.warn("severe cancellation in walk_dist_closed; value unreliable")
@@ -184,11 +198,15 @@ def alpha_beta(params: EnsembleParams, n: int,
     if max(sizes.values(), default=0) > sys.float_info.max:
         raise ValueError(f"n = {n} puts |C_w| past the float range at q = {q}")
     per_weight = {}
+    origin = None  # the float path's log K_k(0), formed once for every w
     for w, size in sizes.items():
         if ensemble == "uniform":
             p = Fraction(1, q**l)
-        else:
+        elif _use_exact(l, w * tau):
             p = return_prob(q, l, tau, w)
+        else:
+            origin = origin or _log_krawtchouk(q, l, 0)
+            p = _walk_float(q, l, w * tau, origin)
         per_weight[w] = (p, size)
     high = [per_weight[w][0] for w in range(1, n + 1) if w > cutoff]
     alpha = im * max(high) if high else Fraction(0)

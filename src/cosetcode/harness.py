@@ -16,7 +16,7 @@ import numpy as np
 
 from . import schemes as sc
 from .gf import is_prime
-from .matrices import derive_seed, rng_from_seed
+from .matrices import derive_seed, draw_streams
 
 # top-level config keys: the required ones, then the optional ones
 REQUIRED_KEYS = ("problem", "n", "trials", "seed", "scheme")
@@ -168,8 +168,9 @@ class TrialRecord:
 
 
 def _uniforms(seeds, n: int) -> np.ndarray:
-    """One row of n uniforms per seed, each from its own stream."""
-    return np.reshape([rng_from_seed(s).random(n) for s in seeds],
+    """One row of n uniforms per seed: rng_from_seed(s).random(n), each
+    seed's own stream, keyed for the whole batch by draw_streams."""
+    return np.reshape(draw_streams(seeds, lambda rng: rng.random(n)),
                       (len(seeds), n))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -166,6 +167,92 @@ def rref(mat, q: int):
 
 def rng_from_seed(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _hash_consts(h: int, mult: int, count: int):
+    """numpy SeedSequence's running hash constant: (h before, h after) for
+    each of `count` steps, as two (count, 1) uint32 columns."""
+    out = []
+    for _ in range(count):
+        out.append((h, h * mult & 0xFFFFFFFF))
+        h = out[-1][1]
+    return np.array(out, dtype=np.uint32).T[:, :, None]
+
+
+# SeedSequence's pool of four words: each is filled by one hashmix step, then
+# each word in turn hashes into the other three; generate_state hashes the
+# pool out with a second constant chain.
+_FILL = _hash_consts(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
+_MIX = [(src, np.array([d for d in range(4) if d != src], dtype=np.intp),
+         _FILL[0, 4 + 3 * src:7 + 3 * src], _FILL[1, 4 + 3 * src:7 + 3 * src])
+        for src in range(4)]
+_OUT = _hash_consts(0x8B51F9DD, 0x58F38DED, 4)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SEED_RANGE = "seeds must lie in [0, 2**64)"
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """The Philox key of every seed's stream, as one (len(seeds), 2) uint64
+    array: row i is SeedSequence(seeds[i]).generate_state(2, np.uint64).
+
+    numpy's pool-of-four mixing in uint32 arithmetic, for all seeds at once
+    (one row of the pool per word).  A seed below 2^32 mixes the same pool
+    as the words [seed, 0], so every seed is two words, low first.  A seed
+    outside [0, 2^64) is refused."""
+    try:
+        s = np.fromiter(map(operator.index, seeds), dtype=np.uint64,
+                        count=len(seeds))
+    except OverflowError:
+        raise ValueError(_SEED_RANGE) from None
+    pool = np.zeros((4, len(s)), dtype=np.uint32)
+    pool[0] = s & 0xFFFFFFFF
+    pool[1] = s >> 32
+    pool ^= _FILL[0, :4]
+    pool *= _FILL[1, :4]
+    pool ^= pool >> 16
+    for src, dst, before, after in _MIX:
+        h = (pool[src] ^ before) * after
+        h ^= h >> 16
+        h *= _MIX_R
+        m = pool[dst] * _MIX_L - h
+        pool[dst] = m ^ (m >> 16)
+    pool ^= _OUT[0]
+    pool *= _OUT[1]
+    pool ^= pool >> 16
+    words = pool.astype(np.uint64)
+    return (words[0::2] | words[1::2] << 32).T
+
+
+# Streams per call from which draw_streams keys them in one pass.  The pass
+# and its bit generator cost about 60 us a call, and each stream of 16
+# uniforms then costs about 2 us in place of 13: the two ways break even at
+# about 6 streams, and at 7 the pass is 10-13% faster.
+KEYED_MIN_STREAMS = 7
+
+
+def draw_streams(seeds, draw) -> np.ndarray:
+    """np.array([draw(rng_from_seed(s)) for s in seeds]), the same numbers.
+
+    From KEYED_MIN_STREAMS seeds on, the keys come from one philox_keys pass,
+    and one Philox is re-keyed per seed to the state a fresh Philox(seed)
+    has (counter 0, empty buffers) instead of building a Generator per seed.
+    numpy still draws every number, so `draw` may call any Generator method.
+    On both sides of the cutoff a seed outside [0, 2^64) is refused."""
+    if len(seeds) < KEYED_MIN_STREAMS:
+        if any(operator.index(s) >> 64 for s in seeds):
+            raise ValueError(_SEED_RANGE)
+        return np.array([draw(rng_from_seed(s)) for s in seeds])
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    fresh = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": fresh, "buffer": [0, 0, 0, 0],
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = []
+    for key in philox_keys(seeds).tolist():
+        fresh["key"] = key
+        bits.state = state
+        out.append(draw(rng))
+    return np.array(out)
 
 
 def derive_seed(seed, *tags) -> int:

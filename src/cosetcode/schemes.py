@@ -27,10 +27,10 @@ from .matrices import (
     EnsembleParams,
     SparseMatrix,
     derive_seed,
+    draw_streams,
     generate_mackay,
     generate_uniform,
     recommended_tau,
-    rng_from_seed,
     sample_image_point,
 )
 from .types_lab import Distribution, entropy, zeta
@@ -344,10 +344,11 @@ def build_instance(params: SchemeParams, n: int, seed,
 
 def sample_message(inst: SchemeInstance, seeds) -> np.ndarray:
     """Uniform points of Im B, the message law for the channel problems:
-    B u for u uniform on GF(q)^n, one row per seed, each from its own
-    stream."""
+    B u for u uniform on GF(q)^n, one row per seed, u drawn as
+    rng_from_seed(s).integers(0, q, size=n), each seed's own stream, keyed
+    for the whole batch by draw_streams."""
     matrix = inst.matrices["B"]
-    u = [rng_from_seed(s).integers(0, matrix.q, size=matrix.n) for s in seeds]
+    u = draw_streams(seeds, lambda rng: rng.integers(0, matrix.q, size=matrix.n))
     return matrix.matvec(np.reshape(u, (len(seeds), matrix.n)))
 
 

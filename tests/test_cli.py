@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,34 @@ def test_gen_matrix_output_is_pinned(argv, digest, capsys):
     assert main(["gen-matrix"] + argv) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["gen-matrix", "diag"])
+@pytest.mark.parametrize("argv", [
+    ["--q", "2", "--l", "4", "--n", "12", "--tau", "7"],
+    ["--q", "3", "--l", "3", "--n", "4", "--tau", "3"],
+    ["--q", "3", "--l", "3", "--n", "4", "--tau", "2"],
+], ids=["q2-odd", "q3-odd", "q3-even"])
+def test_tau_with_the_uniform_ensemble_exits_2(command, argv, capsys):
+    # refused as such: neither the MacKay q = 2 rule nor the odd-tau warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--ensemble", "uniform"] + argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: tau: the uniform ensemble has no column weight\n"
+
+
+@pytest.mark.parametrize("command", ["gen-matrix", "diag"])
+def test_tau_defaults_to_2_for_mackay_only(command, capsys):
+    base = [command, "--q", "2", "--l", "4", "--n", "6"]
+    assert main(base + ["--tau", "2"]) == EXIT_OK
+    explicit = capsys.readouterr().out
+    assert main(base) == EXIT_OK
+    assert capsys.readouterr().out == explicit
+    assert main(base + ["--ensemble", "uniform"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("2 4 6\n" if command ==
+                                              "gen-matrix" else "# alpha,")
 
 
 def test_types_check_passes(capsys):

@@ -172,6 +172,24 @@ def test_alpha_beta_refuses_integers_past_the_float_range():
     assert d.alpha == 0 and all(math.isfinite(p) for p, _ in d.per_weight.values())
 
 
+@pytest.mark.parametrize("q, l, n, tau", [(3, 80, 6, 2), (2, 10, 6, 1000)],
+                         ids=["float", "exact-then-float"])
+def test_alpha_beta_forms_the_origin_terms_once(q, l, n, tau, monkeypatch):
+    # l past EXACT_L_LIMIT, or w tau past EXACT_POWER_LIMIT from w = 5 on:
+    # the float weights share one set of l + 1 terms, the exact ones keep
+    # their own sums
+    calls = []
+    krawtchouk = dg._krawtchouk
+    monkeypatch.setattr(dg, "_krawtchouk",
+                        lambda *args: calls.append(args) or krawtchouk(*args))
+    d = dg.alpha_beta(EnsembleParams(q=q, l=l, n=n, tau=tau), n)
+    exact = sum(dg._use_exact(l, w * tau) for w in range(1, n + 1))
+    assert len(calls) == (l + 1) * (exact + 1)
+    for w in range(1, n + 1):
+        p = dg.return_prob(q, l, tau, w)
+        assert type(d.per_weight[w][0]) is type(p) and d.per_weight[w][0] == p
+
+
 def test_alpha_beta_uniform_is_universal():
     # uniform matrices form a (1, 0)-balanced family once xi*l < 1
     params = EnsembleParams(q=3, l=3, n=4, tau=2, xi=0.25)

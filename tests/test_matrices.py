@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 from cosetcode.diagnostics import enumerate_mackay
 from cosetcode.matrices import (
+    KEYED_MIN_STREAMS,
     EnsembleParams,
     SparseMatrix,
     derive_seed,
+    draw_streams,
     gauss_jordan,
     generate_mackay,
     generate_uniform,
+    philox_keys,
     recommended_tau,
     rng_from_seed,
     rref,
@@ -321,6 +324,50 @@ def test_derive_seed_stable_and_distinct():
     assert a != derive_seed(1, "mat", "B")
     assert a != derive_seed(2, "mat", "A")
     assert 0 <= a < 2**64
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(
+    st.builds(derive_seed, st.integers(0, 2**32), st.text(max_size=3)),
+    st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)), max_size=40))
+@example(EDGE_SEEDS)
+@example([])
+def test_philox_keys_equal_seed_sequence(seeds):
+    keys = philox_keys(seeds)
+    assert keys.dtype == np.uint64 and keys.shape == (len(seeds), 2)
+    for s, key in zip(seeds, keys):
+        want = np.random.SeedSequence(s).generate_state(2, np.uint64)
+        assert np.array_equal(key, want), s
+
+
+@pytest.mark.parametrize("count", [KEYED_MIN_STREAMS - 1, KEYED_MIN_STREAMS,
+                                   3 * KEYED_MIN_STREAMS])
+def test_draw_streams_equal_a_generator_per_seed(count):
+    # odd n leaves a half-used 64-bit block (random) or a buffered 32-bit
+    # word (integers) behind: the next stream must not read it
+    seeds = (EDGE_SEEDS + [derive_seed(count, i) for i in range(count)])[:count]
+    for n in range(1, 131):
+        got = draw_streams(seeds, lambda rng: rng.random(n))
+        assert np.array_equal(got, [rng_from_seed(s).random(n) for s in seeds])
+        for q in (2, 3, 5):
+            got = draw_streams(seeds, lambda rng: rng.integers(0, q, size=n))
+            want = [rng_from_seed(s).integers(0, q, size=n) for s in seeds]
+            assert np.array_equal(got, want), (n, q)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+@pytest.mark.parametrize("count", [1, KEYED_MIN_STREAMS])
+def test_seeds_outside_64_bits_are_refused(seed, count):
+    # on both sides of the cutoff: a uint64 conversion would wrap them
+    # silently onto another stream
+    seeds = [seed] + [1] * (count - 1)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        philox_keys(seeds)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        draw_streams(seeds, lambda rng: rng.random(1))
 
 
 def test_recommended_tau():
