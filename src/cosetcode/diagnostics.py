@@ -6,6 +6,7 @@ EXACT_L_LIMIT and EXACT_POWER_LIMIT and in signed log-domain floats beyond.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -112,26 +113,22 @@ def walk_dist_recursive(q: int, l: int, steps: int):
 
     Dynamic programming over weights: each step picks a coordinate uniformly
     and adds a uniform nonzero field element.  Returns mass[w] for w=0..l.
+    It counts the (l(q-1))**steps step sequences that end at each weight, in
+    integers, and divides once per weight: from weight w a step reaches
+    w - 1 in w ways, stays in w(q - 2) ways and reaches w + 1 in
+    (l - w)(q - 1) ways.
     """
     if q**l > ENUM_BUDGET:
         raise ValueError("state space exceeds enumeration budget")
-    mass = [Fraction(0)] * (l + 1)
-    mass[0] = Fraction(1)
-    down = Fraction(1, q - 1)
-    stay = Fraction(q - 2, q - 1)
+    # (ways in from w - 1, from w, from w + 1) for each weight w
+    ways = [((l - w + 1) * (q - 1), w * (q - 2), w + 1) for w in range(l + 1)]
+    count = [1] + [0] * l
     for _ in range(steps):
-        nxt = [Fraction(0)] * (l + 1)
-        for w, m in enumerate(mass):
-            if m == 0:
-                continue
-            hit_nz = Fraction(w, l)
-            nxt[w] += m * hit_nz * stay
-            if w > 0:
-                nxt[w - 1] += m * hit_nz * down
-            if w < l:
-                nxt[w + 1] += m * Fraction(l - w, l)
-        mass = nxt
-    return mass
+        padded = [0, *count, 0]
+        count = [up * padded[w] + stay * padded[w + 1] + down * padded[w + 2]
+                 for w, (up, stay, down) in enumerate(ways)]
+    denominator = (l * (q - 1)) ** steps
+    return [Fraction(c, denominator) for c in count]
 
 
 def walk_pointwise_recursive(q: int, l: int, steps: int, w_c: int) -> Fraction:
@@ -164,9 +161,11 @@ def ensemble_im_set(q: int, l: int, tau: int, ensemble: str = "mackay"):
     return space[space.sum(axis=1) % 2 == 0] if evens else space
 
 
-@dataclass
+@dataclass(frozen=True)
 class HashDiagnostics:
-    """Collision/low-weight diagnostics of one matrix ensemble."""
+    """Collision/low-weight diagnostics of one matrix ensemble.  The set
+    checks' right-hand sides depend only on these fields and the set sizes,
+    so each is formed once per diagnostics and sizes (`bound`)."""
 
     q: int
     l: int
@@ -175,12 +174,20 @@ class HashDiagnostics:
     im_size: int
     im_ratio: object
     per_weight: dict
+    _bounds: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be nonnegative")
         if self.im_size > self.q**self.l:
             raise ValueError("image cannot exceed the full space")
+
+    def bound(self, key: tuple, form):
+        """The right-hand side `form()` of the check and set sizes in `key`,
+        formed on the first call; a racing thread stores an equal value."""
+        rhs = self._bounds.get(key)
+        return self._bounds.setdefault(key, form()) if rhs is None else rhs
 
 
 def alpha_beta(params: EnsembleParams, n: int,
@@ -287,11 +294,14 @@ def enumerate_mackay(params: EnsembleParams) -> Ensemble:
     return Ensemble(dense, np.array(counts, np.int64)[pick].prod(axis=1), total)
 
 
+@functools.cache
 def _place_values(q: int, length: int):
     """q**(length-1), ..., q, 1: int64, or Python integers once q**length is
-    past int64."""
-    return np.array([q**k for k in range(length - 1, -1, -1)],
-                    dtype=object if q**length >= 2**63 else np.int64)
+    past int64.  Built once per (q, length), read-only."""
+    place = np.array([q**k for k in range(length - 1, -1, -1)],
+                     dtype=object if q**length >= 2**63 else np.int64)
+    place.setflags(write=False)
+    return place
 
 
 def _base_q(digits, q: int):
@@ -326,11 +336,11 @@ def hash_sum_exhaustive(matrices, T, Tp, diag):
     hits = (codes[:, :k, None] == codes[:, None, k:]).sum(axis=(1, 2))
     lhs = Fraction(int(matrices.weight @ hits), matrices.total)
     inter = len(set(keys[:k].tolist()) & set(keys[k:].tolist()))
-    rhs = (
+    rhs = diag.bound(("hash", len(T), len(Tp), inter), lambda: (
         inter
         + Fraction(len(T) * len(Tp)) * diag.alpha / diag.im_size
         + min(len(T), len(Tp)) * diag.beta
-    )
+    ))
     return lhs, rhs
 
 
@@ -341,7 +351,8 @@ def collision_bound_check(matrices, G, u, diag):
     others = codes[:, 1:][:, keys[1:] != keys[0]]
     hit = (others == codes[:, :1]).any(axis=1)
     lhs = Fraction(int(matrices.weight @ hit), matrices.total)
-    rhs = Fraction(len(G)) * diag.alpha / diag.im_size + diag.beta
+    rhs = diag.bound(("collision", len(G)), lambda: (
+        Fraction(len(G)) * diag.alpha / diag.im_size + diag.beta))
     return lhs, rhs
 
 
@@ -356,5 +367,6 @@ def saturation_bound_check(matrices, T, diag, im_set):
     reached = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
     lhs = Fraction(int(matrices.weight @ (len(im_set) - reached)),
                    matrices.total * len(im_set))
-    rhs = diag.alpha - 1 + Fraction(diag.im_size) * (diag.beta + 1) / len(T)
+    rhs = diag.bound(("saturation", len(T)), lambda: (
+        diag.alpha - 1 + Fraction(diag.im_size) * (diag.beta + 1) / len(T)))
     return lhs, rhs

@@ -165,6 +165,30 @@ def test_hash_check_output_is_pinned(capsys, monkeypatch):
         "2fb2c9f6dbd2109041a1e2647c5a6ff5ffe80c8d7b05051e99c91b946a8f8d98")
 
 
+def test_hash_check_and_walk_fractions_are_pinned(capsys, monkeypatch):
+    # every exact (lhs, rhs) of the hash-check loop, 70 cases at seed 0 on
+    # two ensembles, and the walk recursion's law at (q, l) = (3, 2)
+    seen = []
+    for name in ("hash_sum_exhaustive", "collision_bound_check",
+                 "saturation_bound_check"):
+        def record(*args, _check=getattr(dg, name)):
+            out = _check(*args)
+            seen.append(repr(out))
+            return out
+
+        monkeypatch.setattr(dg, name, record)
+    for q, l in ((2, 3), (3, 1)):
+        assert main(["hash-check", "--q", str(q), "--l", str(l), "--n", "3",
+                     "--tau", "2", "--cases", "70", "--seed", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "PASS hash-check cases=210 violations=0\n" * 2)
+    seen += [repr(dg.walk_pointwise_recursive(3, 2, steps, w))
+             for steps in range(9) for w in range(3)]
+    assert len(seen) == 2 * 210 + 27
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "7c207f80311cd3ca84ef0c0c846c770c0641d179970d0b50b72cb601cabfed5e")
+
+
 def test_oracle_passes(capsys):
     assert main(["oracle", "--q", "3", "--l", "2", "--n", "2", "--tau", "2",
                  "--steps", "6"]) == EXIT_OK

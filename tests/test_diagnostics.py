@@ -1,5 +1,6 @@
 """Closed-form diagnostics against frozen values and exhaustive oracles."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -127,6 +128,46 @@ def test_walk_mass_normalization():
             for w in range(l + 1)
         )
         assert total == 1
+
+
+def _reference_walk(q, l, steps):
+    """The weight-class recursion one Fraction product at a time: each step
+    picks a coordinate uniformly and adds a uniform nonzero field element."""
+    mass = [Fraction(0)] * (l + 1)
+    mass[0] = Fraction(1)
+    down = Fraction(1, q - 1)
+    stay = Fraction(q - 2, q - 1)
+    for _ in range(steps):
+        nxt = [Fraction(0)] * (l + 1)
+        for w, m in enumerate(mass):
+            if m == 0:
+                continue
+            hit_nz = Fraction(w, l)
+            nxt[w] += m * hit_nz * stay
+            if w > 0:
+                nxt[w - 1] += m * hit_nz * down
+            if w < l:
+                nxt[w + 1] += m * Fraction(l - w, l)
+        mass = nxt
+    return mass
+
+
+def test_integer_recursion_equals_fraction_recursion():
+    for q, l, steps in itertools.product((2, 3, 5), range(1, 7), range(13)):
+        mass = dg.walk_dist_recursive(q, l, steps)
+        assert mass == _reference_walk(q, l, steps)
+        assert all(type(m) is Fraction for m in mass) and sum(mass) == 1
+        for w in range(l + 1):
+            assert dg.walk_pointwise_recursive(q, l, steps, w) == (
+                mass[w] / (math.comb(l, w) * (q - 1) ** w))
+
+
+def test_walk_recursion_refuses_past_the_budget():
+    assert len(dg.walk_dist_recursive(2, 20, 3)) == 21
+    with pytest.raises(ValueError, match="enumeration budget"):
+        dg.walk_dist_recursive(2, 21, 0)
+    with pytest.raises(ValueError, match="enumeration budget"):
+        dg.walk_pointwise_recursive(3, 13, 1, 0)
 
 
 def test_walk_start_state():
@@ -285,6 +326,115 @@ def test_saturation_requires_nonempty_target():
         dg.saturation_bound_check(mats, [], diag, dg.ensemble_im_set(2, 2, 2))
 
 
+# -- the right-hand-side memo -----------------------------------------------------
+
+def _inline_bound(diag, key):
+    """The right-hand side of the check and set sizes in `key`, formed by the
+    check's formula from the diagnostics' fields."""
+    name, *sizes = key
+    if name == "hash":
+        t, tp, inter = sizes
+        return (inter + Fraction(t * tp) * diag.alpha / diag.im_size
+                + min(t, tp) * diag.beta)
+    if name == "collision":
+        (g,) = sizes
+        return Fraction(g) * diag.alpha / diag.im_size + diag.beta
+    assert name == "saturation"
+    (t,) = sizes
+    return diag.alpha - 1 + Fraction(diag.im_size) * (diag.beta + 1) / t
+
+
+def _bound_checks(ens, diag, im_set, seed, cases=40):
+    """(lhs, rhs) of the three set checks on `cases` random set draws."""
+    q, n = diag.q, ens.dense.shape[2]
+    space = list(itertools.product(range(q), repeat=n))
+    rng = rng_from_seed(seed)
+    out = []
+    for _ in range(cases):
+        T, Tp = _random_subset(rng, space, 5), _random_subset(rng, space, 5)
+        u = space[int(rng.integers(len(space)))]
+        out.append((dg.hash_sum_exhaustive(ens, T, Tp, diag),
+                    dg.collision_bound_check(ens, Tp, u, diag),
+                    dg.saturation_bound_check(ens, T, diag, im_set)))
+    return out
+
+
+@pytest.mark.parametrize("q, l, n", [(2, 3, 3), (3, 1, 3)])
+def test_bounds_are_formed_once_per_diagnostics_and_sizes(q, l, n):
+    ens, _, diag, im_set = _memo_setting(q, "mackay", l, n, 2)
+    first = _bound_checks(ens, diag, im_set, seed=3)
+    memo = dict(diag._bounds)
+    assert {key[0] for key in memo} == {"hash", "collision", "saturation"}
+    # the same draws again read every bound from the memo and add none
+    assert _bound_checks(ens, diag, im_set, seed=3) == first
+    assert diag._bounds == memo
+    for key, rhs in memo.items():
+        want = _inline_bound(diag, key)
+        assert type(rhs) is type(want) and rhs == want
+    # a new diagnostics of the same ensemble forms them again, equal
+    _, _, fresh, _ = _memo_setting(q, "mackay", l, n, 2)
+    assert _bound_checks(ens, fresh, im_set, seed=3) == first
+    assert fresh._bounds == memo and fresh._bounds is not diag._bounds
+
+
+def test_a_check_reads_its_bound_by_set_sizes():
+    ens, _, diag, im_set = _memo_setting(3, "mackay", 1, 3, 2)
+    diag._bounds[("collision", 2)] = Fraction(-7)
+    diag._bounds[("saturation", 1)] = Fraction(-8)
+    diag._bounds[("hash", 1, 2, 0)] = Fraction(-9)
+    assert dg.collision_bound_check(ens, [(1, 0, 0), (0, 1, 0)], (0, 0, 1),
+                                    diag)[1] == -7
+    assert dg.collision_bound_check(ens, [(1, 0, 0)], (0, 0, 1), diag)[1] == (
+        _inline_bound(diag, ("collision", 1)))
+    assert dg.saturation_bound_check(ens, [(1, 2, 0)], diag, im_set)[1] == -8
+    assert dg.hash_sum_exhaustive(ens, [(1, 0, 0)], [(0, 1, 0), (0, 0, 1)],
+                                  diag)[1] == -9
+    # one vector of T in T': |T cap T'| = 1 is another key
+    assert dg.hash_sum_exhaustive(ens, [(1, 0, 0)], [(1, 0, 0), (0, 0, 1)],
+                                  diag)[1] == _inline_bound(diag,
+                                                            ("hash", 1, 2, 1))
+
+
+def test_diagnostics_with_other_alpha_or_beta_share_no_bound():
+    ens, _, diag, im_set = _memo_setting(3, "mackay", 1, 3, 2)
+    others = [dataclasses.replace(diag, alpha=diag.alpha + Fraction(1, 7)),
+              dataclasses.replace(diag, beta=2 * diag.beta + 1)]
+    base = _bound_checks(ens, diag, im_set, seed=9)
+    for other in others:
+        assert other._bounds == {}
+        got = _bound_checks(ens, other, im_set, seed=9)
+        # the same left-hand sides against other bounds
+        assert [[lhs for lhs, _ in row] for row in got] == [
+            [lhs for lhs, _ in row] for row in base]
+        assert all(r1 != r0 for row, row0 in zip(got, base)
+                   for (_, r1), (_, r0) in zip(row, row0))
+        assert other._bounds.keys() == diag._bounds.keys()
+        for key, rhs in other._bounds.items():
+            assert rhs == _inline_bound(other, key) != diag._bounds[key]
+
+
+def test_float_bounds_keep_their_bits(monkeypatch):
+    # past EXACT_L_LIMIT alpha and beta are floats; each bound is the float
+    # the formula gives, bit for bit
+    monkeypatch.setattr(dg, "EXACT_L_LIMIT", 0)
+    ens, _, diag, im_set = _memo_setting(2, "mackay", 3, 3, 2)
+    assert isinstance(diag.alpha, float) and isinstance(diag.beta, float)
+    first = _bound_checks(ens, diag, im_set, seed=4)
+    assert _bound_checks(ens, diag, im_set, seed=4) == first
+    for key, rhs in diag._bounds.items():
+        assert type(rhs) is float
+        assert rhs.hex() == _inline_bound(diag, key).hex()
+
+
+def test_diagnostics_are_frozen():
+    diag = dg.alpha_beta(EnsembleParams(q=2, l=2, n=2, tau=2, xi=0.5), 2)
+    for name, value in (("alpha", Fraction(0)), ("beta", Fraction(5)),
+                        ("im_size", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(diag, name, value)
+    assert "_bounds" not in repr(diag)
+
+
 # -- stacked checks against the one-matrix-at-a-time references -----------------
 
 def _reference_mackay(params):
@@ -432,7 +582,7 @@ def test_stacked_checks_past_int64_syndrome_codes(l):
     assert dg.return_prob_exhaustive(ens, (1,), 2) == Fraction(1, l)
 
 
-def _reference_walk(q, l, steps, w_c):
+def _term_by_term_walk(q, l, steps, w_c):
     """The walk law as a term-by-term Fraction sum."""
     total = Fraction(0)
     for k in range(l + 1):
@@ -446,7 +596,7 @@ def test_walk_integer_sum_equals_term_by_term_sum():
         for steps in (*range(12), 40, 99):
             for w_c in range(l + 1):
                 got = dg.walk_dist_closed(q, l, steps, w_c)
-                assert got == _reference_walk(q, l, steps, w_c)
+                assert got == _term_by_term_walk(q, l, steps, w_c)
 
 
 # -- the per-ensemble syndrome table ----------------------------------------------
@@ -526,6 +676,18 @@ def test_memo_checks_equal_reference_loops(case):
     _run_checks_against_references(ens, ref, diag, im_set, calls[::-1])
     fresh, _, _, _ = _memo_setting(*params)
     _run_checks_against_references(fresh, ref, diag, im_set, calls[1:] + calls)
+
+
+@pytest.mark.parametrize("q, length, dtype", [(3, 4, np.int64),
+                                               (2, 62, np.int64),
+                                               (2, 63, object), (5, 40, object)])
+def test_place_values_are_built_once_and_read_only(q, length, dtype):
+    place = dg._place_values(q, length)
+    assert dg._place_values(q, length) is place
+    assert place.dtype == dtype and not place.flags.writeable
+    assert place.tolist() == [q**k for k in range(length - 1, -1, -1)]
+    with pytest.raises(ValueError):
+        place[0] = 0
 
 
 def _count_syndrome_codes(monkeypatch):

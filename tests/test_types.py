@@ -67,6 +67,15 @@ def test_iter_types_and_class_size():
         assert sum(sizes) == q**n
 
 
+def test_type_class_size_is_the_multinomial_coefficient():
+    rng = np.random.default_rng(1)
+    for n, k in ((0, 3), (7, 1), (30, 4), (400, 5), (2500, 2), (5000, 3)):
+        for counts in rng.multinomial(n, [1 / k] * k, size=20).tolist():
+            want = math.factorial(n) // math.prod(map(math.factorial, counts))
+            assert tl.type_class_size(counts) == want
+            assert tl.type_class_size(tuple(counts[::-1])) == want
+
+
 # -- information measures ----------------------------------------------------------
 
 def test_entropy_frozen():
@@ -174,6 +183,71 @@ def test_single_variable_suites(mu, n):
         assert ok
         ok, _ = tl.check_typical_number(mu, n, gamma)
         assert ok
+
+
+def _reference_cond_type_divergence(joint_counts, cond_mu):
+    """cond_type_divergence with numpy's sums over the short count axes."""
+    joint_counts = np.asarray(joint_counts)
+    n = np.maximum(joint_counts.sum(axis=(-2, -1)), 1)
+    cond_mu = np.asarray(cond_mu, dtype=float)
+    out = np.zeros(joint_counts.shape[:-2])
+    for vi in range(joint_counts.shape[-2]):
+        row = joint_counts[..., vi, :]
+        nv = row.sum(axis=-1)
+        freq = row / np.maximum(nv, 1)[..., None]
+        out += (nv / n) * tl.divergence(freq, cond_mu[vi])
+    return float(out) if out.ndim == 0 else out
+
+
+def _reference_typical_trans(mu_joint, n, gamma, gamma_p):
+    """check_typical_trans with numpy's sums over the short count axes."""
+    qv, qu = mu_joint.shape
+    mu_v = mu_joint.p.sum(axis=1)
+    cond = mu_joint.conditional(0)
+    types = tl.type_array(n, qv * qu)
+    d_v = tl.divergence(types.reshape(-1, qv, qu).sum(axis=2) / n, mu_v)
+    d_cond = _reference_cond_type_divergence(types.reshape(-1, qv, qu), cond)
+    d_joint = tl.divergence(types / n, mu_joint.p.ravel())
+    excess = d_joint[(d_v < gamma) & (d_cond < gamma_p)] - (gamma + gamma_p)
+    finite = np.isfinite(d_joint) & np.isfinite(d_cond)
+    chain = np.abs(d_joint - d_v - d_cond)[finite]
+    ok = bool(np.all(excess < 0) and np.all(chain <= 1e-9))
+    return ok, float(np.max(excess, initial=-math.inf))
+
+
+TRANS_JOINTS = [
+    [[1.0]],
+    [[0.4, 0.1], [0.1, 0.4]],
+    [[0.5, 0.0], [0.2, 0.3]],
+    [[0.3, 0.2, 0.1], [0.1, 0.2, 0.1]],
+    np.outer([0.5, 0.3, 0.2], [0.5, 0.3, 0.2]) * 0.5 + np.eye(3) * 0.5 / 3,
+]
+
+
+@pytest.mark.parametrize("joint", range(len(TRANS_JOINTS)))
+def test_typical_trans_keeps_its_bits(joint):
+    mu = tl.Distribution(TRANS_JOINTS[joint])
+    for n, (gamma, gamma_p) in itertools.product(
+            (1, 3, 6, 8), ((0.1, 0.1), (0.3, 0.01), (0.02, 0.4))):
+        ok, margin = tl.check_typical_trans(mu, n, gamma, gamma_p)
+        want_ok, want_margin = _reference_typical_trans(mu, n, gamma, gamma_p)
+        assert (ok, margin.hex()) == (want_ok, want_margin.hex())
+
+
+def test_cond_type_divergence_keeps_its_bits():
+    mu = tl.Distribution(TRANS_JOINTS[-1])
+    cond = mu.conditional(0)
+    types = tl.type_array(6, 9)
+    rng = np.random.default_rng(2)
+    counts = rng.integers(0, 40, size=(50, 3, 3))
+    counts[:5, 1] = 0  # rows that never occur
+    counts[5] = 0  # an empty table
+    for table in (types.reshape(-1, 3, 3), counts, counts.astype(np.uint16),
+                  counts[7], counts.transpose(0, 2, 1)):
+        got = tl.cond_type_divergence(table, cond)
+        want = _reference_cond_type_divergence(table, cond)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert type(got) is type(want)
 
 
 def test_typical_trans_suite():
