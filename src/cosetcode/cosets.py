@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,27 +24,36 @@ class BudgetError(Exception):
 
 
 @dataclass(eq=False)
-class Elimination:
-    """The target-free half of solving {u : M u = t} over GF(q).
+class CosetDescription:
+    """The cosets {u : M u = t_j} over GF(q) of one stacked matrix M, one per
+    row j of a (T, rows) block of targets.
 
-    Pivot choice and row operations depend on M alone, so one elimination
-    serves every target: `transform` (E) maps a target t to the reduced
-    right-hand side E t, whose first `rank` entries are the pivot values of
-    the particular solution and whose remaining entries are zero exactly
-    when the system is consistent.
-
-    Pivots are taken from the last column to the first, so each basis row
-    starts at its own free column and is zero at the other free columns, and
-    the particular solution is zero at every free column: a member's values
-    at the free columns are its basis coefficients, and the index order of
-    the members is their lexicographic order.
+    Coset j is `particular[j]` plus the kernel of M, or empty when `empty[j]`
+    (its particular row is then zero).  Pivots are taken from the last column
+    to the first, so each basis row starts at its own free column and is
+    zero at the other free columns, and a particular solution is zero at
+    every free column: a member's values at the free columns are its basis
+    coefficients, and the index order of the members is their lexicographic
+    order.
     """
 
     q: int
-    matrix: np.ndarray  # stacked constraint matrix
-    transform: np.ndarray  # (rows, rows) row operations E
+    matrix: np.ndarray  # (rows, n) stacked constraint matrix M
     pivots: np.ndarray  # pivot columns, one per reduced row
     basis: np.ndarray  # (k, n) kernel basis rows
+    reduced: np.ndarray  # (rank, n) reduced rows E M, E the row operations
+    particular: np.ndarray  # (T, n)
+    empty: np.ndarray  # (T,) bool
+    target: np.ndarray  # (T, rows) stacked targets
+
+    def __len__(self) -> int:
+        return self.empty.size
+
+    def __getitem__(self, j) -> "CosetDescription":
+        """Coset j as a block of one."""
+        j = range(len(self))[j]
+        return replace(self, particular=self.particular[j:j + 1],
+                       empty=self.empty[j:j + 1], target=self.target[j:j + 1])
 
     @property
     def n(self) -> int:
@@ -55,13 +64,19 @@ class Elimination:
         return self.pivots.size
 
     @property
-    def size(self) -> int:
+    def kernel_size(self) -> int:
         """Members of each non-empty coset: q**k for a k-dimensional kernel."""
         return self.q ** self.basis.shape[0]
 
+    @property
+    def size(self) -> int:
+        """Members of all the non-empty cosets of the block together."""
+        return int(np.count_nonzero(~self.empty)) * self.kernel_size
+
     def check_budget(self):
-        if self.size > BUDGET:
-            raise BudgetError(f"coset has {self.size} elements, budget {BUDGET}")
+        if self.kernel_size > BUDGET:
+            raise BudgetError(
+                f"coset has {self.kernel_size} elements, budget {BUDGET}")
 
     def members(self, index) -> np.ndarray:
         """Kernel members number `index`, (len(index), n): the base-q digits
@@ -74,11 +89,12 @@ class Elimination:
 
     @cached_property
     def onehot(self) -> np.ndarray:
-        """Symbol indicators of the kernel members, (size, n q) float64:
-        column i q + a of row c is [member c has a at position i]."""
+        """Symbol indicators of the kernel members, (kernel_size, n q)
+        float64: column i q + a of row c is [member c has a at position i]."""
         self.check_budget()
-        onehot = np.eye(self.q).take(self.members(np.arange(self.size)),
-                                     axis=0).reshape(self.size, -1)
+        size = self.kernel_size
+        onehot = np.eye(self.q).take(self.members(np.arange(size)),
+                                     axis=0).reshape(size, -1)
         onehot.setflags(write=False)
         return onehot
 
@@ -88,81 +104,33 @@ class Elimination:
         syndrome s by symbol a at position i.  A state is the partial syndrome
         of the `rank` reduced rows E M, coded as sum_k s_k q**k; for q = 2 a
         step is the XOR with the column code."""
-        q, rank = self.q, self.rank
-        reduced = (self.transform[:rank] @ self.matrix) % q  # (rank, n)
-        states = np.arange(q ** rank, dtype=np.int64)
+        q = self.q
+        states = np.arange(q ** self.rank, dtype=np.int64)
         symbols = np.arange(q, dtype=np.int64)[None, :, None]
         steps = np.zeros((self.n, q, states.size), dtype=np.int64)
-        for k in range(rank):
+        for k, row in enumerate(self.reduced):
             digit = (states // q ** k) % q
-            steps += ((digit + symbols * reduced[k][:, None, None]) % q) * q ** k
+            steps += ((digit + symbols * row[:, None, None]) % q) * q ** k
         steps.setflags(write=False)
         return steps
 
-    def cosets(self, targets) -> "CosetDescription":
-        """The solution sets of a (T, rows) block of targets, one per row."""
-        t = np.asarray(targets, dtype=np.int64) % self.q
-        if t.ndim != 2 or t.shape[1] != self.matrix.shape[0]:
-            raise ValueError("target length does not match row count")
-        reduced = (t @ self.transform.T) % self.q
-        empty = reduced[:, self.rank:].any(axis=1)
-        particular = np.zeros((t.shape[0], self.n), dtype=np.int64)
-        particular[:, self.pivots] = reduced[:, :self.rank]
-        particular[empty] = 0
-        return CosetDescription(particular, empty, t, self)
-
-
-@dataclass(eq=False)
-class CosetDescription:
-    """The cosets {u : M u = t_j} of one elimination, one per row j of a
-    (T, rows) block of stacked targets.
-
-    Coset j is `particular[j]` plus the elimination's kernel, or empty when
-    `empty[j]` (its particular row is then zero)."""
-
-    particular: np.ndarray  # (T, n)
-    empty: np.ndarray  # (T,) bool
-    target: np.ndarray  # (T, rows) stacked targets
-    elimination: Elimination
-
-    def __len__(self) -> int:
-        return self.empty.size
-
-    def __getitem__(self, j) -> "CosetDescription":
-        """Coset j as a block of one."""
-        j = range(len(self))[j]
-        return CosetDescription(self.particular[j:j + 1], self.empty[j:j + 1],
-                                self.target[j:j + 1], self.elimination)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.elimination.matrix
-
-    @property
-    def size(self) -> int:
-        """Members of all the non-empty cosets of the block together."""
-        return int(np.count_nonzero(~self.empty)) * self.elimination.size
-
     def elements(self) -> np.ndarray:
-        """All members of a block of one as a (size, n) array, row c the
-        particular plus kernel member c, which is lexicographic order."""
+        """All members of a block of one as a (kernel_size, n) array, row c
+        the particular plus kernel member c, which is lexicographic order."""
         if len(self) != 1:
             raise ValueError(f"elements of a block of {len(self)} cosets")
         if self.empty[0]:
             raise EmptyCosetError("coset is empty")
-        elim = self.elimination
-        elim.check_budget()
-        members = elim.members(np.arange(elim.size))
-        return (self.particular[0] + members) % elim.q
+        self.check_budget()
+        members = self.members(np.arange(self.kernel_size))
+        return (self.particular[0] + members) % self.q
 
 
 def solve_coset(constraints) -> CosetDescription:
     """Gaussian elimination on stacked (SparseMatrix, target) constraints of
     one q; returns the block of cosets of the targets, each one vector that
     every trial shares or a (T, rows) block of one row per trial (T = 1 if
-    none is).
-
-    The result's `elimination` serves every other target of the matrix."""
+    none is)."""
     if not constraints:
         raise ValueError("need at least one constraint")
     q, n = constraints[0][0].q, constraints[0][0].n
@@ -179,22 +147,32 @@ def solve_coset(constraints) -> CosetDescription:
         targets.append(t)
     M = np.vstack(mats)
     rows = M.shape[0]
+    trials = max((len(t) for t in targets if t.ndim == 2), default=1)
+    t = np.hstack([np.broadcast_to(t, (trials, t.shape[-1]))
+                   for t in targets]) % q
     # eliminate [M reversed | I], pivots last column first; the right block
-    # accumulates the row operations E
+    # accumulates the row operations E, and E t is a target's reduced
+    # right-hand side: its first `rank` entries are the pivot values of the
+    # particular solution, and the others are zero exactly when the system
+    # is consistent
     aug = np.zeros((rows, n + rows), dtype=np.int64)
     aug[:, :n] = M[:, ::-1]
     np.fill_diagonal(aug[:, n:], 1)
     pivots = n - 1 - np.array(gauss_jordan(aug, q, ncols=n), dtype=np.int64)
+    rank = pivots.size
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, n), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-aug[:pivots.size, n - 1 - free].T) % q
-    elim = Elimination(q, M, aug[:, n:].copy(), pivots, basis)
-    trials = max((len(t) for t in targets if t.ndim == 2), default=1)
-    return elim.cosets(np.hstack([np.broadcast_to(t, (trials, t.shape[-1]))
-                                  for t in targets]))
+    basis[:, pivots] = (-aug[:rank, n - 1 - free].T) % q
+    rhs = (t @ aug[:, n:].T) % q
+    empty = rhs[:, rank:].any(axis=1)
+    particular = np.zeros((trials, n), dtype=np.int64)
+    particular[:, pivots] = rhs[:, :rank]
+    particular[empty] = 0
+    return CosetDescription(q, M, pivots, basis, aug[:rank, :n][:, ::-1],
+                            particular, empty, t)
 
 
 def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):
@@ -234,26 +212,25 @@ def ml_code_iid(cosets: CosetDescription, metric: np.ndarray) -> np.ndarray:
 
     Each trial's particular solution p is folded into its metric (entry a at
     position i becomes metric[j, i, (a + p_i) mod q]), so one product with
-    the elimination's one-hot kernel scores every member of a block of
-    cosets.  Index order is lexicographic order, so the first best index is
-    the smallest ML member."""
-    elim = cosets.elimination
-    elim.check_budget()
-    q, n, trials = elim.q, elim.n, len(cosets)
+    the one-hot kernel scores every member of a block of cosets.  Index
+    order is lexicographic order, so the first best index is the smallest ML
+    member."""
+    cosets.check_budget()
+    q, n, trials = cosets.q, cosets.n, len(cosets)
     out = np.full((trials, n), -1, dtype=np.int64)
     live = np.flatnonzero(~cosets.empty)
     if not live.size:
         return out
-    onehot = elim.onehot
+    onehot, size = cosets.onehot, cosets.kernel_size
     p = cosets.particular[live]
     # column i q + a of trial j takes table[i, (a + p_ji) mod q]
     columns = ((p[:, :, None] + np.arange(q)) % q
                + q * np.arange(n)[:, None]).reshape(live.size, n * q)
     folded = np.broadcast_to(metric, (trials, n, q)).reshape(trials, n * q)[
         live[:, None], columns]
-    for rows in _blocks(np.arange(live.size), elim.size, elim.size * n):
+    for rows in _blocks(np.arange(live.size), size, size * n):
         scores = _exact_scores(lambda t: t @ onehot.T, folded[rows])
-        out[live[rows]] = (p[rows] + elim.members(scores.argmax(axis=1))) % q
+        out[live[rows]] = (p[rows] + cosets.members(scores.argmax(axis=1))) % q
     return out
 
 
@@ -308,13 +285,12 @@ def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
     all score -inf takes its particular solutions, zero at every free column:
     member 0 of each factor, the smallest pair.  `metric` must be integral
     (fixed_point_metric), so the value comparisons are exact."""
-    ex, ey = coset_x.elimination, coset_y.elimination
-    (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
+    (qx, qy), n, trials = metric.shape, coset_x.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
-    steps_x, steps_y = ex.steps, ey.steps
+    steps_x, steps_y = coset_x.steps, coset_y.steps
     sx, sy = steps_x.shape[2], steps_y.shape[2]
-    ends_x, ends_y = (c.particular[:, e.pivots] @ e.q ** np.arange(e.rank)
-                      for c, e in ((coset_x, ex), (coset_y, ey)))
+    ends_x, ends_y = (c.particular[:, c.pivots] @ c.q ** np.arange(c.rank)
+                      for c in (coset_x, coset_y))
     sym_x, branch = np.arange(qx)[:, None], metric[:, None, :, None]
     into_y = steps_y[:, (-np.arange(qy)) % qy]  # [i, b, t]: state b takes to t
     live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
@@ -369,20 +345,20 @@ def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
     solutions folded in.  Pair (c_x, c_y) has flat index c_x |Y| + c_y, and
     index order is lexicographic order of each factor, so the first best
     index is the smallest ML pair (x first)."""
-    ex, ey = coset_x.elimination, coset_y.elimination
-    (qx, qy), n, trials = metric.shape, ex.n, len(coset_x)
+    (qx, qy), n, trials = metric.shape, coset_x.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
     live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
-    onehot, ky = ex.onehot, ey.members(np.arange(ey.size))
-    for rows in _blocks(live, ex.size * ey.size, (ex.size + ey.size) * n):
+    sx, sy = coset_x.kernel_size, coset_y.kernel_size
+    onehot, ky = coset_x.onehot, coset_y.members(np.arange(sy))
+    for rows in _blocks(live, sx * sy, (sx + sy) * n):
         px, py = coset_x.particular[rows], coset_y.particular[rows]
         xs = (px[:, :, None] + np.arange(qx)) % qx  # [j, i, a]: x symbol
         ys = (py[:, None, :] + ky) % qy  # [j, c, i]: y member c
         table = metric[xs[..., None], ys.transpose(0, 2, 1)[:, :, None, :]]
         scores = _exact_scores(lambda t: onehot @ t, table.reshape(
-            rows.size, n * qx, ey.size)).reshape(rows.size, -1)
-        cx, cy = np.divmod(scores.argmax(axis=1), ey.size)
-        x[rows] = (px + ex.members(cx)) % qx
+            rows.size, n * qx, sy)).reshape(rows.size, -1)
+        cx, cy = np.divmod(scores.argmax(axis=1), sy)
+        x[rows] = (px + coset_x.members(cx)) % qx
         y[rows] = ys[np.arange(rows.size), cy]
     return x, y
 
@@ -399,9 +375,9 @@ def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
     when its n q_x^(rank_x + 1) q_y^(rank_y + 1) branches a trial are fewer
     than the |X| |Y| pairs, and from enumeration of the pairs otherwise; both
     give the same pairs, and the smaller count must be within BUDGET."""
-    ex, ey = coset_x.elimination, coset_y.elimination
-    pairs = ex.size * ey.size
-    branches = ex.n * ex.q ** (ex.rank + 1) * ey.q ** (ey.rank + 1)
+    pairs = coset_x.kernel_size * coset_y.kernel_size
+    branches = (coset_x.n * coset_x.q ** (coset_x.rank + 1)
+                * coset_y.q ** (coset_y.rank + 1))
     if min(pairs, branches) > BUDGET:
         raise BudgetError(f"product has {pairs} pairs and a trellis of "
                           f"{branches} branches, budget {BUDGET}")

@@ -270,11 +270,7 @@ def dims_for(params: SchemeParams, n: int) -> DimReport:
 
 @dataclass
 class SchemeInstance:
-    """One drawn code: matrices plus the shared image vectors.
-
-    Each stacked system of matrices is eliminated once, on first use, and
-    every batch of its cosets comes from that elimination.
-    """
+    """One drawn code: matrices plus the shared image vectors."""
 
     problem: str
     n: int
@@ -283,24 +279,15 @@ class SchemeInstance:
     dims: DimReport
     # gp: stage 2 is the forced reproduction x = w, and no Ahat is drawn
     stage2_forced: bool = False
-    _cosets: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def coset(self, constraints, trials: int) -> CosetDescription:
         """Per trial j, {u : M u = t_j} for (matrix name, targets) pairs
         stacked in order; a target is a (trials, rows) block, or one vector
         that every trial shares."""
-        names = tuple(name for name, _ in constraints)
-        targets = [np.broadcast_to(t, (trials, self.matrices[name].l))
-                   for name, t in constraints]
-        elim = self._cosets.get(names)
-        if elim is not None:
-            return elim.cosets(np.hstack(targets))
-        cosets = solve_coset([(self.matrices[name], t)
-                              for name, t in zip(names, targets)])
-        # idempotent fill: the elimination does not depend on the target
-        self._cosets.setdefault(names, cosets.elimination)
-        return cosets
+        return solve_coset([
+            (self.matrices[name],
+             np.broadcast_to(t, (trials, self.matrices[name].l)))
+            for name, t in constraints])
 
 
 def _is_identity_cond(cond_x_zw: np.ndarray) -> bool:

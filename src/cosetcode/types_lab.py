@@ -203,7 +203,7 @@ def check_typical_trans(mu_joint: Distribution, n: int, gamma: float,
     excess = d_joint[(d_v < gamma) & (d_cond < gamma_p)] - (gamma + gamma_p)
     # chain rule behind the lemma, checked where finite
     finite = np.isfinite(d_joint) & np.isfinite(d_cond)
-    chain = np.abs(d_joint - d_v - d_cond)[finite]
+    chain = np.abs(d_joint[finite] - d_v[finite] - d_cond[finite])
     ok = bool(np.all(excess < 0) and np.all(chain <= 1e-9))
     return ok, float(np.max(excess, initial=-math.inf))
 

@@ -1,6 +1,7 @@
 """Coset solving and exhaustive-search coding vs brute force."""
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -136,8 +137,8 @@ def assert_matches_reference(coset, M, t, q):
     fresh = solve(M, t, q)
     assert np.array_equal(rref(M[:, ::-1], q)[:, ::-1], reduced)
     assert coset.empty[0] == fresh.empty[0] == (particular is None)
-    assert np.array_equal(coset.elimination.basis, fresh.elimination.basis)
-    assert np.array_equal(coset.elimination.basis, basis)
+    assert np.array_equal(coset.basis, fresh.basis)
+    assert np.array_equal(coset.basis, basis)
     if particular is None:
         with pytest.raises(EmptyCosetError):
             coset.elements()
@@ -162,20 +163,17 @@ def test_retarget_matches_fresh_solve(data):
              for _ in range(2))
     metric = np.array(data.draw(st.lists(st.integers(-3, 0), min_size=n * q,
                                          max_size=n * q))).reshape(n, q)
-    elim = solve(M, t0, q).elimination
-    # a block of targets gives each row the coset a fresh solve gives: a
-    # fresh solve, the elimination and either index of the block give the
-    # same block of one, field by field
-    batch = elim.cosets(np.array([t, t0]))
+    # a block of targets gives each row the coset a fresh solve of its
+    # target gives: either index of the block equals that solve, field by
+    # field
+    batch = solve(M, np.array([t, t0]), q)
     for j, target in enumerate((t, t0)):
         fresh = solve(M, target, q)
-        for coset in (elim.cosets([target]), batch[j], batch[j - len(batch)]):
+        for coset in (batch[j], batch[j - len(batch)]):
             assert len(coset) == len(fresh) == 1
-            for f in ("particular", "empty", "target"):
-                assert np.array_equal(getattr(coset, f), getattr(fresh, f))
-            for f in ("q", "matrix", "transform", "pivots", "basis"):
-                assert np.array_equal(getattr(coset.elimination, f),
-                                      getattr(fresh.elimination, f))
+            for f in fields(fresh):
+                assert np.array_equal(getattr(coset, f.name),
+                                      getattr(fresh, f.name))
             assert_matches_reference(coset, M, target, q)
         # ml_code_iid takes solve_coset's result as it is
         got = ml_code_iid(fresh, metric)
@@ -197,8 +195,9 @@ def test_retarget_matches_fresh_solve(data):
     (2, np.array([[1, 1], [1, 1]]), [0, 1], [1, 1], 1, False),  # from empty
 ])
 def test_retarget_edge_cases(q, M, t0, t, kernel_dim, empty):
-    coset = solve(M, t0, q).elimination.cosets([t])
-    assert coset.elimination.basis.shape[0] == kernel_dim
+    # coset 1 of a block whose coset 0 has the target t0
+    coset = solve(M, [t0, t], q)[1]
+    assert coset.basis.shape[0] == kernel_dim
     assert coset.empty[0] == empty
     assert_matches_reference(coset, M, t, q)
 
@@ -222,19 +221,19 @@ def test_members_by_index_are_lexicographic(data):
     c = np.array(data.draw(st.lists(entries, min_size=n - k,
                                     max_size=n - k)), dtype=np.int64)
     M = np.vstack([M, c @ M % q])
-    elim = solve(M, np.zeros(n - k + 1, dtype=int), q).elimination
-    assert elim.basis.shape[0] == k and elim.size == q ** k
+    coset = solve(M, np.zeros(n - k + 1, dtype=int), q)
+    assert coset.basis.shape[0] == k and coset.kernel_size == q ** k
     coeffs = np.array(list(itertools.product(range(q), repeat=k)),
                       dtype=np.int64).reshape(q ** k, k)
-    want = coeffs @ elim.basis % q
-    got = elim.members(np.arange(elim.size))
+    want = coeffs @ coset.basis % q
+    got = coset.members(np.arange(coset.kernel_size))
     assert got.shape == (q ** k, n) and np.array_equal(got, want)
     rows = [tuple(u) for u in got.tolist()]
     assert all(a < b for a, b in zip(rows, rows[1:]))
     index = np.array(data.draw(st.lists(st.integers(0, q ** k - 1),
                                         max_size=6)), dtype=np.int64)
-    assert np.array_equal(elim.members(index), want[index])
-    assert np.array_equal(elim.onehot, np.eye(q)[want].reshape(q ** k, -1))
+    assert np.array_equal(coset.members(index), want[index])
+    assert np.array_equal(coset.onehot, np.eye(q)[want].reshape(q ** k, -1))
 
 
 def test_solve_refuses_bad_constraints():
@@ -253,7 +252,7 @@ def test_solve_refuses_bad_constraints():
 
 def _full_space(q, n, trials=1):
     Z = SparseMatrix(q, np.zeros((1, n)))  # zero matrix: coset of 0 is everything
-    return solve_coset([(Z, [0])]).elimination.cosets(np.zeros((trials, 1)))
+    return solve_coset([(Z, np.zeros((trials, 1)))])
 
 
 def joined(*members):
@@ -294,8 +293,7 @@ def random_batch(data, q, n, trials):
         else:
             targets.append(M @ np.array(data.draw(st.lists(
                 entries, min_size=n, max_size=n))) % q)
-    return solve(M, targets[0], q).elimination.cosets(
-        np.array(targets))
+    return solve(M, np.array(targets), q)
 
 
 def random_metric(data, shape, n):
@@ -355,7 +353,7 @@ def _narrow_batch(q, n, trials, seed):
     rng = rng_from_seed(seed)
     M = np.hstack([np.eye(n - 3, dtype=int), rng.integers(0, q, (n - 3, 3))])
     targets = (M @ rng.integers(0, q, (trials, n)).T % q).T
-    return solve(M, targets[0], q).elimination.cosets(targets)
+    return solve(M, targets, q)
 
 
 @pytest.mark.parametrize("q, n", [(2, 64), (3, 40)])
@@ -384,7 +382,7 @@ def test_ml_iid_matches_brute():
             n = 5
             M = rng.integers(0, q, size=(2, n))
             targets = rng.integers(0, q, size=(4, 2))
-            batch = solve(M, targets[0], q).elimination.cosets(targets)
+            batch = solve(M, targets, q)
             p = rng.random(q)
             metric = fixed_point_metric(np.log2(p / p.sum()), n)
             got = ml_code_iid(batch, metric)
@@ -411,7 +409,7 @@ def test_ml_cond_iid_matches_brute():
         n = 6
         M = rng.integers(0, q, size=(3, n))
         targets = rng.integers(0, q, size=(4, 3))
-        batch = solve(M, targets[0], q).elimination.cosets(targets)
+        batch = solve(M, targets, q)
         v = rng.integers(0, q, size=(4, n))
         cond = rng.random((q, q))
         cond /= cond.sum(axis=1, keepdims=True)
@@ -423,10 +421,9 @@ def test_ml_cond_iid_matches_brute():
 
 
 def test_ml_empty_cosets_give_minus_one_rows():
-    # one elimination, three targets: the middle one is inconsistent
+    # one matrix, three targets: the middle one is inconsistent
     A = SparseMatrix(2, [[1, 1], [1, 1]])
-    batch = solve_coset([(A, [0, 0])]).elimination.cosets([[0, 0], [0, 1],
-                                                            [1, 1]])
+    batch = solve_coset([(A, [[0, 0], [0, 1], [1, 1]])])
     assert batch.empty.tolist() == [False, True, False]
     assert batch.size == 4  # two members in each non-empty coset
     got = ml_code_iid(batch, np.zeros(2))
@@ -438,10 +435,10 @@ def test_ml_empty_cosets_give_minus_one_rows():
 def test_kernel_budget_is_checked_before_scoring():
     # 2^25 members: over BUDGET, refused before any table is formed
     A = SparseMatrix(2, np.zeros((1, 25), dtype=int))
-    batch = solve_coset([(A, [0])]).elimination.cosets(np.zeros((3, 1)))
+    batch = solve_coset([(A, np.zeros((3, 1)))])
     with pytest.raises(BudgetError, match="coset has 33554432 elements"):
         ml_code_iid(batch, np.zeros(2))
-    assert "onehot" not in vars(batch.elimination)
+    assert "onehot" not in vars(batch)
 
 
 # -- product ML -------------------------------------------------------------------
@@ -475,10 +472,8 @@ def test_product_paths_match_oracle(data):
 def test_product_all_minus_inf_trial_takes_particular_pair():
     # metric -inf off the diagonal; in trial 0 the factors force x_0 != y_0,
     # so all its pairs score -inf and tie; trial 1 scores finite
-    bx = solve([[1, 0, 0, 0], [0, 1, 1, 0]], [0, 1],
-               2).elimination.cosets([[0, 1], [0, 1]])
-    by = solve([[1, 0, 0, 0], [0, 0, 1, 1]], [1, 0],
-               2).elimination.cosets([[1, 0], [0, 1]])
+    bx = solve([[1, 0, 0, 0], [0, 1, 1, 0]], [[0, 1], [0, 1]], 2)
+    by = solve([[1, 0, 0, 0], [0, 0, 1, 1]], [[1, 0], [0, 1]], 2)
     metric = fixed_point_metric(log_table([[0.3, 0.0], [0.0, 0.7]]), 4)
     assert bx.particular[0].any() and by.particular[0].any()
     for path in (_product_enumerate, _product_trellis):
@@ -512,8 +507,7 @@ def mixed_batches(data, q, n, trials):
         ty.append(My @ (u + (j % 5 == 2) * np.eye(n, dtype=int)[0]) % q)
         if j % 5 > 2:
             (tx, ty)[j % 5 - 3][-1][rows] += 1
-    return (solve(M, t[0], q).elimination.cosets(np.array(t) % q)
-            for M, t in ((Mx, tx), (My, ty)))
+    return (solve(M, np.array(t) % q, q) for M, t in ((Mx, tx), (My, ty)))
 
 
 @pytest.mark.parametrize("per_block", [None, 1, 2, 8])
@@ -533,14 +527,14 @@ def test_trellis_batch_matches_single_trials(per_block, data):
     np.fill_diagonal(metrics[0], 0.0)
     np.fill_diagonal(metrics[1], diagonal)
     room = cosets._TRELLIS_ROOM if per_block is None else per_block * q * q * (
-        q ** (bx.elimination.rank + by.elimination.rank))
+        q ** (bx.rank + by.rank))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cosets, "_TRELLIS_ROOM", room)
         for metric in metrics:
             x, y = _product_trellis(bx, by, metric)
             for j in range(trials):
-                xj, yj = _product_trellis(*(b.elimination.cosets(
-                    b.target[j:j + 1]) for b in (bx, by)), metric)
+                xj, yj = _product_trellis(*(solve(
+                    b.matrix, b.target[j:j + 1], q) for b in (bx, by)), metric)
                 assert joined(x[j], y[j]) == joined(xj[0], yj[0])
     assert (bx.empty | by.empty).tolist() == [j % 5 > 2 for j in range(trials)]
     if trials > 2:  # the disjoint trial takes its particular pair
@@ -553,7 +547,7 @@ def test_ml_product_matches_brute():
     for q in (2, 3):
         for trial in range(20):
             n = 5
-            bx, by = (solve(M, t[0], q).elimination.cosets(t)
+            bx, by = (solve(M, t, q)
                       for M, t in ((rng.integers(0, q, size=(2, n)),
                                     rng.integers(0, q, size=(3, 2)))
                                    for _ in range(2)))
@@ -610,7 +604,7 @@ def test_ml_product_budget_and_empty():
     assert not x.any() and not y.any()
     # a trial with an empty factor gets -1 rows on either path
     A = SparseMatrix(2, [[1, 1], [1, 1]])
-    mixed = solve_coset([(A, [0, 0])]).elimination.cosets([[0, 1], [1, 1]])
+    mixed = solve_coset([(A, [[0, 1], [1, 1]])])
     for path in (ml_code_product, _product_enumerate, _product_trellis):
         x, y = path(mixed, mixed, np.zeros((2, 2)))
         assert x.tolist() == y.tolist() == [[-1, -1], [0, 1]]

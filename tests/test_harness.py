@@ -185,9 +185,8 @@ def test_run_experiment_deterministic_across_threads():
             "rate_x": 0.35, "rate_y": 0.35}),
 ])
 def test_shared_caches_thread_count_invariance(problem, scheme, monkeypatch):
-    # trials run in order on the calling thread, which fills the per-instance
-    # cosets, trellis sections and per-params tables: threads=4 starts no
-    # thread and writes the CSVs of threads=1
+    # trials run in order on the calling thread, which fills the per-params
+    # tables: threads=4 starts no thread and writes the CSVs of threads=1
     doc = {"problem": problem, "n": [16 if problem == "sw" else 8],
            "trials": 20, "seed": 11, "best_of": 2, "scheme": scheme}
     cfg = hn.ExperimentConfig.from_dict(doc)
@@ -298,10 +297,9 @@ def test_syndrome_checks_survive_python_O():
 
         def non_member(coset_x, coset_y, metric):
             x, y = decode(coset_x, coset_y, metric)
-            elim = coset_x.elimination
-            i = np.flatnonzero(elim.matrix.any(axis=0))[0]  # A e_i != 0
+            i = np.flatnonzero(coset_x.matrix.any(axis=0))[0]  # A e_i != 0
             x = x.copy()
-            x[..., i] = (x[..., i] + 1) % elim.q
+            x[..., i] = (x[..., i] + 1) % coset_x.q
             return x, y
 
         sc.ml_code_product = non_member
@@ -382,17 +380,41 @@ PINNED_RUNS = [
 ]
 
 
+def _run_digests(doc):
+    """sha256 of the summary and records CSVs of a 20-trial, seed-2026 run."""
+    cfg = hn.ExperimentConfig.from_dict({
+        "trials": 20, "seed": 2026, "best_of": 2, **doc})
+    summary, records = hn.run_experiment(cfg)
+    return tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (hn.summary_csv(summary),
+                              hn.records_csv(records)))
+
+
 @pytest.mark.parametrize("problem, n, scheme, digests", PINNED_RUNS)
 def test_outputs_are_pinned(problem, n, scheme, digests):
     # the CSVs of fixed-seed runs, byte for byte: a decoder, sampler or
     # batching change that moves any record or summary figure fails here
-    cfg = hn.ExperimentConfig.from_dict({
-        "problem": problem, "n": [n], "trials": 20, "seed": 2026,
-        "best_of": 2, "scheme": scheme})
-    summary, records = hn.run_experiment(cfg)
-    got = tuple(hashlib.sha256(text.encode()).hexdigest()
-                for text in (hn.summary_csv(summary), hn.records_csv(records)))
-    assert got == digests
+    assert _run_digests(
+        {"problem": problem, "n": [n], "scheme": scheme}) == digests
+
+
+@pytest.mark.parametrize("doc, digests", [
+    # gp with x != w at times: stage 2 draws Ahat and solves its cosets
+    ({"problem": "gp", "scheme": {
+        "mu_z": [0.5, 0.5], "mu_xw_z": [[[0.45, 0.05], [0.05, 0.45]]] * 2,
+        "channel": [[BSC11[0]] * 2, [BSC11[1]] * 2], "eps_a": 0.05,
+        "eps_b": 0.15, "eps_ahat": 0.01}},
+     ("33e0cd74077d9b5c0782971ce0729e8ec0a5b8dd974d740aa267fb8a42b49809",
+      "c3db72c947f4201f355913e11456c1908ac4954fce82f80be2b432ab6195e505")),
+    # ch on the uniform ensemble: dense matrices
+    ({"problem": "ch", "ensemble": "uniform", "scheme": {
+        "mu_x": [0.5, 0.5], "channel": BSC11, "eps_a": 0.05, "eps_b": 0.15}},
+     ("227cf4fd64b6ecf591fe4db475b29dda0c727c24008e431ee3c31bdb34500dcd",
+      "391cb7fef9c1167e1b172a35496a1d4e89de28badccccff916abdcffaa3f0a05")),
+], ids=["gp-stage-2", "ch-uniform"])
+def test_unshipped_paths_are_pinned(doc, digests):
+    # coset paths that no shipped config reaches, at n = 12
+    assert _run_digests({"n": [12], **doc}) == digests
 
 
 def test_row_counts_are_pinned():

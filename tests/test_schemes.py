@@ -13,7 +13,6 @@ import pytest
 
 from cosetcode import harness as hn
 from cosetcode import schemes as sc
-from cosetcode.cosets import Elimination
 from cosetcode.matrices import SparseMatrix, derive_seed
 from cosetcode.types_lab import Distribution
 
@@ -477,40 +476,35 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
         "oho": ({"mu_xy": dsbs(0.1), "channel": bsc(0.1),
                  "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15}, 3),
     }
+    # each batch of trials solves each of its stacked systems once, for
+    # all its trials together
     for problem, (scheme, systems) in cases.items():
         params = sc.scheme_params(problem, scheme)
-        solved.clear()
         inst = sc.build_instance(params, 10, seed=5)
         for batch in range(3):
+            solved.clear()
             hn.run_trial(problem, params, inst,
                          [derive_seed(5, problem, batch, t) for t in range(9)])
-        assert sorted(solved.values()) == [1] * systems, problem
+            assert sorted(solved.values()) == [1] * systems, problem
 
 
-def test_first_use_of_a_coset_solves_its_own_targets(monkeypatch):
-    # the elimination of a system's first use codes only the targets asked
-    # for: one block of cosets, none for a placeholder target
+def test_first_use_of_a_coset_solves_its_own_targets():
+    # a coset call codes the targets asked for, the shared vector broadcast
+    # to every trial, and each trial's members solve its stacked system
     params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
                                      "eps_a": 0.05, "eps_b": 0.15})
     inst = sc.build_instance(params, 12, seed=3)
-    blocks = []
-    cosets = Elimination.cosets
-    monkeypatch.setattr(Elimination, "cosets",
-                        lambda elim, t: blocks.append(len(t)) or cosets(elim, t))
     m = sc.sample_message(inst, range(4))
-    for _ in range(2):  # first use, then reuse
-        blocks.clear()
-        batch = inst.coset([("A", inst.vectors["A"]), ("B", m)], 4)
-        assert blocks == [4]
-        assert np.array_equal(batch.target, np.hstack(
-            [np.broadcast_to(inst.vectors["A"], (4, inst.matrices["A"].l)), m]))
-        for j in range(4):
-            u = batch[j].elements()
-            assert (batch.matrix @ u.T % 2 == batch.target[j][:, None]).all()
+    batch = inst.coset([("A", inst.vectors["A"]), ("B", m)], 4)
+    assert np.array_equal(batch.target, np.hstack(
+        [np.broadcast_to(inst.vectors["A"], (4, inst.matrices["A"].l)), m]))
+    for j in range(4):
+        u = batch[j].elements()
+        assert (batch.matrix @ u.T % 2 == batch.target[j][:, None]).all()
 
 
 def test_concurrent_first_use_of_a_coset():
-    # more threads than cores race to compile the same system, each for its
+    # more threads than cores solve the same system at once, each for its
     # own target; every one must get the coset of its target
     params = sc.scheme_params("sw", {"joint": dsbs(0.11),
                                      "rate_x": 0.85, "rate_y": 0.85})

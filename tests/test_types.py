@@ -210,7 +210,7 @@ def _reference_typical_trans(mu_joint, n, gamma, gamma_p):
     d_joint = tl.divergence(types / n, mu_joint.p.ravel())
     excess = d_joint[(d_v < gamma) & (d_cond < gamma_p)] - (gamma + gamma_p)
     finite = np.isfinite(d_joint) & np.isfinite(d_cond)
-    chain = np.abs(d_joint - d_v - d_cond)[finite]
+    chain = np.abs(d_joint[finite] - d_v[finite] - d_cond[finite])
     ok = bool(np.all(excess < 0) and np.all(chain <= 1e-9))
     return ok, float(np.max(excess, initial=-math.inf))
 
