@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -78,6 +77,20 @@ def divergence(p, pprime):
     return float(out) if out.ndim == 0 else out
 
 
+def _type_divergence(types, n: int, mu_p) -> np.ndarray:
+    """`divergence(types / n, mu_p)` for count vectors of length-n sequences,
+    one per row. A letter's term depends only on its count, one of n + 1,
+    so it is read from a table of the terms of 0/n, ..., n/n, and the terms
+    are added in letter order as there. A one-letter divergence is 0 plus
+    its one term, so `divergence` forms the table: every bit is the same."""
+    table = divergence((np.arange(n + 1) / n)[:, None],
+                       mu_p[:, None, None])  # [letter, count]
+    out = np.zeros(len(types))
+    for a, terms in enumerate(table):
+        out += terms[types[:, a]]
+    return out
+
+
 def _count_sum(counts):
     """Counts summed over the last axis one slice at a time, widened to at
     least the default integer as numpy's sum widens them.  Integer sums are
@@ -92,17 +105,38 @@ def _count_sum(counts):
 def cond_type_divergence(joint_counts, cond_mu):
     """D(nu_{u|v} || mu_{U|V} | nu_v) from joint counts indexed [..., v, u],
     summed row by row over v. One count table gives a float, a stack of
-    them an array over the leading axes."""
+    them an array over the leading axes.
+
+    A count c in a row of total t adds the term of c / max(t, 1), so each
+    letter's terms are read from one table over (t, c), formed by
+    one-letter divergences and added in `divergence`'s letter order: the
+    bits are those of dividing the counts and calling `divergence` row by
+    row. The table has one row of m + 1 counts, m the largest row total,
+    for each row total that occurs: (m + 1)^2 entries for all the types of
+    length m, a few rows for one table of a long sequence."""
     joint_counts = np.asarray(joint_counts)
+    # counts index the table: uint64 ones would add to indices as floats
+    if not np.can_cast(joint_counts.dtype, np.intp):
+        joint_counts = joint_counts.astype(np.intp, casting="same_kind")
     row_counts = _count_sum(joint_counts)  # [..., v]
     # a row that never occurs (or an empty table) has weight 0, divergence 0
     n = np.maximum(_count_sum(row_counts), 1)
-    cond_mu = np.asarray(cond_mu, dtype=float)
+    side = np.arange(int(row_counts.max(initial=0)) + 1)
+    occurs = np.zeros(side.size, bool)
+    occurs[row_counts] = True
+    freq = (side / np.maximum(side[occurs], 1)[:, None]).ravel()
+    # where the table's row of each total that occurs starts
+    at_total = (np.cumsum(occurs) - 1) * side.size
+    table = divergence(freq[:, None],
+                       np.asarray(cond_mu, dtype=float)[..., None, None])
     out = np.zeros(joint_counts.shape[:-2])
-    for vi in range(joint_counts.shape[-2]):
+    for vi, row_table in enumerate(table):
         nv = row_counts[..., vi]
-        freq = joint_counts[..., vi, :] / np.maximum(nv, 1)[..., None]
-        out += (nv / n) * divergence(freq, cond_mu[vi])
+        at = at_total[nv]
+        d = np.zeros(out.shape)
+        for u, terms in enumerate(row_table):
+            d += terms[at + joint_counts[..., vi, u]]
+        out += (nv / n) * d
     return float(out) if out.ndim == 0 else out
 
 
@@ -128,21 +162,40 @@ def lam(size_u: int, n: int) -> float:
 
 # -- type enumeration --------------------------------------------------------
 
+def _ramps(rest):
+    """The counts 0, 1, ..., r for each r in `rest` (an unsigned array), one
+    ramp after another, and each ramp's length r + 1. The ramps are a
+    running sum of unit steps that drops by the last ramp's top where a
+    new one starts, added modulo the range of `rest`'s dtype, so no
+    temporary of the ramps' length is wider than that dtype."""
+    reps = rest.astype(np.intp) + 1
+    step = np.ones(int(reps.sum()), rest.dtype)
+    step[0] = 0
+    step[np.cumsum(reps[:-1])] = -rest[:-1]
+    return np.add.accumulate(step, dtype=rest.dtype, out=step), reps
+
+
 def type_array(n: int, k: int) -> np.ndarray:
     """All occurrence-count vectors of length k summing to n, one per row,
-    in lexicographic order. By stars and bars they are the gaps between
-    k - 1 bars in distinct slots among n + k - 1, and
-    `itertools.combinations` lists the bar slots in the same order."""
-    slots = n + k - 1
-    dtype = np.min_scalar_type(slots)
-    rows = math.comb(slots, k - 1)
-    types = np.empty((rows, k), dtype=dtype)
-    bars = itertools.chain.from_iterable(
-        itertools.combinations(range(slots), k - 1))
-    types[:, :-1] = np.fromiter(bars, dtype, rows * (k - 1)).reshape(rows, -1)
-    types[:, -1] = slots
-    for a in range(k - 1, 0, -1):
-        types[:, a] -= types[:, a - 1] + 1
+    in lexicographic order, in the smallest dtype that holds n + k - 1.
+
+    Built a letter at a time: each prefix of the first a counts (sum <= n,
+    in lexicographic order) is followed by every count that still fits,
+    and each longer prefix heads as many rows as there are ways to share
+    what is left of n among the letters after it. The last count is what
+    is left."""
+    dtype = np.min_scalar_type(n + k - 1)
+    types = np.empty((math.comb(n + k - 1, k - 1), k), dtype)
+    rest = np.array([n], dtype)  # n less the counts of each prefix
+    for a in range(k - 1):
+        count, reps = _ramps(rest)
+        rest = np.repeat(rest, reps) - count
+        m = k - 2 - a  # the letters between this count and the last
+        if m:
+            heads = np.array([math.comb(r + m, m) for r in range(n + 1)])
+            count = np.repeat(count, heads[rest])
+        types[:, a] = count
+    types[:, -1] = rest
     return types
 
 
@@ -169,7 +222,7 @@ def typical_count(mu, n: int, gamma: float) -> int:
     """Exact size of the typical set, via type-class combinatorics."""
     mu_p = np.asarray(mu, dtype=float).ravel()
     types = type_array(n, mu_p.size)
-    typical = types[divergence(types / n, mu_p) < gamma]
+    typical = types[_type_divergence(types, n, mu_p) < gamma]
     return sum(type_class_size(counts) for counts in typical.tolist())
 
 
@@ -180,10 +233,9 @@ def check_exprob(mu: Distribution, n: int):
     checked within 1e-12 on every type with positive probability."""
     mu_p = mu.p.ravel()
     types = type_array(n, mu_p.size)
-    freq = types / n
-    d = divergence(freq, mu_p)
+    d = _type_divergence(types, n, mu_p)
     # H(nu) = -D(nu || 1), the divergence from the all-ones measure
-    rhs = d - divergence(freq, np.ones_like(mu_p))
+    rhs = d - _type_divergence(types, n, np.ones_like(mu_p))
     dev = np.abs(-_log2_prob(types, mu_p) / n - rhs)
     worst = float(np.max(dev, initial=0.0, where=np.isfinite(d)))
     return worst <= 1e-12, worst
@@ -197,9 +249,9 @@ def check_typical_trans(mu_joint: Distribution, n: int, gamma: float,
     cond = mu_joint.conditional(0)
     types = type_array(n, qv * qu)
     counts = types.reshape(-1, qv, qu)
-    d_v = divergence(_count_sum(counts) / n, mu_v)
+    d_v = _type_divergence(_count_sum(counts), n, mu_v)
     d_cond = cond_type_divergence(counts, cond)
-    d_joint = divergence(types / n, mu_joint.p.ravel())
+    d_joint = _type_divergence(types, n, mu_joint.p.ravel())
     excess = d_joint[(d_v < gamma) & (d_cond < gamma_p)] - (gamma + gamma_p)
     # chain rule behind the lemma, checked where finite
     finite = np.isfinite(d_joint) & np.isfinite(d_cond)
@@ -213,7 +265,7 @@ def check_type_lemma(mu: Distribution, n: int, gamma: float):
     mu_p = mu.p.ravel()
     bound = math.sqrt(2 * gamma)
     types = type_array(n, mu_p.size)
-    typical = types[divergence(types / n, mu_p) < gamma]
+    typical = types[_type_divergence(types, n, mu_p) < gamma]
     dev = np.max(np.abs(typical / n - mu_p), axis=1)
     ok = bool(np.all(dev <= bound + 1e-12)
               and not np.any(typical[:, mu_p == 0]))
@@ -228,7 +280,7 @@ def check_typical_aep(mu: Distribution, n: int, gamma: float):
     h = entropy(mu_p)
     bound = zeta(mu_p.size, gamma)
     types = type_array(n, mu_p.size)
-    typical = types[divergence(types / n, mu_p) < gamma]
+    typical = types[_type_divergence(types, n, mu_p) < gamma]
     dev = np.abs(-_log2_prob(typical, mu_p) / n - h)
     ok = bool(np.all(dev <= bound + 1e-12))
     return ok, float(np.max(dev - bound, initial=-math.inf))
@@ -243,10 +295,17 @@ def check_typical_prob(mu: Distribution, n: int, gamma: float):
     ratios = [float(p).as_integer_ratio() for p in mu_p]
     e = max(den.bit_length() - 1 for _, den in ratios)
     scaled = [m << (e - den.bit_length() + 1) for m, den in ratios]
+    # each letter's powers s^0, ..., s^n, formed once by repeated products
+    powers = []
+    for s in scaled:
+        row = [1]
+        for _ in range(n):
+            row.append(row[-1] * s)
+        powers.append(row)
     num = 0
-    for counts in types[divergence(types / n, mu_p) >= gamma].tolist():
+    for counts in types[_type_divergence(types, n, mu_p) >= gamma].tolist():
         num += type_class_size(counts) * math.prod(
-            s ** c for s, c in zip(scaled, counts))
+            row[c] for row, c in zip(powers, counts))
     tail = num / (1 << (n * e))
     bound = 2.0 ** (-n * (gamma - lam(mu_p.size, n)))
     return tail <= bound + 1e-12, tail - bound

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cosetcode import diagnostics as dg
-from cosetcode.matrices import EnsembleParams, rng_from_seed
+from cosetcode.matrices import EnsembleParams, recommended_tau, rng_from_seed
 
 
 # -- kernel-weight probability ---------------------------------------------------
@@ -246,6 +246,39 @@ def test_beta_grows_with_cutoff():
     lo = dg.alpha_beta(params_lo, 6).beta
     hi = dg.alpha_beta(params_hi, 6).beta
     assert hi >= lo
+
+
+def _alpha_beta_against_n(xi, tau=None):
+    """alpha and beta at q = 2, l = n/2 and n = 64, 128, 256, with tau the
+    `recommended_tau(l, 1/2)` of each l unless given."""
+    points = []
+    for n in (64, 128, 256):
+        l = n // 2
+        if tau is None:
+            params = EnsembleParams(q=2, l=l, n=n, xi=xi,
+                                    tau=recommended_tau(l, 0.5))
+        else:
+            params = EnsembleParams(q=2, l=l, n=n, xi=xi, tau=tau)
+        d = dg.alpha_beta(params, n)
+        points.append((d.alpha, d.beta))
+    return tuple(zip(*points))
+
+
+def test_hash_property_against_n():
+    # the paper's central lemma, measured: with tau growing as log n, alpha
+    # falls toward 1 and beta toward 0 (the sums are exact, no draws)
+    alpha, beta = _alpha_beta_against_n(0.2)
+    assert alpha[0] > alpha[1] > alpha[2]
+    assert abs(alpha[0] - 1) > abs(alpha[1] - 1) > abs(alpha[2] - 1)
+    assert beta[0] > beta[1] > beta[2]
+    # a fixed column weight does not mix the walk: both grow
+    alpha, beta = _alpha_beta_against_n(0.2, tau=2)
+    assert alpha[0] < alpha[1] < alpha[2]
+    assert beta[0] < beta[1] < beta[2]
+    # past the Gilbert-Varshamov radius 2 h^-1(1/2) ~ 0.22 of a binary
+    # rate-1/2 ensemble, sum_{w <= xi l} |C_w| outgrows |Im| and beta grows
+    _, beta = _alpha_beta_against_n(0.25)
+    assert beta[0] < beta[1] < beta[2]
 
 
 def test_im_size_characterization():

@@ -3,11 +3,12 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosetcode import cli
@@ -67,6 +68,45 @@ def test_iter_types_and_class_size():
         assert sum(sizes) == q**n
 
 
+def _reference_type_array(n, k):
+    """type_array by stars and bars: the gaps between k - 1 bars in distinct
+    slots among n + k - 1, the bar slots listed by `itertools.combinations`
+    in lexicographic order."""
+    slots = n + k - 1
+    dtype = np.min_scalar_type(slots)
+    rows = math.comb(slots, k - 1)
+    types = np.empty((rows, k), dtype=dtype)
+    bars = itertools.chain.from_iterable(
+        itertools.combinations(range(slots), k - 1))
+    types[:, :-1] = np.fromiter(bars, dtype, rows * (k - 1)).reshape(rows, -1)
+    types[:, -1] = slots
+    for a in range(k - 1, 0, -1):
+        types[:, a] -= types[:, a - 1] + 1
+    return types
+
+
+def test_type_array_equals_the_stars_and_bars_listing():
+    grid = [(n, k) for n in range(13) for k in range(1, 7)]
+    for n, k in grid + [(8, 9), (6, 9), (0, 1), (0, 3), (1100, 2)]:
+        got, want = tl.type_array(n, k), _reference_type_array(n, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, k", [(1670, 3), (60, 5)])
+def test_type_array_peak_allocation(n, k):
+    # at the edge of the enumeration budget the ramps stay in the types'
+    # dtype: at most twice the stars-and-bars listing's traced peak
+    peaks = []
+    for build in (tl.type_array, _reference_type_array):
+        tracemalloc.start()
+        try:
+            build(n, k)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2 * peaks[1]
+
+
 def test_type_class_size_is_the_multinomial_coefficient():
     rng = np.random.default_rng(1)
     for n, k in ((0, 3), (7, 1), (30, 4), (400, 5), (2500, 2), (5000, 3)):
@@ -100,6 +140,21 @@ def test_divergence_properties():
         assert list(stacked) == [tl.divergence(r, pp) for r in rows]
     with pytest.raises(ValueError):
         tl.divergence(rows, [1 / 3] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 20), min_size=1, max_size=6).filter(any),
+       st.integers(1, 12))
+@example([3, 0, 1], 5)  # a letter outside mu's support: inf rows
+@example([1], 12)
+def test_type_divergence_keeps_its_bits(weights, n):
+    # the count-table divergence of every type, with zero counts and zero
+    # letters, is `divergence` of the frequencies, byte for byte
+    mu = np.array(weights, dtype=float) / sum(weights)
+    types = tl.type_array(n, mu.size)
+    got = tl._type_divergence(types, n, mu)
+    want = tl.divergence(types / n, mu)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_chain_rule_divergence_on_counts():
@@ -248,6 +303,19 @@ def test_cond_type_divergence_keeps_its_bits():
         want = _reference_cond_type_divergence(table, cond)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         assert type(got) is type(want)
+
+
+def test_cond_type_divergence_of_one_long_sequence():
+    # a table row per row total that occurs, not one per total up to 10^5;
+    # uint64 counts, which numpy sums in floats, index it as integers
+    cond = tl.Distribution(TRANS_JOINTS[2]).conditional(0)
+    for table in ([[60000, 1], [3, 39996]], [[0, 0], [7, 99993]]):
+        want = _reference_cond_type_divergence(table, cond)
+        for dtype in (np.int64, np.uint64):
+            got = tl.cond_type_divergence(np.array(table, dtype), cond)
+            assert type(got) is float and got.hex() == want.hex()
+    with pytest.raises(TypeError):
+        tl.cond_type_divergence(np.array([[1.0, 2.0], [3.0, 4.0]]), cond)
 
 
 def test_typical_trans_suite():
