@@ -87,8 +87,8 @@ def cmd_diag(args) -> int:
 def types_check_report(q: int, n: int, gamma: float, gamma2: float):
     """Run the six type-lemma suites in `LEMMA_SUITE` order; returns
     [(name, ok, margin), ...]."""
-    mu = tl.Distribution.uniform(q) if q == 2 else tl.Distribution(
-        np.array([0.5, 0.3, 0.2][:q] if q == 3 else [1 / q] * q))
+    mu = (tl.Distribution([0.5, 0.3, 0.2]) if q == 3
+          else tl.Distribution.uniform(q))
     mu_biased = tl.Distribution([0.7, 0.3]) if q == 2 else mu
     joint = tl.Distribution(
         np.outer(mu_biased.p, mu.p) * 0.5
@@ -177,7 +177,7 @@ def cmd_run(args) -> int:
                                                          args.config):
         raise ValueError(f"the JSON summary {summary_path} would overwrite "
                          "the config; choose another --out prefix")
-    summary, records = hn.run_experiment(cfg, threads=args.threads)
+    summary, records = hn.run_experiment(cfg)
     csv_path = hn.write_outputs(summary, records, prefix)
     sys.stdout.write(hn.summary_csv(summary))
     print(f"# written: {csv_path}")
@@ -261,9 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="run a Monte Carlo experiment from a config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted and ignored: trials run in order on one "
-                         "thread; no effect on output or speed")
     sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("oracle", help="brute-force closed-form cross-checks")

@@ -15,10 +15,6 @@ BUDGET = 1 << 24
 _TRELLIS_ROOM = 1 << 16
 
 
-class EmptyCosetError(Exception):
-    """The constraint system has no solution."""
-
-
 class BudgetError(Exception):
     """Enumeration would exceed the element budget."""
 
@@ -120,7 +116,7 @@ class CosetDescription:
         if len(self) != 1:
             raise ValueError(f"elements of a block of {len(self)} cosets")
         if self.empty[0]:
-            raise EmptyCosetError("coset is empty")
+            raise ValueError("coset is empty")
         self.check_budget()
         members = self.members(np.arange(self.kernel_size))
         return (self.particular[0] + members) % self.q
@@ -179,9 +175,9 @@ def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):
     """Split trial indices into blocks whose score arrays, `scores_per_trial`
     entries a trial, fit in `room` entries (at least one trial a block).
 
-    The enumeration callers pass the entries of the element arrays that
-    enumeration used to build per trial, so a block's scores take no more
-    memory; the trellis passes the fixed `_TRELLIS_ROOM`."""
+    The enumeration callers pass n entries for each member of one trial's
+    cosets, so a block's scores take no more memory than one trial's
+    members written out; the trellis passes the fixed `_TRELLIS_ROOM`."""
     step = max(1, room // scores_per_trial)
     return [rows[i:i + step] for i in range(0, rows.size, step)]
 

@@ -76,24 +76,8 @@ def walk_dist_closed(q: int, l: int, steps: int, w_c: int):
         num = sum(((q - 1) * l - q * k) ** steps * _krawtchouk(q, l, w_c, k)
                   for k in range(l + 1))
         return Fraction(num, ((q - 1) * l) ** steps * q**l)
-    return _walk_float(q, l, steps, _log_krawtchouk(q, l, w_c))
-
-
-def _log_krawtchouk(q: int, l: int, w_c: int) -> list:
-    """(k, sign, log|K_k(w_c)|) for every k with K_k(w_c) != 0: the part of
-    the float path's terms that does not depend on the number of steps."""
-    out = []
-    for k in range(l + 1):
-        kraw = _krawtchouk(q, l, w_c, k)
-        if kraw:
-            out.append((k, 1 if kraw > 0 else -1, math.log(abs(kraw))))
-    return out
-
-
-def _walk_float(q: int, l: int, steps: int, log_krawtchouk: list):
-    """walk_dist_closed's signed log-domain sum over `_log_krawtchouk` terms."""
     terms = []
-    for k, sign, log_kraw in log_krawtchouk:
+    for k, sign, log_kraw in _log_krawtchouk(q, l, w_c):
         # the base from integers: at q = 2 the terms k and l - k then have
         # equal magnitudes and cancel exactly when they differ in sign
         num = (q - 1) * l - q * k
@@ -106,6 +90,16 @@ def _walk_float(q: int, l: int, steps: int, log_krawtchouk: list):
     if cancel:
         warnings.warn("severe cancellation in walk_dist_closed; value unreliable")
     return total
+
+
+@functools.cache
+def _log_krawtchouk(q: int, l: int, w_c: int) -> tuple:
+    """(k, sign, log|K_k(w_c)|) for every k with K_k(w_c) != 0: the part of
+    the float path's terms that does not depend on the number of steps,
+    formed once per (q, l, w_c)."""
+    return tuple((k, 1 if kraw > 0 else -1, math.log(abs(kraw)))
+                 for k in range(l + 1)
+                 if (kraw := _krawtchouk(q, l, w_c, k)))
 
 
 def walk_dist_recursive(q: int, l: int, steps: int):
@@ -204,17 +198,10 @@ def alpha_beta(params: EnsembleParams, n: int,
         raise ValueError(f"l = {l} puts |Im| past the float range at q = {q}")
     if max(sizes.values(), default=0) > sys.float_info.max:
         raise ValueError(f"n = {n} puts |C_w| past the float range at q = {q}")
-    per_weight = {}
-    origin = None  # the float path's log K_k(0), formed once for every w
-    for w, size in sizes.items():
-        if ensemble == "uniform":
-            p = Fraction(1, q**l)
-        elif _use_exact(l, w * tau):
-            p = return_prob(q, l, tau, w)
-        else:
-            origin = origin or _log_krawtchouk(q, l, 0)
-            p = _walk_float(q, l, w * tau, origin)
-        per_weight[w] = (p, size)
+    per_weight = {
+        w: (Fraction(1, q**l) if ensemble == "uniform"
+            else return_prob(q, l, tau, w), size)
+        for w, size in sizes.items()}
     high = [per_weight[w][0] for w in range(1, n + 1) if w > cutoff]
     alpha = im * max(high) if high else Fraction(0)
     beta = sum((per_weight[w][0] * per_weight[w][1]

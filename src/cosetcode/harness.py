@@ -236,8 +236,7 @@ def _check(problem: str, contract: str, got, want, trials):
                              f"decoder output breaks {contract}")
 
 
-def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
-              seeds):
+def run_trial(params: sc.SchemeParams, inst: sc.SchemeInstance, seeds):
     """All trials of one code draw as one batch: sample, encode, transmit,
     decode, check; one trial per seed.
 
@@ -248,7 +247,7 @@ def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
     scheme and the trial.  A coder's `failed` mask marks its own trials as
     encoder failures; an EncoderFailure raised by a coder marks them all.
     """
-    n, seeds = inst.n, list(seeds)
+    problem, n, seeds = params.problem, inst.n, list(seeds)
     every = np.arange(len(seeds))
 
     def streams(tag, trials=every):
@@ -305,8 +304,6 @@ def run_trial(problem: str, params: sc.SchemeParams, inst: sc.SchemeInstance,
             _check(problem, "Bhat x = b_x",
                    inst.matrices["Bhat"].matvec(xh[live]), bx[live], live)
             ok = _same(xh, x)
-        else:
-            raise ValueError(f"unknown problem {problem!r}")
     except sc.EncoderFailure:
         failed = np.ones(len(seeds), dtype=bool)
     if "rho" in sc.SCHEME_KEYS[problem]:
@@ -348,7 +345,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
             seeds = [derive_seed(cfg.seed, "trial", n, k, t)
                      for t in range(cfg.trials)]
             t0 = time.monotonic()
-            outcomes = run_trial(cfg.problem, params, inst, seeds)
+            outcomes = run_trial(params, inst, seeds)
             # the batch's time, divided evenly among its trials
             seconds = (time.monotonic() - t0) / cfg.trials
             recs = [TrialRecord(n=n, draw=k, trial=t, seed=s, ok=ok,

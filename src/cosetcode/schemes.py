@@ -272,13 +272,10 @@ def dims_for(params: SchemeParams, n: int) -> DimReport:
 class SchemeInstance:
     """One drawn code: matrices plus the shared image vectors."""
 
-    problem: str
     n: int
     matrices: dict
     vectors: dict
     dims: DimReport
-    # gp: stage 2 is the forced reproduction x = w, and no Ahat is drawn
-    stage2_forced: bool = False
 
     def coset(self, constraints, trials: int) -> CosetDescription:
         """Per trial j, {u : M u = t_j} for (matrix name, targets) pairs
@@ -304,12 +301,12 @@ def build_instance(params: SchemeParams, n: int, seed,
     """Draw the matrices, and a shared vector A u (u uniform) for every
     matrix without a summary column."""
     dims = params.dims(n)
-    stage2_forced = params.problem == "gp" and _is_identity_cond(
+    forced = params.problem == "gp" and _is_identity_cond(
         params.cond("x", "zw"))
     matrices, vectors = {}, {}
     for name, (var, _, column) in MATRICES[params.problem].items():
-        if name == "Ahat" and stage2_forced:
-            continue  # gp_encode returns w before it reads a stage 2
+        if name == "Ahat" and forced:
+            continue  # stage 2 is the forced x = w: gp_encode reads no Ahat
         q = params.card(var)
         l = dims.rounded[name]
         t = tau if tau is not None else recommended_tau(l, l * math.log2(q) / n)
@@ -325,8 +322,7 @@ def build_instance(params: SchemeParams, n: int, seed,
         if column is None:
             vectors[name] = sample_image_point(
                 matrices[name], derive_seed(seed, "vec", name))
-    return SchemeInstance(params.problem, n, matrices, vectors, dims,
-                          stage2_forced=stage2_forced)
+    return SchemeInstance(n, matrices, vectors, dims)
 
 
 def sample_message(inst: SchemeInstance, seeds) -> np.ndarray:
@@ -375,7 +371,7 @@ def gp_encode(inst: SchemeInstance, params: SchemeParams, m, z):
     auxiliary sequence matches (c, m) or no input matches c-hat."""
     cosets = inst.coset([("A", inst.vectors["A"]), ("B", m)], len(m))
     w = ml_code_cond_iid(cosets, z, params.metric_cond("w", "z", inst.n))
-    if inst.stage2_forced:
+    if "Ahat" not in inst.matrices:  # stage 2 is the forced x = w
         return w, cosets.empty
     coset2 = inst.coset([("Ahat", inst.vectors["Ahat"])], len(m))
     x = ml_code_cond_iid(coset2, (z, w), params.metric_cond("x", "zw", inst.n))

@@ -295,17 +295,22 @@ def check_typical_prob(mu: Distribution, n: int, gamma: float):
     ratios = [float(p).as_integer_ratio() for p in mu_p]
     e = max(den.bit_length() - 1 for _, den in ratios)
     scaled = [m << (e - den.bit_length() + 1) for m, den in ratios]
-    # each letter's powers s^0, ..., s^n, formed once by repeated products
-    powers = []
+    # s^c = giant[c // b] baby[c % b]: each letter keeps about 2 sqrt(n)
+    # powers, not all n + 1 of them, whose sizes add up to ~n^2 digits
+    b = math.isqrt(n) + 1
+    tables = []
     for s in scaled:
-        row = [1]
-        for _ in range(n):
-            row.append(row[-1] * s)
-        powers.append(row)
+        baby = [1]
+        for _ in range(b):
+            baby.append(baby[-1] * s)
+        giant = [1]
+        for _ in range(n // b):
+            giant.append(giant[-1] * baby[b])
+        tables.append((giant, baby))
     num = 0
     for counts in types[_type_divergence(types, n, mu_p) >= gamma].tolist():
         num += type_class_size(counts) * math.prod(
-            row[c] for row, c in zip(powers, counts))
+            giant[c // b] * baby[c % b] for (giant, baby), c in zip(tables, counts))
     tail = num / (1 << (n * e))
     bound = 2.0 ** (-n * (gamma - lam(mu_p.size, n)))
     return tail <= bound + 1e-12, tail - bound

@@ -30,7 +30,8 @@ def test_unknown_flag_exits_2():
 
 @pytest.mark.parametrize("argv", [
     ["diag", "--seed", "1"], ["hash-check", "--out", "x"],
-    ["oracle", "--seed", "1"], ["oracle", "--out", "x"]])
+    ["oracle", "--seed", "1"], ["oracle", "--out", "x"],
+    ["run", "--config", "x", "--threads", "2"]])
 def test_flags_a_command_does_not_read_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -218,7 +218,8 @@ def test_alpha_beta_refuses_integers_past_the_float_range():
 def test_alpha_beta_forms_the_origin_terms_once(q, l, n, tau, monkeypatch):
     # l past EXACT_L_LIMIT, or w tau past EXACT_POWER_LIMIT from w = 5 on:
     # the float weights share one set of l + 1 terms, the exact ones keep
-    # their own sums
+    # their own sums; the memo of those terms lives across calls
+    dg._log_krawtchouk.cache_clear()
     calls = []
     krawtchouk = dg._krawtchouk
     monkeypatch.setattr(dg, "_krawtchouk",
@@ -229,6 +230,19 @@ def test_alpha_beta_forms_the_origin_terms_once(q, l, n, tau, monkeypatch):
     for w in range(1, n + 1):
         p = dg.return_prob(q, l, tau, w)
         assert type(d.per_weight[w][0]) is type(p) and d.per_weight[w][0] == p
+
+
+def test_float_walks_share_their_origin_terms(monkeypatch):
+    # l = 80 is past EXACT_L_LIMIT: every walk length reads one memo of the
+    # l + 1 Krawtchouk terms of the origin
+    dg._log_krawtchouk.cache_clear()
+    calls = []
+    krawtchouk = dg._krawtchouk
+    monkeypatch.setattr(dg, "_krawtchouk",
+                        lambda *args: calls.append(args) or krawtchouk(*args))
+    for steps in (2, 4, 6):
+        assert isinstance(dg.walk_dist_closed(3, 80, steps, 0), float)
+    assert len(calls) == 81
 
 
 def test_alpha_beta_uniform_is_universal():

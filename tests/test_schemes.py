@@ -312,8 +312,8 @@ def test_ch_encoder_failure():
     params = sc.scheme_params("ch", {"mu_x": [0.5, 0.5], "channel": bsc(0.11),
                                      "eps_a": 0.05, "eps_b": 0.05})
     A = SparseMatrix(2, [[1, 1]])
-    inst = sc.SchemeInstance("ch", 2, {"A": A, "B": A},
-                             {"A": np.array([0])}, sc.dims_for(params, 2))
+    inst = sc.SchemeInstance(2, {"A": A, "B": A}, {"A": np.array([0])},
+                             sc.dims_for(params, 2))
     # an empty coset marks only its own trial
     x, failed = sc.ch_encode(inst, params, np.array([[1], [0]]))
     assert failed.tolist() == [True, False]
@@ -348,7 +348,6 @@ def test_forced_gp_stage_2_draws_no_matrix(monkeypatch):
 
     monkeypatch.setattr(sc, "solve_coset", recording)
     forced = sc.build_instance(_bsc_gp_params(), 8, seed=7)
-    assert forced.stage2_forced
     assert sorted(forced.matrices) == ["A", "B"]
     assert sorted(forced.vectors) == ["A"]
     assert solved == []
@@ -362,7 +361,6 @@ def test_forced_gp_stage_2_draws_no_matrix(monkeypatch):
         "channel": np.stack([bsc(0.11)] * 2, axis=1), "eps_a": 0.05,
         "eps_b": 0.15, "eps_ahat": 0.01})
     free = sc.build_instance(params, 8, seed=7)
-    assert not free.stage2_forced
     assert sorted(free.matrices) == ["A", "Ahat", "B"]
     assert sorted(free.vectors) == ["A", "Ahat"]
 
@@ -429,7 +427,7 @@ def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
     assert np.isfinite(exact).all()
     for k in range(4):
         inst = sc.build_instance(params, n, derive_seed(2026, "inst", n, k))
-        hn.run_trial("ch", params, inst,
+        hn.run_trial(params, inst,
                      [derive_seed(2026, "trial", k, t) for t in range(100)])
     assert len(decoded) == 400
     for coset, y, got in decoded:
@@ -483,7 +481,7 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
         inst = sc.build_instance(params, 10, seed=5)
         for batch in range(3):
             solved.clear()
-            hn.run_trial(problem, params, inst,
+            hn.run_trial(params, inst,
                          [derive_seed(5, problem, batch, t) for t in range(9)])
             assert sorted(solved.values()) == [1] * systems, problem
 

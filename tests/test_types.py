@@ -342,6 +342,19 @@ def test_typical_prob_tail_is_exact(p, n, gamma):
     assert tl.check_typical_prob(mu, n, gamma) == (True, float(tail) - bound)
 
 
+def test_typical_prob_keeps_few_powers():
+    # n = 1000 over two letters: a table of every power s^0, ..., s^n holds
+    # some 6.9 MB of integers, the baby-step/giant-step tables some 0.4 MB
+    mu = tl.Distribution([0.7, 0.3])
+    tracemalloc.start()
+    try:
+        tl.check_typical_prob(mu, 1000, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 PINNED_REPORT_INPUTS = [(q, n) for q in (1, 2, 3) for n in (1, 5, 12)] + [
     (4, 3), (5, 3)]
 
