@@ -16,7 +16,7 @@ import numpy as np
 
 from . import schemes as sc
 from .gf import is_prime
-from .matrices import derive_seed, draw_streams
+from .matrices import Streams, derive_seed, draw_streams
 
 # top-level config keys: the required ones, then the optional ones
 REQUIRED_KEYS = ("problem", "n", "trials", "seed", "scheme")
@@ -168,16 +168,16 @@ class TrialRecord:
 
 
 def _uniforms(seeds, n: int) -> np.ndarray:
-    """One row of n uniforms per seed: rng_from_seed(s).random(n), each
-    seed's own stream, keyed for the whole batch by draw_streams."""
+    """One row of n uniforms per stream: rng_from_seed(s).random(n) for
+    each seed s, or for each stream of a Streams batch, by draw_streams."""
     return np.reshape(draw_streams(seeds, lambda rng: rng.random(n)),
                       (len(seeds), n))
 
 
 def sample_source(mu, n: int, seeds) -> np.ndarray:
-    """i.i.d. sampling, one (T, n) row per seed, each from its own stream:
-    sample_channel with one input; joint pmfs yield a tuple of index
-    arrays."""
+    """i.i.d. sampling, one (T, n) row per seed (or per stream of a Streams
+    batch), each from its own stream: sample_channel with one input; joint
+    pmfs yield a tuple of index arrays."""
     p = np.asarray(mu, dtype=float)
     idx = sample_channel(p.reshape(1, -1),
                          np.zeros((len(seeds), n), dtype=np.int64), seeds)
@@ -186,9 +186,9 @@ def sample_source(mu, n: int, seeds) -> np.ndarray:
 
 def sample_channel(cond, inputs, seeds) -> np.ndarray:
     """Memoryless channel by inverse CDF: cond indexed [input..., output];
-    `inputs` are (T, n) blocks, and row j uses the stream of seeds[j].  The
-    output is the number of CDF entries <= u, so a u equal to a CDF entry
-    takes no output of probability 0."""
+    `inputs` are (T, n) blocks, and row j uses the stream of seeds[j] (seeds
+    or a Streams batch).  The output is the number of CDF entries <= u, so a
+    u equal to a CDF entry takes no output of probability 0."""
     cond = np.asarray(cond, dtype=float)
     if not isinstance(inputs, tuple):
         inputs = (inputs,)
@@ -236,54 +236,64 @@ def _check(problem: str, contract: str, got, want, trials):
                              f"decoder output breaks {contract}")
 
 
-def run_trial(params: sc.SchemeParams, inst: sc.SchemeInstance, seeds):
+# per problem, the tags of the streams that run_trial draws for each trial
+TRIAL_STREAMS = {"sw": ("src",), "ch": ("msg", "chan"), "lossy": ("src",),
+                 "gp": ("msg", "side", "chan"), "wz": ("src",), "oho": ("src",)}
+
+
+def run_trial(params: sc.SchemeParams, inst: sc.SchemeInstance, seeds,
+              streams: Streams | None = None):
     """All trials of one code draw as one batch: sample, encode, transmit,
     decode, check; one trial per seed.
 
-    Every trial draws from its own derive_seed(seed, ...) streams, so its
-    outcome does not depend on the batch.  Returns one (ok, distortion,
-    encoder_failure) per seed.  Decoder outputs are checked against their
-    syndrome contracts, and a violation raises AssertionError naming the
-    scheme and the trial.  A coder's `failed` mask marks its own trials as
-    encoder failures; an EncoderFailure raised by a coder marks them all.
+    Every trial draws from its own derive_seed(seed, tag) streams (keyed by
+    `streams` or here), so its outcome does not depend on the batch.
+    Returns one (ok, distortion, encoder_failure) per seed.  Decoder outputs
+    are checked against their syndrome contracts, and a violation raises
+    AssertionError naming the scheme and the trial.  A coder's `failed` mask
+    marks its own trials as encoder failures; an EncoderFailure raised by a
+    coder marks them all.
     """
     problem, n, seeds = params.problem, inst.n, list(seeds)
     every = np.arange(len(seeds))
+    if streams is None:
+        streams = Streams([(s, tag) for s in seeds
+                           for tag in TRIAL_STREAMS[problem]])
 
-    def streams(tag, trials=every):
-        return [derive_seed(seeds[j], tag) for j in trials]
+    def tagged(tag, trials=every):
+        return streams.select([(seeds[j], tag) for j in trials])
 
     failed = np.zeros(len(seeds), dtype=bool)
     ok = np.zeros(len(seeds), dtype=bool)
     dist = np.zeros(len(seeds))
     try:
         if problem == "sw":
-            x, y = sample_source(params.joint.p, n, streams("src"))
+            x, y = sample_source(params.joint.p, n, tagged("src"))
             bx, by = inst.matrices["A"].matvec(x), inst.matrices["B"].matvec(y)
             xh, yh = sc.sw_decode(inst, params, bx, by)
             _check(problem, "A x = b_x", inst.matrices["A"].matvec(xh), bx, every)
             _check(problem, "B y = b_y", inst.matrices["B"].matvec(yh), by, every)
             ok = _same(xh, x) & _same(yh, y)
         elif problem in ("ch", "gp"):
-            m = sc.sample_message(inst, streams("msg"))
+            m = sc.sample_message(inst, tagged("msg"))
             if problem == "ch":
                 x, failed = sc.ch_encode(inst, params, m)
                 live = np.flatnonzero(~failed)
                 _check(problem, "B x = m", inst.matrices["B"].matvec(x[live]),
                        m[live], live)
                 y = sample_channel(params.cond("y", "x"), x[live],
-                                   streams("chan", live))
+                                   tagged("chan", live))
                 m_hat = sc.ch_decode(inst, params, y)
             else:
-                z = sample_source(params.marg("z"), n, streams("side"))
+                z = sample_source(params.marg("z"), n, tagged("side"))
                 x, failed = sc.gp_encode(inst, params, m, z)
                 live = np.flatnonzero(~failed)
                 y = sample_channel(params.cond("y", "xz"), (x[live], z[live]),
-                                   streams("chan", live))
+                                   tagged("chan", live))
                 m_hat = sc.gp_decode(inst, params, y)
             ok[live] = _same(m_hat, m[live])
         elif problem == "lossy":
-            x = sample_source(params.marg("x"), n, streams("src"))
+            x = sample_source(params.marg("x"), n, tagged("src"))
             b = sc.lossy_encode(inst, params, x)
             y, failed = sc.lossy_decode(inst, params, b)
             live = np.flatnonzero(~failed)
@@ -291,12 +301,12 @@ def run_trial(params: sc.SchemeParams, inst: sc.SchemeInstance, seeds):
                    b[live], live)
             dist = distortion_of(x, y, params.rho)
         elif problem == "wz":
-            x, z = sample_source(params.marg("xz"), n, streams("src"))
+            x, z = sample_source(params.marg("xz"), n, tagged("src"))
             b = sc.wz_encode(inst, params, x)
             w, failed = sc.wz_decode(inst, params, b, z)
             dist = distortion_of(x, w, params.rho)
         elif problem == "oho":
-            x, y = sample_source(params.marg("xy"), n, streams("src"))
+            x, y = sample_source(params.marg("xy"), n, tagged("src"))
             bx = inst.matrices["Bhat"].matvec(x)
             by = sc.oho_encode_y(inst, params, y)
             xh, failed = sc.oho_decode(inst, params, bx, by)
@@ -334,18 +344,27 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     rows = []
     dims_clamped = {}
     started = time.monotonic()
+    inst_seeds = {(n, k): derive_seed(cfg.seed, "inst", n, k)
+                  for n in cfg.n_list for k in range(cfg.best_of)}
+    trial_seeds = {c: [derive_seed(cfg.seed, "trial", *c, t)
+                       for t in range(cfg.trials)] for c in inst_seeds}
+    streams = Streams([(s, *label) for label in sc.instance_streams(params)
+                       for s in inst_seeds.values()]
+                      + [(s, tag) for tag in TRIAL_STREAMS[cfg.problem]
+                         for batch in trial_seeds.values() for s in batch])
     for n in cfg.n_list:
         draws = []
         for k in range(cfg.best_of):
-            inst = sc.build_instance(params, n, derive_seed(cfg.seed, "inst", n, k),
-                                     ensemble=cfg.ensemble, tau=cfg.tau)
+            inst = sc.build_instance(params, n, inst_seeds[n, k],
+                                     ensemble=cfg.ensemble, tau=cfg.tau,
+                                     streams=streams)
             if k == 0:
                 rate_fields = _rate_fields(cfg.problem, inst)
-                dims_clamped[str(n)] = dict(inst.dims.clamped)
-            seeds = [derive_seed(cfg.seed, "trial", n, k, t)
-                     for t in range(cfg.trials)]
+                dims_clamped[str(n)] = {m: inst.dims.clamped[m]
+                                        for m in inst.matrices}
+            seeds = trial_seeds[n, k]
             t0 = time.monotonic()
-            outcomes = run_trial(params, inst, seeds)
+            outcomes = run_trial(params, inst, seeds, streams)
             # the batch's time, divided evenly among its trials
             seconds = (time.monotonic() - t0) / cfg.trials
             recs = [TrialRecord(n=n, draw=k, trial=t, seed=s, ok=ok,

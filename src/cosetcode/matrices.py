@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import operator
@@ -166,6 +167,9 @@ def rref(mat, q: int):
 
 
 def rng_from_seed(seed) -> np.random.Generator:
+    """A Generator on Philox(seed); a Generator is returned as it is."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -188,7 +192,6 @@ _MIX = [(src, np.array([d for d in range(4) if d != src], dtype=np.intp),
         for src in range(4)]
 _OUT = _hash_consts(0x8B51F9DD, 0x58F38DED, 4)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SEED_RANGE = "seeds must lie in [0, 2**64)"
 
 
 def philox_keys(seeds) -> np.ndarray:
@@ -203,7 +206,7 @@ def philox_keys(seeds) -> np.ndarray:
         s = np.fromiter(map(operator.index, seeds), dtype=np.uint64,
                         count=len(seeds))
     except OverflowError:
-        raise ValueError(_SEED_RANGE) from None
+        raise ValueError("seeds must lie in [0, 2**64)") from None
     pool = np.zeros((4, len(s)), dtype=np.uint32)
     pool[0] = s & 0xFFFFFFFF
     pool[1] = s >> 32
@@ -223,36 +226,42 @@ def philox_keys(seeds) -> np.ndarray:
     return (words[0::2] | words[1::2] << 32).T
 
 
-# Streams per call from which draw_streams keys them in one pass.  The pass
-# and its bit generator cost about 60 us a call, and each stream of 16
-# uniforms then costs about 2 us in place of 13: the two ways break even at
-# about 6 streams, and at 7 the pass is 10-13% faster.
-KEYED_MIN_STREAMS = 7
+class Streams:
+    """Labelled streams keyed in one philox_keys pass; by default label
+    (parent, *tags) is the stream of derive_seed(*label), derived once.
+    `rng(label)` re-keys one Philox to the state a fresh Philox(seed) starts
+    in, so numpy draws what rng_from_seed(seed) would until the next `rng`
+    call.  A batch from `select` shares the Philox: one thread at a time."""
+
+    def __init__(self, labels: list, seeds=None):
+        seeds = [derive_seed(*s) for s in labels] if seeds is None else seeds
+        self.keys = dict(zip(labels, philox_keys(seeds).tolist()))
+        self._rng = np.random.Generator(np.random.Philox(key=0))
+        self._state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
+                       "state": {"counter": [0, 0, 0, 0], "key": None},
+                       "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def __len__(self):
+        return len(self.keys)
+
+    def rng(self, label) -> np.random.Generator:
+        self._state["state"]["key"] = self.keys[label]
+        self._rng.bit_generator.state = self._state
+        return self._rng
+
+    def select(self, labels) -> "Streams":
+        """The streams of `labels`, in order, labelled 0, 1, ..."""
+        batch = copy.copy(self)
+        batch.keys = dict(enumerate([self.keys[label] for label in labels]))
+        return batch
 
 
 def draw_streams(seeds, draw) -> np.ndarray:
-    """np.array([draw(rng_from_seed(s)) for s in seeds]), the same numbers.
-
-    From KEYED_MIN_STREAMS seeds on, the keys come from one philox_keys pass,
-    and one Philox is re-keyed per seed to the state a fresh Philox(seed)
-    has (counter 0, empty buffers) instead of building a Generator per seed.
-    numpy still draws every number, so `draw` may call any Generator method.
-    On both sides of the cutoff a seed outside [0, 2^64) is refused."""
-    if len(seeds) < KEYED_MIN_STREAMS:
-        if any(operator.index(s) >> 64 for s in seeds):
-            raise ValueError(_SEED_RANGE)
-        return np.array([draw(rng_from_seed(s)) for s in seeds])
-    bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
-    fresh = {"counter": [0, 0, 0, 0], "key": None}
-    state = {"bit_generator": "Philox", "state": fresh, "buffer": [0, 0, 0, 0],
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out = []
-    for key in philox_keys(seeds).tolist():
-        fresh["key"] = key
-        bits.state = state
-        out.append(draw(rng))
-    return np.array(out)
+    """np.array([draw(rng_from_seed(s)) for s in seeds]), the same numbers;
+    `seeds` may be a Streams batch, keyed already."""
+    streams = (seeds if isinstance(seeds, Streams)
+               else Streams(range(len(seeds)), seeds))
+    return np.array([draw(streams.rng(label)) for label in streams.keys])
 
 
 def derive_seed(seed, *tags) -> int:

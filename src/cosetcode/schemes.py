@@ -26,7 +26,7 @@ from .cosets import (
 from .matrices import (
     EnsembleParams,
     SparseMatrix,
-    derive_seed,
+    Streams,
     draw_streams,
     generate_mackay,
     generate_uniform,
@@ -296,40 +296,52 @@ def _is_identity_cond(cond_x_zw: np.ndarray) -> bool:
     return all(np.array_equal(cond_x_zw[z], eye) for z in range(qz))
 
 
+def instance_streams(params: SchemeParams) -> list:
+    """(tag, name) of the streams build_instance draws, in order: ("mat",
+    name) per matrix, ("vec", name) after it if it has no summary column."""
+    forced = params.problem == "gp" and _is_identity_cond(params.cond("x", "zw"))
+    return [(tag, name)
+            for name, (_, _, column) in MATRICES[params.problem].items()
+            if not (name == "Ahat" and forced)
+            for tag in ("mat", "vec")[:1 + (column is None)]]
+
+
 def build_instance(params: SchemeParams, n: int, seed,
-                   ensemble: str = "mackay", tau: int | None = None) -> SchemeInstance:
+                   ensemble: str = "mackay", tau: int | None = None,
+                   streams: Streams | None = None) -> SchemeInstance:
     """Draw the matrices, and a shared vector A u (u uniform) for every
-    matrix without a summary column."""
+    matrix without a summary column, each from the stream (seed, tag, name)
+    of instance_streams, keyed by `streams` or here."""
     dims = params.dims(n)
-    forced = params.problem == "gp" and _is_identity_cond(
-        params.cond("x", "zw"))
+    labels = instance_streams(params)
+    if streams is None:
+        streams = Streams([(seed, *label) for label in labels])
     matrices, vectors = {}, {}
-    for name, (var, _, column) in MATRICES[params.problem].items():
-        if name == "Ahat" and forced:
-            continue  # stage 2 is the forced x = w: gp_encode reads no Ahat
-        q = params.card(var)
+    for tag, name in labels:
+        rng = streams.rng((seed, tag, name))
+        if tag == "vec":
+            vectors[name] = sample_image_point(matrices[name], rng)
+            continue
+        q = params.card(MATRICES[params.problem][name][0])
         l = dims.rounded[name]
         t = tau if tau is not None else recommended_tau(l, l * math.log2(q) / n)
         if ensemble == "mackay":
             if q == 2 and t % 2:
                 t += 1
             ep = EnsembleParams(q=q, l=l, n=n, tau=t)
-            matrices[name] = generate_mackay(ep, derive_seed(seed, "mat", name))
+            matrices[name] = generate_mackay(ep, rng)
         elif ensemble == "uniform":
-            matrices[name] = generate_uniform(q, l, n, derive_seed(seed, "mat", name))
+            matrices[name] = generate_uniform(q, l, n, rng)
         else:
             raise ValueError(f"unknown ensemble {ensemble!r}")
-        if column is None:
-            vectors[name] = sample_image_point(
-                matrices[name], derive_seed(seed, "vec", name))
     return SchemeInstance(n, matrices, vectors, dims)
 
 
 def sample_message(inst: SchemeInstance, seeds) -> np.ndarray:
     """Uniform points of Im B, the message law for the channel problems:
-    B u for u uniform on GF(q)^n, one row per seed, u drawn as
-    rng_from_seed(s).integers(0, q, size=n), each seed's own stream, keyed
-    for the whole batch by draw_streams."""
+    B u for u uniform on GF(q)^n, one row per stream, u drawn as
+    rng_from_seed(s).integers(0, q, size=n) from each seed's own stream;
+    `seeds` are seeds or a Streams batch, drawn by draw_streams."""
     matrix = inst.matrices["B"]
     u = draw_streams(seeds, lambda rng: rng.integers(0, matrix.q, size=matrix.n))
     return matrix.matvec(np.reshape(u, (len(seeds), matrix.n)))

@@ -8,13 +8,16 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cosetcode import harness as hn
+from cosetcode import matrices
 from cosetcode import schemes as sc
 
 
@@ -415,6 +418,80 @@ def test_outputs_are_pinned(problem, n, scheme, digests):
 def test_unshipped_paths_are_pinned(doc, digests):
     # coset paths that no shipped config reaches, at n = 12
     assert _run_digests({"n": [12], **doc}) == digests
+
+
+def test_small_batches_are_pinned():
+    # 4 trials a draw: the msg, side and chan calls key fewer than 7 streams
+    # each, the batches that once took a Generator per seed
+    assert _run_digests({"problem": "gp", "n": [8, 12, 16, 20], "trials": 4,
+                         "scheme": PINNED_RUNS[2][2]}) == (
+        "932033587f9d37c5965e76e9173e9ef2f51f2eb174adbe8d32c7a2978327c2e1",
+        "821000a9c31a96ea15cdbf9f96d1928c49134644aaa8dae7e11c092d6435324d")
+
+
+def test_a_config_keys_every_stream_in_one_pass(monkeypatch):
+    # every seed of a run is derived once and every stream keyed by one
+    # philox_keys call; no Philox is built from a seed, and the records are
+    # those of a Generator per seed
+    passes, derived, seeded = [], Counter(), []
+    keys, derive, philox = matrices.philox_keys, matrices.derive_seed, np.random.Philox
+
+    def counting_derive(seed, *tags):
+        derived[(seed, *tags)] += 1
+        return derive(seed, *tags)
+
+    def counting_philox(seed=None, **kwargs):
+        if seed is not None:
+            seeded.append(seed)
+        return philox(seed, **kwargs)
+
+    monkeypatch.setattr(matrices, "philox_keys",
+                        lambda seeds: passes.append(len(seeds)) or keys(seeds))
+    monkeypatch.setattr(matrices, "derive_seed", counting_derive)
+    monkeypatch.setattr(hn, "derive_seed", counting_derive)
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    # gp with x != w at times: Ahat and its vector are drawn too
+    doc = {"problem": "gp", "n": [8, 12], "trials": 5, "seed": 3, "best_of": 2,
+           "scheme": {"mu_z": [0.5, 0.5],
+                      "mu_xw_z": [[[0.45, 0.05], [0.05, 0.45]]] * 2,
+                      "channel": [[BSC11[0]] * 2, [BSC11[1]] * 2],
+                      "eps_a": 0.05, "eps_b": 0.15, "eps_ahat": 0.01}}
+    summary, records = hn.run_experiment(hn.ExperimentConfig.from_dict(doc))
+    # per draw: 3 matrices and 2 vectors; per trial: msg, side and chan
+    assert passes == [4 * (3 + 2) + 4 * 5 * 3]
+    assert seeded == []
+    assert max(derived.values()) == 1
+    # per draw its inst seed, per trial its trial seed
+    assert len(derived) == passes[0] + 4 + 4 * 5
+    # the records of run_trial and build_instance keying their own streams
+    monkeypatch.undo()
+    rows = []
+    params = sc.scheme_params("gp", doc["scheme"])
+    for n in doc["n"]:
+        for k in range(2):
+            inst = sc.build_instance(params, n, matrices.derive_seed(3, "inst", n, k))
+            seeds = [matrices.derive_seed(3, "trial", n, k, t) for t in range(5)]
+            rows += [(n, k, t, s, *out) for t, (s, out) in
+                     enumerate(zip(seeds, hn.run_trial(params, inst, seeds)))]
+    assert rows == [(r.n, r.draw, r.trial, r.seed, r.ok, r.distortion,
+                     r.encoder_failure) for r in records]
+
+
+ADMISSIBLE = Path(__file__).parent.parent / "configs"
+
+
+@pytest.mark.parametrize("problem", ["ch", "gp", "lossy", "wz", "oho"])
+def test_admissible_configs_are_inside_the_theorem(problem):
+    # each shipped *_admissible.json meets its problem's epsilon conditions
+    # and clamps no drawn matrix (a forced gp draws no Ahat); each ran in
+    # about 0.1 s on a 2-core VM, so 2 s leaves room for a slow runner
+    doc = json.loads((ADMISSIBLE / f"{problem}_admissible.json").read_text())
+    started = time.perf_counter()
+    summary, _ = hn.run_experiment(hn.ExperimentConfig.from_dict(doc))
+    assert time.perf_counter() - started < 2.0
+    assert summary["eps_warnings"] == []
+    assert not any(any(clamped.values())
+                   for clamped in summary["dims_clamped"].values())
 
 
 def test_row_counts_are_pinned():

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from cosetcode.diagnostics import enumerate_mackay
 from cosetcode.matrices import (
-    KEYED_MIN_STREAMS,
     EnsembleParams,
     SparseMatrix,
+    Streams,
     derive_seed,
     draw_streams,
     gauss_jordan,
@@ -343,8 +343,7 @@ def test_philox_keys_equal_seed_sequence(seeds):
         assert np.array_equal(key, want), s
 
 
-@pytest.mark.parametrize("count", [KEYED_MIN_STREAMS - 1, KEYED_MIN_STREAMS,
-                                   3 * KEYED_MIN_STREAMS])
+@pytest.mark.parametrize("count", [1, 2, 7, 21])
 def test_draw_streams_equal_a_generator_per_seed(count):
     # odd n leaves a half-used 64-bit block (random) or a buffered 32-bit
     # word (integers) behind: the next stream must not read it
@@ -358,11 +357,36 @@ def test_draw_streams_equal_a_generator_per_seed(count):
             assert np.array_equal(got, want), (n, q)
 
 
+def test_keyed_draws_equal_the_seeded_draws():
+    # one table re-keyed between the draws of build_instance's samplers: each
+    # gives what its seed's own Generator gives, the q = 2 one-call path and
+    # the q = 3 per-column loop of generate_mackay alike; a batch selected
+    # from the table draws its rows in the order asked for
+    labels = [(7, "mat", "A"), (7, "vec", "A"), (8, "mat", "B"), (9, "x")]
+    table = Streams(labels)
+    for q, l, n, tau in ((2, 5, 9, 2), (3, 4, 7, 2), (5, 3, 11, 4)):
+        params = EnsembleParams(q=q, l=l, n=n, tau=tau)
+        for label in labels:
+            seed = derive_seed(*label)
+            m = generate_mackay(params, table.rng(label))
+            assert m == generate_mackay(params, seed)
+            assert m == generate_mackay(params, rng_from_seed(seed))
+            assert np.array_equal(sample_image_point(m, table.rng(label)),
+                                  sample_image_point(m, seed))
+            assert (generate_uniform(q, l, n, table.rng(label))
+                    == generate_uniform(q, l, n, seed))
+    batch = table.select(labels[::-1])
+    assert len(batch) == len(labels)
+    assert np.array_equal(
+        draw_streams(batch, lambda rng: rng.random(5)),
+        [rng_from_seed(derive_seed(*label)).random(5) for label in labels[::-1]])
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
-@pytest.mark.parametrize("count", [1, KEYED_MIN_STREAMS])
+@pytest.mark.parametrize("count", [1, 7])
 def test_seeds_outside_64_bits_are_refused(seed, count):
-    # on both sides of the cutoff: a uint64 conversion would wrap them
-    # silently onto another stream
+    # at one seed and at many: a uint64 conversion would wrap them silently
+    # onto another stream
     seeds = [seed] + [1] * (count - 1)
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         philox_keys(seeds)
