@@ -12,6 +12,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from . import harness as hn
+from . import schemes as sc
 from . import types_lab as tl
 from .cosets import BudgetError
 from .matrices import (
@@ -177,6 +178,9 @@ def cmd_run(args) -> int:
                                                          args.config):
         raise ValueError(f"the JSON summary {summary_path} would overwrite "
                          "the config; choose another --out prefix")
+    params = cfg.scheme_params()
+    for n in cfg.n_list:  # a search past the budget exits 2 before any draw
+        sc.check_searches(params, n)
     summary, records = hn.run_experiment(cfg)
     csv_path = hn.write_outputs(summary, records, prefix)
     sys.stdout.write(hn.summary_csv(summary))

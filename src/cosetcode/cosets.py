@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -11,8 +12,16 @@ import numpy as np
 from .matrices import gauss_jordan
 
 BUDGET = 1 << 24
+# kernel members an enumeration scores at once: the members of a block share
+# their high digits, and the one-hot rows of their low digits are formed once
+# per coset
+_BLOCK = 1 << 14
 # entries of the (T, q_x, S_x, q_y, S_y) relax array of one trellis block
 _TRELLIS_ROOM = 1 << 16
+# the score of a member that takes a -inf term: below every finite score
+# (above -2**53, fixed_point_metric) and above the -inf of a member outside
+# the searched bin
+_DEAD = -2.0 ** 60
 
 
 class BudgetError(Exception):
@@ -70,29 +79,48 @@ class CosetDescription:
         return int(np.count_nonzero(~self.empty)) * self.kernel_size
 
     def check_budget(self):
-        if self.kernel_size > BUDGET:
-            raise BudgetError(
-                f"coset has {self.kernel_size} elements, budget {BUDGET}")
+        check_members(self.kernel_size)
+
+    @cached_property
+    def split(self) -> int:
+        """Number of high basis coefficients: the others, the low ones, are
+        the most whose q**count members fit in one _BLOCK."""
+        split = self.basis.shape[0]
+        while split and self.q ** (self.basis.shape[0] - split + 1) <= _BLOCK:
+            split -= 1
+        return split
+
+    @cached_property
+    def low(self) -> np.ndarray:
+        """The kernel members whose high coefficients are zero, in index
+        order: (q**(k - split), n), read-only.  Member h len(low) + c is
+        high(h) + low[c] mod q, so a block of len(low) members in index
+        order shares one high member."""
+        low = _span(self.basis[self.split:], self.q)
+        low.setflags(write=False)
+        return low
+
+    @cached_property
+    def low_onehot(self) -> np.ndarray:
+        """Symbol indicators of `low`, (n q, len(low)) float64: entry
+        (i q + a, c) is [low[c] has a at position i]; read-only."""
+        onehot = (self.low.T[:, None] == np.arange(self.q)[:, None]).reshape(
+            -1, len(self.low)).astype(float)
+        onehot.setflags(write=False)
+        return onehot
+
+    def high(self, h) -> np.ndarray:
+        """The kernel members number h len(low), whose low coefficients are
+        zero, for an index h or an array of them: the base-q digits of h,
+        the first most significant, are their high coefficients."""
+        return _digit_sum(h, self.basis[:self.split], self.q)
 
     def members(self, index) -> np.ndarray:
         """Kernel members number `index`, (len(index), n): the base-q digits
         of an index, the first most significant, are the member's basis
         coefficients, so index order is lexicographic order."""
-        k = self.basis.shape[0]
-        place = self.q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        digits = (np.asarray(index)[:, None] // place) % self.q
-        return (digits @ self.basis) % self.q
-
-    @cached_property
-    def onehot(self) -> np.ndarray:
-        """Symbol indicators of the kernel members, (kernel_size, n q)
-        float64: column i q + a of row c is [member c has a at position i]."""
-        self.check_budget()
-        size = self.kernel_size
-        onehot = np.eye(self.q).take(self.members(np.arange(size)),
-                                     axis=0).reshape(size, -1)
-        onehot.setflags(write=False)
-        return onehot
+        h, c = np.divmod(np.asarray(index), len(self.low))
+        return _mod_sum(self.high(h), self.low[c], self.q)
 
     @cached_property
     def steps(self) -> np.ndarray:
@@ -171,13 +199,91 @@ def solve_coset(constraints) -> CosetDescription:
                             particular, empty, t)
 
 
+def check_members(size: int):
+    """BudgetError for a search of a coset of `size` members past BUDGET."""
+    if size > BUDGET:
+        raise BudgetError(f"coset has {size} elements, budget {BUDGET}")
+
+
+def check_product(n: int, qx: int, rank_x: int, qy: int, rank_y: int) -> bool:
+    """Whether the syndrome trellis of a product search, n q_x^(rank_x + 1)
+    q_y^(rank_y + 1) branches a trial, is smaller than its q_x^(n - rank_x)
+    q_y^(n - rank_y) pairs; BudgetError when the smaller count is past
+    BUDGET."""
+    pairs = qx ** (n - rank_x) * qy ** (n - rank_y)
+    branches = n * qx ** (rank_x + 1) * qy ** (rank_y + 1)
+    if min(pairs, branches) > BUDGET:
+        raise BudgetError(f"product has {pairs} pairs and a trellis of "
+                          f"{branches} branches, budget {BUDGET}")
+    return branches < pairs
+
+
+def _mod_sum(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """(a + b) mod q for entries in [0, q)."""
+    out = a + b
+    out[out >= q] -= q
+    return out
+
+
+def _digit_sum(h, rows: np.ndarray, q: int) -> np.ndarray:
+    """sum_i d_i rows[i] mod q for the base-q digits d of h (an index or an
+    array of them), the first most significant."""
+    place = q ** np.arange(len(rows) - 1, -1, -1, dtype=np.int64)
+    return ((np.asarray(h)[..., None] // place) % q) @ rows % q
+
+
+def _fold(metric: np.ndarray, lanes: np.ndarray, base: np.ndarray):
+    """Rows of a (T, n, q) metric with coset members folded in, (len(lanes),
+    n q): entry i q + a of row j is metric[lanes[j], i, (a + base[j, i])
+    mod q]."""
+    _, n, q = metric.shape
+    shift = (np.arange(q) + np.arange(q)[:, None]) % q  # [b, a]: a + b
+    return metric[lanes[:, None, None], np.arange(n)[:, None],
+                  shift[base]].reshape(len(lanes), n * q)
+
+
+@functools.cache
+def _digits(q: int, count: int) -> np.ndarray:
+    """The base-q digits of 0 .. q**count - 1, the first most significant,
+    as a read-only (q**count, count) float64 array."""
+    digits = np.indices((q,) * count, dtype=float).reshape(
+        count, q ** count).T.copy()
+    digits.setflags(write=False)
+    return digits
+
+
+def _span(rows: np.ndarray, q: int) -> np.ndarray:
+    """Every sum_i d_i rows[i] mod q, (q**len(rows), width), in the order of
+    the digits d, the first most significant; the float64 product is exact,
+    its sums being at most len(rows) (q - 1)**2."""
+    sums = (_digits(q, len(rows)) @ rows).astype(np.int64)
+    return (np.arange(len(rows) * (q - 1) ** 2 + 1) % q).take(sums)
+
+
+def _codes(rows: np.ndarray, q: int) -> np.ndarray:
+    """Exact integer codes of the rows of an (N, r) array over GF(q), (N, G):
+    code g reads entries g w .. g w + w - 1 as base-q digits, w being
+    62 // bit_length(q - 1), so that every code is below 2**62."""
+    w = 62 // (q - 1).bit_length()
+    place = q ** np.arange(w, dtype=np.int64)
+    return np.stack([rows[:, g:g + w] @ place[:rows.shape[1] - g]
+                     for g in range(0, rows.shape[1], w)], axis=-1)
+
+
 def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):
     """Split trial indices into blocks whose score arrays, `scores_per_trial`
     entries a trial, fit in `room` entries (at least one trial a block).
 
-    The enumeration callers pass n entries for each member of one trial's
-    cosets, so a block's scores take no more memory than one trial's
-    members written out; the trellis passes the fixed `_TRELLIS_ROOM`."""
+    The memory rule of the enumerations: no array they form grows with the
+    coset.  They score members in blocks of at most _BLOCK, each block the
+    members that share one high member (CosetDescription.low), whose one-hot
+    rows are formed once per coset, and they pass room = _BLOCK n q: a group
+    of trials scores a block in no more entries than a full block of one-hot
+    rows takes.  The one exception is the product, which forms its y
+    members whole, one trial's metric at them and one trial's scores of a
+    block of x members against them: at most BUDGET pairs, as the pair
+    count is checked (check_product).  The trellis passes the fixed
+    `_TRELLIS_ROOM`."""
     step = max(1, room // scores_per_trial)
     return [rows[i:i + step] for i in range(0, rows.size, step)]
 
@@ -187,55 +293,105 @@ def _exact_scores(product, terms: np.ndarray) -> np.ndarray:
 
     The terms are integers (fixed_point_metric), so every sum is exact in any
     order; -inf terms enter as 0 and are counted in the same product call,
-    and any score that takes one is -inf."""
+    and any score that takes one is _DEAD."""
     finite = np.isfinite(terms)
     if finite.all():
         return product(terms)
     scores, counts = product(np.stack([np.where(finite, terms, 0.0),
                                        (~finite).astype(float)]))
-    scores[counts > 0] = -np.inf
+    scores[counts > 0] = _DEAD
     return scores
 
 
-def ml_code_iid(cosets: CosetDescription, metric: np.ndarray) -> np.ndarray:
-    """Per trial j, the argmax of sum_i metric[j, i, u_i] over coset j.
+def ml_code_iid(cosets: CosetDescription, metric: np.ndarray,
+                bins=None) -> np.ndarray:
+    """Per trial j, the argmax of sum_i metric[j, i, u_i] over coset j, or
+    with bins=(matrix, targets) over the bin {u : matrix u = t_j} of coset
+    j, `matrix` a SparseMatrix and `targets` a (T, rows) block.
 
     The single-coset decoding kernel.  `metric` has shape (q,), (n, q) or
     (T, n, q) and must be integer-valued (fixed_point_metric, -inf allowed),
     so every sum is exact and exact ties go to the lexicographically
-    smallest member; it is used as it is.  Returns a (T, n) array whose rows
-    for empty cosets are -1.
+    smallest member; it is used as it is.  A block of one coset is searched
+    by every trial.  Returns a (T, n) array whose rows are -1 for an empty
+    coset or bin; a trial whose members all score -inf takes the first.
 
-    Each trial's particular solution p is folded into its metric (entry a at
-    position i becomes metric[j, i, (a + p_i) mod q]), so one product with
-    the one-hot kernel scores every member of a block of cosets.  Index
-    order is lexicographic order, so the first best index is the smallest ML
-    member."""
+    Members are scored in blocks that share one high member (see
+    CosetDescription.low), in index order, which is lexicographic order.
+    The particular solution p and the high member h are folded into the
+    metric (entry a at position i becomes metric[j, i, (a + p_ji + h_i)
+    mod q]), so one product with the one-hot rows of `low` scores a block
+    for a group of trials; a metric without a trial axis on a block of one
+    coset is scored once for all trials.  A bin is read off the codes of
+    matrix u, which the basis images under `matrix` give digit by digit.
+    A later block takes a trial's best only with a strictly greater score,
+    so the first best member wins."""
     cosets.check_budget()
-    q, n, trials = cosets.q, cosets.n, len(cosets)
+    q, n = cosets.q, cosets.n
+    metric = np.asarray(metric)
+    sizes = {len(cosets), len(metric) if metric.ndim == 3 else 1}
+    if bins is not None:
+        matrix, targets = bins
+        targets = np.asarray(targets, dtype=np.int64)
+        if targets.ndim != 2 or targets.shape[1] != matrix.l:
+            raise ValueError("bin targets must be a (trials, rows) block")
+        sizes.add(len(targets))
+    if len(sizes - {1}) > 1:
+        raise ValueError(f"trial counts disagree: {sorted(sizes)}")
+    trials = min(sizes - {1}, default=1)
     out = np.full((trials, n), -1, dtype=np.int64)
-    live = np.flatnonzero(~cosets.empty)
+    copies = trials if len(cosets) == 1 else 1
+    live = np.flatnonzero(~cosets.empty.repeat(copies))
+    # one score row serves every trial; without bins it is searched once
+    shared = metric.ndim < 3 and len(cosets) == 1
+    searched = live[:1] if shared and bins is None else live
     if not live.size:
         return out
-    onehot, size = cosets.onehot, cosets.kernel_size
-    p = cosets.particular[live]
-    # column i q + a of trial j takes table[i, (a + p_ji) mod q]
-    columns = ((p[:, :, None] + np.arange(q)) % q
-               + q * np.arange(n)[:, None]).reshape(live.size, n * q)
-    folded = np.broadcast_to(metric, (trials, n, q)).reshape(trials, n * q)[
-        live[:, None], columns]
-    for rows in _blocks(np.arange(live.size), size, size * n):
-        scores = _exact_scores(lambda t: t @ onehot.T, folded[rows])
-        out[live[rows]] = (p[rows] + cosets.members(scores.argmax(axis=1))) % q
+    low, onehot = cosets.low, cosets.low_onehot
+    if metric.ndim == 1:
+        metric = np.broadcast_to(metric, (n, q))
+    metric = metric.reshape(-1, n, q)
+    lanes = np.arange(trials) * (len(metric) > 1)  # a trial's metric row
+    p = cosets.particular.repeat(copies, axis=0)
+    if bins is not None:
+        dense = matrix.dense()
+        images = cosets.basis @ dense.T % q  # of the basis, digit by digit
+        low_codes = _codes(_span(images[cosets.split:], q), q)
+        # member h len(low) + c is in bin j when the image of low[c] is
+        # wanted[j] less the image of high member h
+        wanted = targets - cosets.particular @ dense.T
+    best = np.full(trials, -np.inf)
+    for h in range(cosets.kernel_size // len(low)):
+        # member 0 of the block is the high member; the first one is zero
+        base = _mod_sum(p, cosets.high(h), q) if h else p
+        if shared:
+            row = _exact_scores(lambda t: t @ onehot,
+                                _fold(metric, lanes[:1], base[:1]))
+        if bins is not None:
+            codes = _codes((wanted - _digit_sum(h, images[:cosets.split], q)
+                            if h else wanted) % q, q)
+        for rows in _blocks(searched, len(low), _BLOCK * n * q):
+            scores = row if shared else _exact_scores(
+                lambda t: t @ onehot, _fold(metric, lanes[rows], base[rows]))
+            if bins is not None:
+                in_bin = (low_codes == codes[rows, None]).all(axis=2)
+                scores = np.where(in_bin, scores, -np.inf)
+            c = scores.argmax(axis=1)
+            take = scores.max(axis=1) > best[rows]
+            won = rows[take]
+            best[won] = scores[take, c[take]]
+            out[won] = _mod_sum(base[won], low[c[take]], q)
+    if searched.size < live.size:
+        out[live] = out[searched]
     return out
 
 
-def ml_code_cond_iid(cosets: CosetDescription, v,
-                     metric: np.ndarray) -> np.ndarray:
+def ml_code_cond_iid(cosets: CosetDescription, v, metric: np.ndarray,
+                     bins=None) -> np.ndarray:
     """Per trial j, argmax_u sum_i metric[v_ji, u_i]: ml_code_iid on the rows
-    metric[v]; `v` is one (T, n) index array, or a tuple of them for several
-    given axes."""
-    return ml_code_iid(cosets, np.asarray(metric)[v])
+    metric[v], with its `bins`; `v` is one (T, n) index array, or a tuple of
+    them for several given axes."""
+    return ml_code_iid(cosets, np.asarray(metric)[v], bins)
 
 
 def fixed_point_metric(log_joint, n: int) -> np.ndarray:
@@ -336,26 +492,35 @@ def _product_enumerate(coset_x: CosetDescription, coset_y: CosetDescription,
     """Exact ML pair of every trial by scoring every pair of its product
     coset; returns (x, y), each (T, n), rows -1 where a factor is empty.
 
-    A trial's scores are sum_a [x = a] . metric[a, y], one product of the
-    one-hot kernel of x against the metric at the y members, both particular
-    solutions folded in.  Pair (c_x, c_y) has flat index c_x |Y| + c_y, and
-    index order is lexicographic order of each factor, so the first best
-    index is the smallest ML pair (x first)."""
+    A trial's scores are sum_a [x = a] . metric[a, y], the one-hot rows of
+    a block of x members against the metric at every y member, both
+    particular solutions and the block's high x member folded in.  Pair
+    (c_x, c_y) has flat index c_x |Y| + c_y, and index order is
+    lexicographic order of each factor; the blocks run in x order, and a
+    later block takes a trial's best only with a strictly greater score, so
+    the first best index is the smallest ML pair (x first)."""
     (qx, qy), n, trials = metric.shape, coset_x.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
     live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
-    sx, sy = coset_x.kernel_size, coset_y.kernel_size
-    onehot, ky = coset_x.onehot, coset_y.members(np.arange(sy))
-    for rows in _blocks(live, sx * sy, (sx + sy) * n):
-        px, py = coset_x.particular[rows], coset_y.particular[rows]
-        xs = (px[:, :, None] + np.arange(qx)) % qx  # [j, i, a]: x symbol
-        ys = (py[:, None, :] + ky) % qy  # [j, c, i]: y member c
-        table = metric[xs[..., None], ys.transpose(0, 2, 1)[:, :, None, :]]
-        scores = _exact_scores(lambda t: onehot @ t, table.reshape(
-            rows.size, n * qx, sy)).reshape(rows.size, -1)
-        cx, cy = np.divmod(scores.argmax(axis=1), sy)
-        x[rows] = (px + coset_x.members(cx)) % qx
-        y[rows] = ys[np.arange(rows.size), cy]
+    low, onehot = coset_x.low, coset_x.low_onehot.T.copy()  # a row a member
+    ky = coset_y.members(np.arange(coset_y.kernel_size))
+    sy = len(ky)
+    for rows in _blocks(live, (n * qx + len(low)) * sy, _BLOCK * n * qx):
+        j = np.arange(rows.size)
+        best = np.full(rows.size, -np.inf)
+        ys = (coset_y.particular[rows][:, None, :] + ky) % qy  # [j, c, i]
+        for h in range(coset_x.kernel_size // len(low)):
+            base = _mod_sum(coset_x.particular[rows], coset_x.high(h), qx)
+            xs = (base[:, :, None] + np.arange(qx)) % qx  # [j, i, a]: x symbol
+            table = metric[xs[..., None], ys.transpose(0, 2, 1)[:, :, None, :]]
+            scores = _exact_scores(lambda t: onehot @ t, table.reshape(
+                rows.size, n * qx, sy)).reshape(rows.size, -1)
+            c = scores.argmax(axis=1)
+            take = scores[j, c] > best
+            cx, cy = np.divmod(c[take], sy)
+            best[take] = scores[j, c][take]
+            x[rows[take]] = _mod_sum(base[take], low[cx], qx)
+            y[rows[take]] = ys[j[take], cy]
     return x, y
 
 
@@ -368,16 +533,11 @@ def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
     `metric` must be integer-valued (fixed_point_metric, -inf allowed), so
     the ML pair is exact and exact ties go to the lexicographically smallest
     (x, y); it is used as it is.  The pairs come from the syndrome trellis
-    when its n q_x^(rank_x + 1) q_y^(rank_y + 1) branches a trial are fewer
-    than the |X| |Y| pairs, and from enumeration of the pairs otherwise; both
-    give the same pairs, and the smaller count must be within BUDGET."""
-    pairs = coset_x.kernel_size * coset_y.kernel_size
-    branches = (coset_x.n * coset_x.q ** (coset_x.rank + 1)
-                * coset_y.q ** (coset_y.rank + 1))
-    if min(pairs, branches) > BUDGET:
-        raise BudgetError(f"product has {pairs} pairs and a trellis of "
-                          f"{branches} branches, budget {BUDGET}")
-    path = _product_trellis if branches < pairs else _product_enumerate
+    when it is the smaller search (check_product), and from enumeration of
+    the pairs otherwise; both give the same pairs."""
+    trellis = check_product(coset_x.n, coset_x.q, coset_x.rank, coset_y.q,
+                            coset_y.rank)
+    path = _product_trellis if trellis else _product_enumerate
     return path(coset_x, coset_y, metric)
 
 

@@ -16,6 +16,8 @@ import numpy as np
 
 from .cosets import (
     CosetDescription,
+    check_members,
+    check_product,
     fixed_point_metric,
     log_table,
     ml_code_cond_iid,
@@ -276,6 +278,19 @@ class SchemeInstance:
     matrices: dict
     vectors: dict
     dims: DimReport
+    # the shared codes, each solved on its first search
+    _codes: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def code(self, name: str) -> CosetDescription:
+        """The shared code C(c) = {u : M u = c} of matrix `name` and its
+        shared vector c, a block of one coset that every trial searches;
+        solved once per draw, on first use."""
+        code = self._codes.get(name)
+        if code is None:  # threads that race solve equal codes
+            code = self._codes.setdefault(name, solve_coset(
+                [(self.matrices[name], self.vectors[name])]))
+        return code
 
     def coset(self, constraints, trials: int) -> CosetDescription:
         """Per trial j, {u : M u = t_j} for (matrix name, targets) pairs
@@ -304,6 +319,25 @@ def instance_streams(params: SchemeParams) -> list:
             for name, (_, _, column) in MATRICES[params.problem].items()
             if not (name == "Ahat" and forced)
             for tag in ("mat", "vec")[:1 + (column is None)]]
+
+
+def check_searches(params: SchemeParams, n: int):
+    """Refuse, before any draw, a problem whose searches at n are past
+    BUDGET at full rank, where their cosets are smallest: each shared code
+    has q**(n - rows) members, and so does oho's Bhat coset; sw's product
+    search takes the smaller of its pair and branch counts.  A draw below
+    full rank has larger cosets, which its search refuses (BudgetError)."""
+    problem, rows = params.problem, params.dims(n).rounded
+
+    def q(name):
+        return params.card(MATRICES[problem][name][0])
+
+    if problem == "sw":
+        check_product(n, q("A"), rows["A"], q("B"), rows["B"])
+        return
+    searched = [name for tag, name in instance_streams(params) if tag == "vec"]
+    for name in searched + ["Bhat"] * (problem == "oho"):
+        check_members(q(name) ** (n - rows[name]))
 
 
 def build_instance(params: SchemeParams, n: int, seed,
@@ -367,45 +401,49 @@ def sw_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y):
 
 def ch_encode(inst: SchemeInstance, params: SchemeParams, m):
     """Channel inputs for messages m; failed where no input matches (c, m)."""
-    cosets = inst.coset([("A", inst.vectors["A"]), ("B", m)], len(m))
-    return ml_code_iid(cosets, params.metric_marg("x", inst.n)), cosets.empty
+    x = ml_code_iid(inst.code("A"), params.metric_marg("x", inst.n),
+                    bins=(inst.matrices["B"], m))
+    return x, x[:, 0] < 0
 
 
 def ch_decode(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    cosets = inst.coset([("A", inst.vectors["A"])], len(y))
     # argmax of mu_{XY}(x|y): the joint table indexed [y, x] has the same argmax
-    x_hat = ml_code_cond_iid(cosets, y, params.metric_marg("yx", inst.n))
+    x_hat = ml_code_cond_iid(inst.code("A"), y,
+                             params.metric_marg("yx", inst.n))
     return inst.matrices["B"].matvec(x_hat)
 
 
 def gp_encode(inst: SchemeInstance, params: SchemeParams, m, z):
     """Channel inputs for messages m and side information z; failed where no
     auxiliary sequence matches (c, m) or no input matches c-hat."""
-    cosets = inst.coset([("A", inst.vectors["A"]), ("B", m)], len(m))
-    w = ml_code_cond_iid(cosets, z, params.metric_cond("w", "z", inst.n))
+    w = ml_code_cond_iid(inst.code("A"), z, params.metric_cond("w", "z", inst.n),
+                         bins=(inst.matrices["B"], m))
+    failed = w[:, 0] < 0
     if "Ahat" not in inst.matrices:  # stage 2 is the forced x = w
-        return w, cosets.empty
-    coset2 = inst.coset([("Ahat", inst.vectors["Ahat"])], len(m))
-    x = ml_code_cond_iid(coset2, (z, w), params.metric_cond("x", "zw", inst.n))
-    return x, cosets.empty | coset2.empty
+        return w, failed
+    # the shared code of A-hat holds the point its vector was drawn from, so
+    # stage 2 always finds an input
+    x = ml_code_cond_iid(inst.code("Ahat"), (z, w),
+                         params.metric_cond("x", "zw", inst.n))
+    return x, failed
 
 
 def gp_decode(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    cosets = inst.coset([("A", inst.vectors["A"])], len(y))
-    w_hat = ml_code_cond_iid(cosets, y, params.metric_cond("w", "y", inst.n))
+    w_hat = ml_code_cond_iid(inst.code("A"), y,
+                             params.metric_cond("w", "y", inst.n))
     return inst.matrices["B"].matvec(w_hat)
 
 
 def lossy_encode(inst: SchemeInstance, params: SchemeParams, x) -> np.ndarray:
-    cosets = inst.coset([("A", inst.vectors["A"])], len(x))
-    y = ml_code_cond_iid(cosets, x, params.metric_cond("y", "x", inst.n))
+    y = ml_code_cond_iid(inst.code("A"), x, params.metric_cond("y", "x", inst.n))
     return inst.matrices["B"].matvec(y)
 
 
 def lossy_decode(inst: SchemeInstance, params: SchemeParams, b):
     """Reproductions of codewords b; failed where b addresses no bin."""
-    cosets = inst.coset([("A", inst.vectors["A"]), ("B", b)], len(b))
-    return ml_code_iid(cosets, params.metric_marg("y", inst.n)), cosets.empty
+    y = ml_code_iid(inst.code("A"), params.metric_marg("y", inst.n),
+                    bins=(inst.matrices["B"], b))
+    return y, y[:, 0] < 0
 
 
 wz_encode = lossy_encode  # side information enters only the decoder
@@ -414,22 +452,22 @@ wz_encode = lossy_encode  # side information enters only the decoder
 def wz_decode(inst: SchemeInstance, params: SchemeParams, b, z):
     """Reproductions of codewords b with side information z; failed where b
     addresses no bin."""
-    cosets = inst.coset([("A", inst.vectors["A"]), ("B", b)], len(b))
-    y_hat = ml_code_cond_iid(cosets, z, params.metric_cond("y", "z", inst.n))
-    return params.f[y_hat, np.asarray(z, dtype=np.int64)], cosets.empty
+    y_hat = ml_code_cond_iid(inst.code("A"), z,
+                             params.metric_cond("y", "z", inst.n),
+                             bins=(inst.matrices["B"], b))
+    return params.f[y_hat, np.asarray(z, dtype=np.int64)], y_hat[:, 0] < 0
 
 
 def oho_encode_y(inst: SchemeInstance, params: SchemeParams, y) -> np.ndarray:
-    cosets = inst.coset([("A", inst.vectors["A"])], len(y))
-    z = ml_code_cond_iid(cosets, y, params.metric_cond("z", "y", inst.n))
+    z = ml_code_cond_iid(inst.code("A"), y, params.metric_cond("z", "y", inst.n))
     return inst.matrices["B"].matvec(z)
 
 
 def oho_decode(inst: SchemeInstance, params: SchemeParams, b_x, b_y):
     """Primary sources from codewords b_x and helper codewords b_y; failed
     where either codeword addresses no bin."""
-    cosets = inst.coset([("A", inst.vectors["A"]), ("B", b_y)], len(b_y))
-    z_hat = ml_code_iid(cosets, params.metric_marg("z", inst.n))
+    z_hat = ml_code_iid(inst.code("A"), params.metric_marg("z", inst.n),
+                        bins=(inst.matrices["B"], b_y))
     coset_x = inst.coset([("Bhat", b_x)], len(b_x))
     x_hat = ml_code_cond_iid(coset_x, z_hat, params.metric_cond("x", "z", inst.n))
-    return x_hat, cosets.empty | coset_x.empty
+    return x_hat, (z_hat[:, 0] < 0) | coset_x.empty

@@ -539,6 +539,25 @@ def test_run_over_budget_coset_is_usage_error(tmp_path, capsys):
         assert err.startswith(message) and "budget" in err
 
 
+def test_run_refuses_an_over_budget_search_before_any_draw(
+        tmp_path, capsys, monkeypatch):
+    # at full rank, oho's Bhat coset at n = 40 and ch's shared code at n = 64
+    # are past BUDGET: the run exits 2 and draws no code
+    def no_draw(*args, **kwargs):
+        raise AssertionError("build_instance was called")
+
+    monkeypatch.setattr(schemes, "build_instance", no_draw)
+    configs = Path(__file__).parent.parent / "configs"
+    for name, n in (("channel", 64), ("oho", 64)):
+        doc = json.loads((configs / f"{name}.json").read_text())
+        doc.update(n=[8, n], trials=1, best_of=1)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / f"{name}_run")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: coset has ")
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "cosetcode.cli", "diag", "--q", "2", "--l", "2",

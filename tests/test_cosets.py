@@ -1,6 +1,7 @@
 """Coset solving and exhaustive-search coding vs brute force."""
 
 import itertools
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -225,14 +226,25 @@ def test_members_by_index_are_lexicographic(data):
     coeffs = np.array(list(itertools.product(range(q), repeat=k)),
                       dtype=np.int64).reshape(q ** k, k)
     want = coeffs @ coset.basis % q
-    got = coset.members(np.arange(coset.kernel_size))
+    block = data.draw(st.sampled_from([1, 2, 3, cosets._BLOCK]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cosets, "_BLOCK", block)
+        got = coset.members(np.arange(coset.kernel_size))
     assert got.shape == (q ** k, n) and np.array_equal(got, want)
     rows = [tuple(u) for u in got.tolist()]
     assert all(a < b for a, b in zip(rows, rows[1:]))
     index = np.array(data.draw(st.lists(st.integers(0, q ** k - 1),
                                         max_size=6)), dtype=np.int64)
     assert np.array_equal(coset.members(index), want[index])
-    assert np.array_equal(coset.onehot, np.eye(q)[want].reshape(q ** k, -1))
+    # the low members are the first block, the most that fit in it; member
+    # h len(low) + c is high(h) + low[c], and the one-hot rows are low's
+    low = coset.low
+    assert len(low) <= block < q * len(low) or len(low) == q ** k
+    assert np.array_equal(low, want[:len(low)])
+    assert np.array_equal(coset.high(np.arange(q ** k // len(low))),
+                          want[::len(low)])
+    assert np.array_equal(coset.low_onehot.T,
+                          np.eye(q)[low].reshape(len(low), -1))
 
 
 def test_solve_refuses_bad_constraints():
@@ -347,6 +359,70 @@ def test_single_coset_kernel_matches_oracle(data):
             assert joined(got[j]) == iid_oracle(batch[j], rows[j])
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_blocked_search_with_bins_matches_oracle(block, data):
+    # one shared code searched by several trials, in blocks of 1, 2 or 3
+    # members, with and without bins {u : B u = t_j}: against exact_best
+    # over elements(), q in {2, 3, 5}, ties, -inf terms and empty bins.
+    # A later block that won a tie would return a larger member
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, {2: 6, 3: 4, 5: 3}[q]))
+    trials = data.draw(st.integers(1, 4))
+    entries = st.integers(0, q - 1)
+    A = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))[None]
+    code = solve(A, A @ np.array(data.draw(st.lists(
+        entries, min_size=n, max_size=n))) % q, q)
+    rows = data.draw(st.integers(1, 2))
+    B = SparseMatrix(q, data.draw(st.lists(st.lists(
+        entries, min_size=n, max_size=n), min_size=rows, max_size=rows)))
+    targets = np.array(data.draw(st.lists(st.lists(
+        entries, min_size=rows, max_size=rows), min_size=trials,
+        max_size=trials)), dtype=np.int64)
+    lead = data.draw(st.sampled_from([(), (n,), (trials, n)]))
+    metric = random_metric(data, lead + (q,), n)
+    table = np.broadcast_to(metric, (trials, n, q))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cosets, "_BLOCK", block)
+        whole = ml_code_iid(code, metric)
+        binned = ml_code_iid(code, metric, bins=(B, targets))
+    members = code.elements()
+    for j in range(trials):
+        # without bins or a trial axis, one row serves every trial
+        assert joined(whole[min(j, len(whole) - 1)]) == iid_oracle(
+            code, table[j])
+        in_bin = [u for u in members
+                  if np.array_equal(B.matvec(u), targets[j])]
+        if not in_bin:
+            assert (binned[j] == -1).all()
+            continue
+        assert joined(binned[j]) == exact_best(
+            ([table[j][i, a] for i, a in enumerate(u)], joined(u))
+            for u in in_bin)
+
+
+def test_search_memory_does_not_grow_with_the_coset():
+    # one search with bins, of codes of 2**14 to 2**20 members: the peak is
+    # set by one block (2**14 members, n q = 48 one-hot columns), so the
+    # 2**20-member search stays within a bound and near the one-block peak
+    B = SparseMatrix(2, np.eye(24, dtype=int)[:4])
+    peaks = []
+    for rows in (10, 6, 4):
+        code = solve_coset([(SparseMatrix(2, np.eye(24, dtype=int)[:rows]),
+                             np.zeros(rows))])
+        tracemalloc.start()
+        got = ml_code_iid(code, np.zeros((24, 2)),
+                          bins=(B, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        # A fixes B u = 0: bin 0 ties everywhere and takes the zero member,
+        # bin (1, 0, 0, 0) is empty
+        assert got.tolist() == [[0] * 24, [-1] * 24, [0] * 24]
+    assert code.kernel_size == 1 << 20
+    assert peaks[-1] < 24 << 20 and peaks[-1] < 1.5 * peaks[0], peaks
+
+
 def _narrow_batch(q, n, trials, seed):
     """Cosets with 3 free positions of a random full-rank system."""
     rng = rng_from_seed(seed)
@@ -437,7 +513,7 @@ def test_kernel_budget_is_checked_before_scoring():
     batch = solve_coset([(A, np.zeros((3, 1)))])
     with pytest.raises(BudgetError, match="coset has 33554432 elements"):
         ml_code_iid(batch, np.zeros(2))
-    assert "onehot" not in vars(batch)
+    assert not {"low", "low_onehot"} & set(vars(batch))
 
 
 # -- product ML -------------------------------------------------------------------

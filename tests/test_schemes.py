@@ -338,7 +338,8 @@ def test_gp_contracts():
 def test_forced_gp_stage_2_draws_no_matrix(monkeypatch):
     # x = w forces stage 2: no Ahat, no Ahat vector and no elimination of it;
     # with x != w at times the Ahat matrix and its vector are drawn.  A draw
-    # eliminates nothing: the first coder call does
+    # eliminates nothing: the first coder call solves the shared code alone,
+    # and B's bins restrict its search
     solved = []
     original = sc.solve_coset
 
@@ -353,7 +354,7 @@ def test_forced_gp_stage_2_draws_no_matrix(monkeypatch):
     assert solved == []
     m = sc.sample_message(forced, range(3))
     sc.gp_encode(forced, _bsc_gp_params(), m, np.zeros((3, 8), dtype=np.int64))
-    assert solved == [(forced.matrices["A"].l, forced.matrices["B"].l)]
+    assert solved == [(forced.matrices["A"].l,)]
     assert "Ahat" in forced.dims.rounded
     mu_xw_z = np.array([[[0.4, 0.1], [0.1, 0.4]]] * 2)
     params = sc.scheme_params("gp", {
@@ -414,9 +415,10 @@ def test_ch_decode_returns_smallest_exact_ml_member(monkeypatch):
     decoded = []
     original = sc.ml_code_cond_iid
 
-    def spy(cosets, v, metric):
-        got = original(cosets, v, metric)
-        decoded.extend((cosets[j], v[j], got[j]) for j in range(len(cosets)))
+    def spy(code, v, metric):
+        # one shared code for every trial of the draw
+        got = original(code, v, metric)
+        decoded.extend((code[0], v[j], got[j]) for j in range(len(v)))
         return got
 
     monkeypatch.setattr(sc, "ml_code_cond_iid", spy)
@@ -459,31 +461,75 @@ def test_each_stacked_system_is_eliminated_once(monkeypatch):
     # [z, x, w] with x != w at times, so gp runs a real stage 2
     mu_xw_z = np.array([[[0.4, 0.1], [0.1, 0.4]]] * 2)
     chan = np.stack([bsc(0.11)] * 2, axis=1)  # [x, z, y]
-    cases = {  # problem -> (params, number of stacked systems)
+    cases = {  # problem -> (params, systems of a draw, of each later batch)
         "sw": ({"joint": dsbs(0.11), "rate_x": 0.85,
-                "rate_y": 0.85}, 2),
+                "rate_y": 0.85}, 2, 2),
         "ch": ({"mu_x": [0.5, 0.5], "channel": bsc(0.11), "eps_a": 0.05,
-                "eps_b": 0.15}, 2),
+                "eps_b": 0.15}, 1, 0),
         "gp": ({"mu_z": [0.5, 0.5], "mu_xw_z": mu_xw_z, "channel": chan,
-                "eps_a": 0.05, "eps_b": 0.15, "eps_ahat": 0.01}, 3),
+                "eps_a": 0.05, "eps_b": 0.15, "eps_ahat": 0.01}, 2, 0),
         "lossy": ({"mu_x": [0.5, 0.5], "test_channel": bsc(0.25), "rho": rho,
-                   "eps_a": 0.01, "eps_b": 0.1}, 2),
+                   "eps_a": 0.01, "eps_b": 0.1}, 1, 0),
         "wz": ({"mu_xz": dsbs(0.1), "test_channel": bsc(0.25),
                 "f": [[0, 0], [1, 1]], "rho": rho, "eps_a": 0.01,
-                "eps_b": 0.1}, 2),
+                "eps_b": 0.1}, 1, 0),
         "oho": ({"mu_xy": dsbs(0.1), "channel": bsc(0.1),
-                 "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15}, 3),
+                 "eps_a": 0.05, "eps_b": 0.15, "eps_bhat": 0.15}, 2, 1),
     }
-    # each batch of trials solves each of its stacked systems once, for
-    # all its trials together
-    for problem, (scheme, systems) in cases.items():
+    # a draw solves each shared code once, on its first search, and each
+    # batch of trials solves each of its per-trial systems once, for all
+    # its trials together
+    for problem, (scheme, systems, later) in cases.items():
         params = sc.scheme_params(problem, scheme)
-        inst = sc.build_instance(params, 10, seed=5)
-        for batch in range(3):
-            solved.clear()
-            hn.run_trial(params, inst,
-                         [derive_seed(5, problem, batch, t) for t in range(9)])
-            assert sorted(solved.values()) == [1] * systems, problem
+        for draw in range(2):
+            inst = sc.build_instance(params, 10, seed=5 + draw)
+            for batch in range(3):
+                solved.clear()
+                hn.run_trial(params, inst, [derive_seed(5, problem, draw,
+                                                        batch, t)
+                                            for t in range(9)])
+                want = later if batch else systems
+                assert sorted(solved.values()) == [1] * want, problem
+
+
+def test_binned_search_equals_the_stacked_coset():
+    # searching the shared code C_A(c) with B's bins gives, byte for byte,
+    # the search of the stacked coset of [A; B], for each binned coder's
+    # metric: bins hit (targets B u) and missed (any targets)
+    mu_xw_z = np.array([[[0.4, 0.1], [0.1, 0.4]]] * 2)
+    cases = {  # problem -> (scheme, the binned coder's metric)
+        "ch": ({"mu_x": [0.5, 0.5], "channel": bsc(0.11), "eps_a": 0.05,
+                "eps_b": 0.15}, lambda p, n, v: p.metric_marg("x", n)),
+        "gp": ({"mu_z": [0.5, 0.5], "mu_xw_z": mu_xw_z,
+                "channel": np.stack([bsc(0.11)] * 2, axis=1), "eps_a": 0.05,
+                "eps_b": 0.15, "eps_ahat": 0.01},
+               lambda p, n, v: p.metric_cond("w", "z", n)[v]),
+        "lossy": ({"mu_x": [0.5, 0.5], "test_channel": bsc(0.25),
+                   "rho": [[0, 1], [1, 0]], "eps_a": 0.01, "eps_b": 0.1},
+                  lambda p, n, v: p.metric_marg("y", n)),
+        "wz": ({"mu_xz": dsbs(0.1), "test_channel": bsc(0.25),
+                "f": [[0, 0], [1, 1]], "rho": [[0, 1], [1, 0]],
+                "eps_a": 0.01, "eps_b": 0.1},
+               lambda p, n, v: p.metric_cond("y", "z", n)[v]),
+        "oho": ({"mu_xy": dsbs(0.1), "channel": bsc(0.1), "eps_a": 0.05,
+                 "eps_b": 0.15, "eps_bhat": 0.15},
+                lambda p, n, v: p.metric_marg("z", n)),
+    }
+    for problem, (scheme, metric) in cases.items():
+        params = sc.scheme_params(problem, scheme)
+        for n, seed in itertools.product((8, 12, 16), range(3)):
+            inst = sc.build_instance(params, n, seed=seed)
+            A, B = inst.matrices["A"], inst.matrices["B"]
+            rng = np.random.default_rng(seed)
+            u = rng.integers(0, B.q, (6, n))
+            targets = np.vstack([B.matvec(u[:4]),
+                                 rng.integers(0, B.q, (2, B.l))])
+            v = rng.integers(0, 2, (6, n))
+            table = metric(params, n, v)
+            got = sc.ml_code_iid(inst.code("A"), table, bins=(B, targets))
+            stacked = sc.solve_coset([(A, inst.vectors["A"]), (B, targets)])
+            want = sc.ml_code_iid(stacked, table)
+            assert got.tobytes() == want.tobytes(), (problem, n, seed)
 
 
 def test_first_use_of_a_coset_solves_its_own_targets():
