@@ -180,7 +180,7 @@ def cmd_run(args) -> int:
                          "the config; choose another --out prefix")
     params = cfg.scheme_params()
     for n in cfg.n_list:  # a search past the budget exits 2 before any draw
-        sc.check_searches(params, n)
+        sc.check_searches(params, n, cfg.ensemble)
     summary, records = hn.run_experiment(cfg)
     csv_path = hn.write_outputs(summary, records, prefix)
     sys.stdout.write(hn.summary_csv(summary))

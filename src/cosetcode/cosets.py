@@ -205,19 +205,6 @@ def check_members(size: int):
         raise BudgetError(f"coset has {size} elements, budget {BUDGET}")
 
 
-def check_product(n: int, qx: int, rank_x: int, qy: int, rank_y: int) -> bool:
-    """Whether the syndrome trellis of a product search, n q_x^(rank_x + 1)
-    q_y^(rank_y + 1) branches a trial, is smaller than its q_x^(n - rank_x)
-    q_y^(n - rank_y) pairs; BudgetError when the smaller count is past
-    BUDGET."""
-    pairs = qx ** (n - rank_x) * qy ** (n - rank_y)
-    branches = n * qx ** (rank_x + 1) * qy ** (rank_y + 1)
-    if min(pairs, branches) > BUDGET:
-        raise BudgetError(f"product has {pairs} pairs and a trellis of "
-                          f"{branches} branches, budget {BUDGET}")
-    return branches < pairs
-
-
 def _mod_sum(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """(a + b) mod q for entries in [0, q)."""
     out = a + b
@@ -282,7 +269,7 @@ def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):
     rows takes.  The one exception is the product, which forms its y
     members whole, one trial's metric at them and one trial's scores of a
     block of x members against them: at most BUDGET pairs, as the pair
-    count is checked (check_product).  The trellis passes the fixed
+    count is checked (ml_code_product).  The trellis passes the fixed
     `_TRELLIS_ROOM`."""
     step = max(1, room // scores_per_trial)
     return [rows[i:i + step] for i in range(0, rows.size, step)]
@@ -533,11 +520,16 @@ def ml_code_product(coset_x: CosetDescription, coset_y: CosetDescription,
     `metric` must be integer-valued (fixed_point_metric, -inf allowed), so
     the ML pair is exact and exact ties go to the lexicographically smallest
     (x, y); it is used as it is.  The pairs come from the syndrome trellis
-    when it is the smaller search (check_product), and from enumeration of
-    the pairs otherwise; both give the same pairs."""
-    trellis = check_product(coset_x.n, coset_x.q, coset_x.rank, coset_y.q,
-                            coset_y.rank)
-    path = _product_trellis if trellis else _product_enumerate
+    when its n q_x^(rank_x + 1) q_y^(rank_y + 1) branches a trial are fewer
+    than the |X| |Y| pairs, and from enumeration of the pairs otherwise; both
+    give the same pairs, and the smaller count must be within BUDGET."""
+    pairs = coset_x.kernel_size * coset_y.kernel_size
+    branches = (coset_x.n * coset_x.q ** (coset_x.rank + 1)
+                * coset_y.q ** (coset_y.rank + 1))
+    if min(pairs, branches) > BUDGET:
+        raise BudgetError(f"product has {pairs} pairs and a trellis of "
+                          f"{branches} branches, budget {BUDGET}")
+    path = _product_trellis if branches < pairs else _product_enumerate
     return path(coset_x, coset_y, metric)
 
 

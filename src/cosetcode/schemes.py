@@ -17,7 +17,6 @@ import numpy as np
 from .cosets import (
     CosetDescription,
     check_members,
-    check_product,
     fixed_point_metric,
     log_table,
     ml_code_cond_iid,
@@ -321,23 +320,24 @@ def instance_streams(params: SchemeParams) -> list:
             for tag in ("mat", "vec")[:1 + (column is None)]]
 
 
-def check_searches(params: SchemeParams, n: int):
-    """Refuse, before any draw, a problem whose searches at n are past
-    BUDGET at full rank, where their cosets are smallest: each shared code
-    has q**(n - rows) members, and so does oho's Bhat coset; sw's product
-    search takes the smaller of its pair and branch counts.  A draw below
-    full rank has larger cosets, which its search refuses (BudgetError)."""
+def check_searches(params: SchemeParams, n: int, ensemble: str = "mackay"):
+    """Refuse, before any draw, a problem at n whose every draw has a search
+    past BUDGET.  Each shared code is searched whole, and so is oho's Bhat
+    coset: a matrix of `rows` rows has rank at most `rows`, and a binary
+    MacKay one at most rows - 1 (build_instance makes its column weight
+    even, so its rows sum to zero), which leaves its cosets at least
+    q**(n - rank) members.  sw's product search is not checked here: it
+    takes the trellis when that is the smaller, whose branches grow with the
+    ranks, and no draw's rank is bounded from below; each draw's search
+    refuses itself (BudgetError)."""
     problem, rows = params.problem, params.dims(n).rounded
-
-    def q(name):
-        return params.card(MATRICES[problem][name][0])
-
     if problem == "sw":
-        check_product(n, q("A"), rows["A"], q("B"), rows["B"])
         return
     searched = [name for tag, name in instance_streams(params) if tag == "vec"]
     for name in searched + ["Bhat"] * (problem == "oho"):
-        check_members(q(name) ** (n - rows[name]))
+        q = params.card(MATRICES[problem][name][0])
+        rank = rows[name] - (ensemble == "mackay" and q == 2)
+        check_members(q ** (n - rank))
 
 
 def build_instance(params: SchemeParams, n: int, seed,

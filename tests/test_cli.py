@@ -541,8 +541,8 @@ def test_run_over_budget_coset_is_usage_error(tmp_path, capsys):
 
 def test_run_refuses_an_over_budget_search_before_any_draw(
         tmp_path, capsys, monkeypatch):
-    # at full rank, oho's Bhat coset at n = 40 and ch's shared code at n = 64
-    # are past BUDGET: the run exits 2 and draws no code
+    # at full rank, oho's Bhat coset and ch's shared code at n = 64 are past
+    # BUDGET: the run exits 2 and draws no code
     def no_draw(*args, **kwargs):
         raise AssertionError("build_instance was called")
 
@@ -556,6 +556,49 @@ def test_run_refuses_an_over_budget_search_before_any_draw(
         assert main(["run", "--config", str(path),
                      "--out", str(tmp_path / f"{name}_run")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: coset has ")
+
+
+def test_run_bounds_binary_mackay_codes_below_full_rank(tmp_path, capsys,
+                                                        monkeypatch):
+    # channel at n = 53: A has 29 rows, so its shared code has 2^24 members
+    # at full rank, within BUDGET.  A binary MacKay A has even columns, so
+    # its rank is at most 28 and every draw's code has 2^25 members: the run
+    # exits 2 before any draw.  A uniform A can have full rank: the run
+    # goes on to draw
+    class Drawn(Exception):
+        pass
+
+    def draw(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(schemes, "build_instance", draw)
+    doc = json.loads((Path(__file__).parent.parent / "configs"
+                      / "channel.json").read_text())
+    doc.update(n=[53], trials=1, best_of=1)
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(doc))
+    run = ["run", "--config", str(path), "--out", str(tmp_path / "run")]
+    assert main(run) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        f"error: coset has {1 << 25} elements")
+    path.write_text(json.dumps(dict(doc, ensemble="uniform")))
+    with pytest.raises(Drawn):
+        main(run)
+
+
+def test_run_leaves_a_product_within_budget_to_its_draws(tmp_path):
+    # sw at n = 32, rates 0.28: 9 rows each.  At full rank the product has
+    # 2^46 pairs and a trellis of 2^25 branches, both past BUDGET, but a
+    # binary MacKay draw has rank at most 8, whose trellis of 2^23 branches
+    # is within it: the run completes
+    doc = json.loads((Path(__file__).parent.parent / "configs"
+                      / "sw.json").read_text())
+    doc.update(n=[32], trials=1, best_of=1)
+    doc["scheme"].update(rate_x=0.28, rate_y=0.28)
+    path = tmp_path / "sw.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "sw_run")]) == EXIT_OK
 
 
 def test_console_script_smoke():

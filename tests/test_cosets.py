@@ -402,6 +402,15 @@ def test_blocked_search_with_bins_matches_oracle(block, data):
             for u in in_bin)
 
 
+def test_search_of_no_trials():
+    # a batch of no trials, by a metric or by bins, searches nothing
+    code = solve(np.array([[1, 1, 0]]), [1], 2)
+    assert ml_code_iid(code, np.zeros((0, 3, 2))).shape == (0, 3)
+    B = SparseMatrix(2, [[0, 1, 1]])
+    assert ml_code_iid(code, np.zeros((3, 2)),
+                       bins=(B, np.zeros((0, 1)))).shape == (0, 3)
+
+
 def test_search_memory_does_not_grow_with_the_coset():
     # one search with bins, of codes of 2**14 to 2**20 members: the peak is
     # set by one block (2**14 members, n q = 48 one-hot columns), so the
