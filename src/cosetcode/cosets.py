@@ -16,7 +16,8 @@ BUDGET = 1 << 24
 # their high digits, and the one-hot rows of their low digits are formed once
 # per coset
 _BLOCK = 1 << 14
-# entries of the (T, q_x, S_x, q_y, S_y) relax array of one trellis block
+# entries of the walk arrays of one trellis block, (n + 1 + q_x q_y) S_y a
+# trial; the joint values are formed once per call, outside the blocks
 _TRELLIS_ROOM = 1 << 16
 # the score of a member that takes a -inf term: below every finite score
 # (above -2**53, fixed_point_metric) and above the -inf of a member outside
@@ -124,17 +125,18 @@ class CosetDescription:
 
     @cached_property
     def steps(self) -> np.ndarray:
-        """Trellis sections: steps[i, a, s] is the state reached from partial
-        syndrome s by symbol a at position i.  A state is the partial syndrome
-        of the `rank` reduced rows E M, coded as sum_k s_k q**k; for q = 2 a
-        step is the XOR with the column code."""
+        """Trellis sections, read backward from the end: steps[i, a, d] is
+        what symbol a at position i leaves of a syndrome d still to collect,
+        d less a times column i.  A syndrome is taken by the `rank` reduced
+        rows E M and coded as sum_k d_k q**k; for q = 2 a step is the XOR
+        with the column code."""
         q = self.q
         states = np.arange(q ** self.rank, dtype=np.int64)
         symbols = np.arange(q, dtype=np.int64)[None, :, None]
         steps = np.zeros((self.n, q, states.size), dtype=np.int64)
         for k, row in enumerate(self.reduced):
             digit = (states // q ** k) % q
-            steps += ((digit + symbols * row[:, None, None]) % q) * q ** k
+            steps += ((digit - symbols * row[:, None, None]) % q) * q ** k
         steps.setflags(write=False)
         return steps
 
@@ -269,8 +271,10 @@ def _blocks(rows: np.ndarray, scores_per_trial: int, room: int):
     rows takes.  The one exception is the product, which forms its y
     members whole, one trial's metric at them and one trial's scores of a
     block of x members against them: at most BUDGET pairs, as the pair
-    count is checked (ml_code_product).  The trellis passes the fixed
-    `_TRELLIS_ROOM`."""
+    count is checked (ml_code_product).  The trellis forms its (n + 1) S_x
+    S_y joint values once per call, for every trial (_suffix_values), and
+    blocks only its walks: (n + 1 + q_x q_y) S_y entries a trial within the
+    fixed `_TRELLIS_ROOM`."""
     step = max(1, room // scores_per_trial)
     return [rows[i:i + step] for i in range(0, rows.size, step)]
 
@@ -408,6 +412,38 @@ def fixed_point_metric(log_joint, n: int) -> np.ndarray:
         s -= 1
 
 
+def _end_states(coset: CosetDescription) -> np.ndarray:
+    """Each trial's reduced target in the trellis code of `steps`: the
+    syndrome its whole word collects, the pivot values of its particular
+    solution."""
+    return coset.particular[:, coset.pivots] @ coset.q ** np.arange(coset.rank)
+
+
+def _suffix_values(coset_x: CosetDescription, coset_y: CosetDescription,
+                   metric: np.ndarray) -> np.ndarray:
+    """The backward pass of the product trellis, one for every trial of the
+    two blocks: W[i, d_x, d_y], (n + 1, S_x, S_y), is the best score of the
+    suffixes from cut i whose partial syndromes are (d_x, d_y), -inf where
+    no suffix has them.
+
+    A syndrome trellis is translation invariant: the suffixes that lead from
+    state (s, t) to a trial's end state (e_x, e_y) are exactly those whose
+    syndromes are (e_x - s, e_y - t), digit by digit mod q.  So the best
+    suffix of any trial from any state is a value of W, and W needs no trial
+    axis."""
+    (qx, qy), n = metric.shape, coset_x.n
+    steps_x, steps_y = coset_x.steps, coset_y.steps
+    W = np.full((n + 1, steps_x.shape[2], steps_y.shape[2]), -np.inf)
+    W[n, 0, 0] = 0.0
+    sym_x, branch = np.arange(qx)[:, None], metric[:, None, :, None]
+    for i in range(n - 1, -1, -1):
+        # [a, d_x, d_y]: max_b metric[a, b] + W[i + 1] at what (a, b) leave
+        # of (d_x, d_y); then the max over a
+        max_b = (branch + W[i + 1][:, steps_y[i]]).max(axis=2)
+        np.max(max_b[sym_x, steps_x[i]], axis=0, out=W[i])
+    return W
+
+
 def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
                      metric: np.ndarray):
     """Exact ML pair of every trial on Wolf's syndrome trellis of its product
@@ -415,59 +451,57 @@ def _product_trellis(coset_x: CosetDescription, coset_y: CosetDescription,
 
     The joint state is the pair of partial syndromes; a trial ends in the
     codes of its reduced targets, the pivot values of its particular
-    solutions.  There is one walk per block of trials (value arrays with a
-    leading trial axis): a backward pass gives the best suffix value of every
-    state; a forward walk then takes, at each position, the smallest x
-    symbol that some ML pair continues, tracking the best prefix value of
-    every y state beside the one x state of the fixed x prefix; a last
-    trellis over y alone, x fixed, takes the smallest y.  A trial whose pairs
-    all score -inf takes its particular solutions, zero at every free column:
-    member 0 of each factor, the smallest pair.  `metric` must be integral
-    (fixed_point_metric), so the value comparisons are exact."""
+    solutions.  One backward pass serves every trial (_suffix_values), so
+    the call holds (n + 1) S_x S_y values once.  The walks run per block of
+    trials, in difference coordinates, the syndromes a trial has still to
+    collect, which index W directly: a forward walk takes, at each
+    position, the smallest x symbol that some ML pair continues, tracking
+    the best prefix value of every y difference beside the one x difference
+    of the fixed x prefix; a last trellis over y alone, x fixed, takes the
+    smallest y.  A block holds as many trials as keep their walk arrays,
+    (n + 1 + q_x q_y) S_y entries a trial, within _TRELLIS_ROOM.  A trial
+    whose pairs all score -inf takes its particular solutions, zero at
+    every free column: member 0 of each factor, the smallest pair.
+    `metric` must be integral (fixed_point_metric), so the value
+    comparisons are exact."""
     (qx, qy), n, trials = metric.shape, coset_x.n, len(coset_x)
     x, y = (np.full((trials, n), -1, dtype=np.int64) for _ in range(2))
-    steps_x, steps_y = coset_x.steps, coset_y.steps
-    sx, sy = steps_x.shape[2], steps_y.shape[2]
-    ends_x, ends_y = (c.particular[:, c.pivots] @ c.q ** np.arange(c.rank)
-                      for c in (coset_x, coset_y))
-    sym_x, branch = np.arange(qx)[:, None], metric[:, None, :, None]
-    into_y = steps_y[:, (-np.arange(qy)) % qy]  # [i, b, t]: state b takes to t
     live = np.flatnonzero(~(coset_x.empty | coset_y.empty))
-    for rows in _blocks(live, qx * qy * sx * sy, _TRELLIS_ROOM):
+    if not live.size:
+        return x, y
+    W = _suffix_values(coset_x, coset_y, metric)
+    steps_x, steps_y, sy = coset_x.steps, coset_y.steps, W.shape[2]
+    into_y = steps_y[:, (-np.arange(qy)) % qy]  # [i, b, d]: d + b column i
+    ends_x, ends_y = _end_states(coset_x), _end_states(coset_y)
+    for rows in _blocks(live, (n + 1 + qx * qy) * sy, _TRELLIS_ROOM):
         j = np.arange(rows.size)
-        value = np.full((n + 1, rows.size, sx, sy), -np.inf)
-        value[n, j, ends_x[rows], ends_y[rows]] = 0.0
-        for i in range(n - 1, -1, -1):
-            # [j, a, s, t]: max_b metric[a, b] + value[i + 1][j] at the state
-            # that (a, b) leads (s, t) to; then the max over a
-            max_b = (branch + value[i + 1][:, None, :, steps_y[i]]).max(axis=3)
-            np.max(max_b[:, sym_x, steps_x[i]], axis=1, out=value[i])
-        best = value[0, :, 0, 0, None]
-        # a fixed x prefix ends in one x state; prefix[j, t] is the best value
-        # of the y prefixes that end in y state t beside it
-        state = np.zeros(rows.size, dtype=np.int64)
+        best = W[0, ends_x[rows], ends_y[rows], None]
+        # a fixed x prefix leaves one x difference; prefix[j, d] is the best
+        # value of the y prefixes that leave y difference d beside it
+        left = ends_x[rows]
         prefix = np.full((rows.size, sy), -np.inf)
-        prefix[:, 0] = 0.0
+        prefix[j, ends_y[rows]] = 0.0
         xb, yb = (np.empty((rows.size, n), dtype=np.int64) for _ in range(2))
         for i in range(n):
-            nxt = steps_x[i][:, state].T  # (j, a)
-            # [j, a, t]: best prefix ending in y state t with x_i = a
+            nxt = steps_x[i][:, left].T  # (j, a)
+            # [j, a, d]: best prefix leaving d with x_i = a; y_i = b leaves d
+            # of the difference d + b column i
             cand = (metric[..., None] + prefix[:, None, into_y[i]]).max(axis=2)
-            xb[:, i] = ((cand + value[i + 1][j[:, None], nxt]).max(axis=2)
-                        == best).argmax(axis=1)
-            state, prefix = nxt[j, xb[:, i]], cand[j, xb[:, i]]
+            xb[:, i] = ((cand + W[i + 1][nxt]).max(axis=2) == best).argmax(
+                axis=1)
+            left, prefix = nxt[j, xb[:, i]], cand[j, xb[:, i]]
         table = metric[xb]  # (j, i, b)
         suffix = np.full((n + 1, rows.size, sy), -np.inf)
-        suffix[n, j, ends_y[rows]] = 0.0
-        cand_y = np.empty((n, rows.size, qy, sy))  # [i, j, b, t]
+        suffix[n, :, 0] = 0.0
         for i in range(n - 1, -1, -1):
-            cand_y[i] = table[:, i, :, None] + suffix[i + 1][:, steps_y[i]]
-            suffix[i] = cand_y[i].max(axis=1)
-        state = np.zeros(rows.size, dtype=np.int64)
+            suffix[i] = (table[:, i, :, None]
+                         + suffix[i + 1][:, steps_y[i]]).max(axis=1)
+        left = ends_y[rows]
         for i in range(n):
-            yb[:, i] = np.argmax(cand_y[i][j, :, state]
-                                 == suffix[i, j, state][:, None], axis=1)
-            state = steps_y[i][yb[:, i], state]
+            nxt = steps_y[i][:, left].T  # (j, b)
+            yb[:, i] = (table[:, i] + suffix[i + 1][j[:, None], nxt]
+                        == suffix[i, j, left][:, None]).argmax(axis=1)
+            left = nxt[j, yb[:, i]]
         dead = rows[best[:, 0] == -np.inf]
         x[rows], y[rows] = xb, yb
         x[dead], y[dead] = coset_x.particular[dead], coset_y.particular[dead]

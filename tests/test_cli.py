@@ -84,13 +84,16 @@ def test_diag_past_the_float_range(capsys):
 def test_gen_matrix_roundtrip(capsys):
     args = ["gen-matrix", "--q", "3", "--l", "2", "--n", "4", "--tau", "3",
             "--seed", "5"]
-    assert main(args) == EXIT_OK
+    # an odd tau is allowed for q = 3, with a warning
+    with pytest.warns(UserWarning, match="odd tau"):
+        assert main(args) == EXIT_OK
     first = capsys.readouterr().out
     header, *columns = first.splitlines()
     assert header == "3 2 4"
     assert [c.split()[:2] for c in columns] == [["col", str(i)]
                                                 for i in range(4)]
-    assert main(args) == EXIT_OK
+    with pytest.warns(UserWarning, match="odd tau"):
+        assert main(args) == EXIT_OK
     assert capsys.readouterr().out == first  # seeded determinism
 
 

@@ -553,6 +553,59 @@ def test_product_paths_match_oracle(data):
         assert all(joined(x[j], y[j]) == want for x, y in paths)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trellis_shares_one_pass_among_many_trials(data):
+    # many trials of one elimination on one backward pass: every trial's
+    # pair is its ML pair, and the shared value at its end state is its
+    # optimum score, which pins the differences mod q
+    qx, qy = (data.draw(st.sampled_from([2, 3, 5])) for _ in range(2))
+    n = data.draw(st.integers(1, {2: 4, 3: 3, 5: 2}[max(qx, qy)]))
+    trials = data.draw(st.integers(10, 40))
+    bx, by = random_batch(data, qx, n, trials), random_batch(data, qy, n, trials)
+    metric = random_metric(data, (qx, qy), n)
+    x, y = _product_trellis(bx, by, metric)
+    W = cosets._suffix_values(bx, by, metric)
+    assert W.shape == (n + 1, qx ** bx.rank, qy ** by.rank)
+    ends = zip(cosets._end_states(bx), cosets._end_states(by))
+    for j, (ex, ey) in enumerate(ends):
+        if bx.empty[j] or by.empty[j]:
+            assert (x[j] == -1).all() and (y[j] == -1).all()
+            continue
+        want = product_oracle(bx[j], by[j], metric)
+        assert joined(x[j], y[j]) == want
+        assert W[0, ex, ey] == sum(metric[a, b] for a, b in zip(
+            want[:n], want[n:]))
+
+
+def test_trellis_memory_grows_only_by_the_walks():
+    # 16384 joint states, as sw at n = 24 and rates 0.35/0.35: one block of
+    # 32 trials peaks above one trial by at most the walks' arrays, (n + 1 +
+    # q_x q_y) S_y entries a trial, not by a joint array a trial
+    rng = rng_from_seed(24)
+    n, rank, trials = 24, 7, 32
+    systems = [(M, M @ rng.integers(0, 2, (n, trials)) % 2) for M in (
+        np.hstack([np.eye(rank, dtype=int), rng.integers(0, 2, (rank, n - rank))])
+        for _ in range(2))]
+    metric = fixed_point_metric(log_table([[0.445, 0.055], [0.055, 0.445]]), n)
+    walks = (n + 1 + 4) * 2 ** rank  # entries a trial
+    peaks, pairs = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cosets, "_TRELLIS_ROOM", trials * walks)
+        for count in (1, trials):
+            bx, by = (solve(M, t[:, :count].T, 2) for M, t in systems)
+            bx.steps, by.steps  # the sections are the cosets', not the call's
+            tracemalloc.start()
+            pairs.append(_product_trellis(bx, by, metric))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert (bx.rank, by.rank) == (rank, rank)
+    assert peaks[1] - peaks[0] < 1.5 * (trials - 1) * walks * 8, peaks
+    # the one joint pass: (n + 1) S_x S_y values
+    assert peaks[0] > (n + 1) * 4 ** rank * 8
+    assert all(np.array_equal(one, many[:1]) for one, many in zip(*pairs))
+
+
 def test_product_all_minus_inf_trial_takes_particular_pair():
     # metric -inf off the diagonal; in trial 0 the factors force x_0 != y_0,
     # so all its pairs score -inf and tie; trial 1 scores finite
@@ -610,8 +663,8 @@ def test_trellis_batch_matches_single_trials(per_block, data):
     metrics = [np.full((q, q), -np.inf) for _ in range(2)]
     np.fill_diagonal(metrics[0], 0.0)
     np.fill_diagonal(metrics[1], diagonal)
-    room = cosets._TRELLIS_ROOM if per_block is None else per_block * q * q * (
-        q ** (bx.rank + by.rank))
+    room = cosets._TRELLIS_ROOM if per_block is None else per_block * (
+        n + 1 + q * q) * q ** by.rank
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cosets, "_TRELLIS_ROOM", room)
         for metric in metrics:
